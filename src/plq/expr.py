@@ -193,9 +193,6 @@ class Poly:
             raise ExprError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) in descending graded lexicographic order."""
         if self.is_zero():
@@ -620,10 +617,6 @@ class LogExpr:
         self.logs = tuple((i, merged[i]) for i in sorted(merged) if not merged[i].is_zero())
 
     @staticmethod
-    def from_ratfunc(r: RatFunc) -> "LogExpr":
-        return LogExpr(r)
-
-    @staticmethod
     def zero(table: VarTable) -> "LogExpr":
         return LogExpr(RatFunc.zero(table))
 
@@ -891,6 +884,26 @@ def generator_monomial(table: VarTable, exps: Sequence[int]) -> RatFunc:
             den[gens[k]] = -e
     return RatFunc(Poly(table, {tuple(num): Fraction(1)}),
                    Poly(table, {tuple(den): Fraction(1)}))
+
+
+Split = dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
+
+
+def split_terms(p: Poly, keys: Sequence[int],
+                shift: Sequence[int] | None = None) -> Split | None:
+    """Group p's terms as {exponents at `keys` plus shift -> {parameter
+    exponent -> coefficient}}, parameter exponents as full-length tuples; None
+    when a term uses a variable that is neither a key nor a parameter."""
+    is_param = [k == PARAMETER for k in p.table.kinds]
+    others = [i for i, m in enumerate(is_param) if not m and i not in keys]
+    shift = shift or (0,) * len(keys)
+    out: Split = {}
+    for e, c in p.terms.items():
+        if any(e[i] for i in others):
+            return None
+        pexp = tuple(x if m else 0 for x, m in zip(e, is_param))
+        out.setdefault(tuple(e[i] + s for i, s in zip(keys, shift)), {})[pexp] = c
+    return out
 
 
 def _var_power_string(name: str, e: int) -> str:

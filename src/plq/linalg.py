@@ -9,10 +9,9 @@ are exact for any element type supporting +, -, *, / and comparison with 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .expr import ExprError, Poly, RatFunc
+from .expr import PARAMETER, ExprError, Poly, RatFunc, VarTable, split_terms
 
 E = TypeVar("E")
 
@@ -196,15 +195,13 @@ def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
     """Linear system rows asking a combination of expression columns to vanish.
 
     Denominators are cleared by the product of distinct denominator
-    polynomials; the cleared columns are split by their non-parameter
-    monomials, one row per monomial, with parameter-polynomial entries
-    wrapped as rational functions.  Rows come out in descending graded
-    lexicographic order of the keying monomial.
+    polynomials; each cleared column is split by its non-parameter monomials
+    with `split_terms`, and `grouped_rows` emits one row per monomial.
     """
     if not columns:
         return []
     table = columns[0].table
-    param_set = set(table.parameter_indices)
+    keys = [i for i, k in enumerate(table.kinds) if k != PARAMETER]
     distinct: dict[str, Poly] = {}
     for col in columns:
         if not col.is_poly():
@@ -212,21 +209,29 @@ def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
     common = Poly.one(table)
     for d in distinct.values():
         common = common * d
-    grouped: dict[tuple[int, ...], dict[int, dict[tuple[int, ...], Fraction]]] = {}
+    grouped: dict[tuple[int, ...], dict[int, dict]] = {}
     for cidx, col in enumerate(columns):
         cleared = col * RatFunc.from_poly(common)
         if not cleared.is_poly():
             raise ExprError("failed to clear denominators in linear system")
-        for e, c in cleared.num.terms.items():
-            key = tuple(0 if i in param_set else x for i, x in enumerate(e))
-            pexp = tuple(x if i in param_set else 0 for i, x in enumerate(e))
-            cell = grouped.setdefault(key, {}).setdefault(cidx, {})
-            cell[pexp] = cell.get(pexp, Fraction(0)) + c
+        for key, cell in split_terms(cleared.num, keys).items():
+            grouped.setdefault(key, {})[cidx] = cell
+    return grouped_rows(table, grouped)
+
+
+def grouped_rows(table: VarTable,
+                 grouped: dict[tuple[int, ...], dict[int, dict]]) -> list[Row]:
+    """Rows from {monomial key -> {column -> {parameter exponent -> coefficient}}}.
+
+    Rows come out in descending graded lexicographic order of the key; an
+    entry is a Fraction when constant, else a polynomial rational function.
+    Zero entries and empty rows are dropped.
+    """
     out: list[Row] = []
     for key in sorted(grouped, key=lambda e: (sum(e), e), reverse=True):
         row = {}
         for cidx, cell in grouped[key].items():
-            p = Poly.from_terms(table, cell.items())
+            p = Poly(table, {e: c for e, c in cell.items() if c})
             if p.is_zero():
                 continue
             row[cidx] = p.constant_value() if p.is_constant() else RatFunc.from_poly(p)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
-                   VarTable, diff, generator_monomial, monomial_exponents)
-from .linalg import collect_rows, nullspace, presolve_forced_zero, rank_of, rref
+from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
+                   generator_monomial, monomial_exponents, split_terms)
+from .linalg import grouped_rows, nullspace, presolve_forced_zero, rank_of, rref
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, generic_rank,
                         sample_point)
 
@@ -85,35 +85,49 @@ def basis_expression(table: VarTable, elem: BasisElem) -> LogExpr:
 def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[dict]:
     """Sparse rows of the invariant system over the ansatz columns.
 
-    For each generator j the equation sum_i (dF/du_i) f_ij = 0 is cleared of
-    denominators and split by generator monomials; entries live in the
-    parameter field.
+    Row j of sum_i (dF/du_i) f_ij = 0 is cleared of denominators once, by
+    the product of the distinct f_ij denominators, and each cleared f_ij is
+    split once by generator exponent.  Column u^e then takes e_i times split
+    f_ij shifted by e - delta_i, column log(u_k) split f_kj shifted by
+    -delta_k.  Rows are keyed by the (possibly negative) generator exponent,
+    in descending graded lexicographic order, with parameter-ring entries.
     """
     table = btable.table
     r = btable.r
-    zero = RatFunc.zero(table)
+    gens = table.generator_indices
+    # Per column: (generator i, factor, shift) for each term it takes from f_ij.
+    terms = []
+    for elem in basis:
+        if isinstance(elem, Mono):
+            e = elem.exps
+            terms.append([(i, x, tuple(y - (k == i) for k, y in enumerate(e)))
+                          for i, x in enumerate(e) if x])
+        else:
+            k = elem.position
+            terms.append([(k, 1, tuple(-x for x in _delta(r, k)))])
     rows: list[dict] = []
     for j in range(r):
-        columns: list[RatFunc] = []
-        for elem in basis:
-            if isinstance(elem, Mono):
-                g = zero
-                for i in range(r):
-                    e_i = elem.exps[i]
-                    if e_i == 0:
-                        continue
-                    f = btable.bracket(i, j)
-                    if f.is_zero():
-                        continue
-                    lowered = tuple(x - 1 if k == i else x
-                                    for k, x in enumerate(elem.exps))
-                    g = g + generator_monomial(table, lowered) * Fraction(e_i) * f
-            else:
-                f = btable.bracket(elem.position, j)
-                gen = generator_monomial(table, _delta(r, elem.position))
-                g = f / gen if not f.is_zero() else zero
-            columns.append(g)
-        rows.extend(collect_rows(columns))
+        fs = [(i, btable.bracket(i, j)) for i in range(r)]
+        dens = {str(f.den): f.den for _, f in fs if not f.is_poly()}
+        split = {}
+        for i, f in fs:
+            if f.is_zero():
+                continue
+            cleared = f.num  # f_ij times common / den_ij
+            for key, d in dens.items():
+                if key != str(f.den):
+                    cleared = cleared * d
+            split[i] = split_terms(cleared, gens)
+        grouped: dict[tuple[int, ...], dict[int, dict]] = {}
+        for c, contributions in enumerate(terms):
+            for i, scale, shift in contributions:
+                for key, cell in split.get(i, {}).items():
+                    at = grouped.setdefault(tuple(a + b for a, b in zip(key, shift)), {})
+                    acc = at.setdefault(c, {})
+                    for pk, v in cell.items():
+                        v = v if scale == 1 else scale * v
+                        acc[pk] = acc[pk] + v if pk in acc else v
+        rows.extend(grouped_rows(table, grouped))
     return rows
 
 
@@ -128,64 +142,25 @@ def map_to_coords(expr: LogExpr, table: VarTable,
     """Coordinates of an expression over the ansatz basis, or None when any
     part of it falls outside the basis."""
     gens = table.generator_indices
-    param_set = set(table.parameter_indices)
-    positions = {g: k for k, g in enumerate(gens)}
     den = expr.rat.den
-    den_shift = (0,) * len(gens)
-    den_param = Poly.one(table)
-    den_used = den.used_indices()
-    if den_used & set(gens):
+    den_split = split_terms(den, gens)
+    if den_split is None:
+        return None
+    shift = None
+    if any(any(key) for key in den_split):
         if len(den.terms) != 1:
             return None
-        (de, _), = den.terms.items()
-        shift = [0] * len(gens)
-        param_part = [0] * len(table)
-        for i, x in enumerate(de):
-            if x == 0:
-                continue
-            if i in positions:
-                shift[positions[i]] = x
-            elif i in param_set:
-                param_part[i] = x
-            else:
-                return None
-        den_shift = tuple(shift)
-        den_param = Poly(table, {tuple(param_part): Fraction(1)})
-    else:
-        if not den_used <= param_set:
-            return None
-        den_param = den
-    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for e, c in expr.rat.num.terms.items():
-        gen_part = [0] * len(gens)
-        param_part = [0] * len(table)
-        for i, x in enumerate(e):
-            if x == 0:
-                continue
-            if i in positions:
-                gen_part[positions[i]] = x
-            elif i in param_set:
-                param_part[i] = x
-            else:
-                return None
-        key = tuple(a - b for a, b in zip(gen_part, den_shift))
-        cell = grouped.setdefault(key, {})
-        pk = tuple(param_part)
-        cell[pk] = cell.get(pk, Fraction(0)) + c
-    coords: dict[int, RatFunc] = {}
-    for key, cell in grouped.items():
-        num = Poly.from_terms(table, cell.items())
-        if num.is_zero():
-            continue
-        elem = Mono(key)
-        if elem not in index:
-            return None
-        coords[index[elem]] = RatFunc(num, den_param)
+        (key, den_param), = den_split.items()
+        shift, den = tuple(-x for x in key), Poly(table, den_param)
+    grouped = split_terms(expr.rat.num, gens, shift)
+    if grouped is None or any(Mono(key) not in index for key in grouped):
+        return None
+    coords = {index[Mono(key)]: RatFunc(Poly(table, cell), den)
+              for key, cell in grouped.items()}
+    params = set(table.parameter_indices)
     for g, c in expr.logs:
-        if not (c.num.used_indices() | c.den.used_indices()) <= param_set:
-            return None
-        elem = LogElem(positions[g])
-        if elem not in index:
+        elem = LogElem(gens.index(g))
+        if elem not in index or not (c.num.used_indices() | c.den.used_indices()) <= params:
             return None
         coords[index[elem]] = c
     return {k: v for k, v in coords.items() if not v.is_zero()}
@@ -233,7 +208,8 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
                       seed: int = DEFAULT_SEED,
                       witness: Mapping[str, Fraction] | None = None,
                       extra_points: int = 8) -> int:
-    """Maximal exact rank of the Jacobian of the expressions over sampled points."""
+    """Maximal exact rank of the Jacobian of the expressions over sampled
+    points; ExprError when every point is a pole."""
     if not exprs:
         return 0
     table = btable.table
@@ -251,7 +227,7 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
             and attempts < 20 * extra_points:
         attempts += 1
         points.append(sample_point(table, rng))
-    best = 0
+    best = None
     for point in points:
         try:
             matrix = [[entry.as_ratfunc().evaluate(point) for entry in row]
@@ -259,7 +235,10 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
         except ExprError:
             continue
         rows = [{c: v for c, v in enumerate(r) if v != 0} for r in matrix]
-        best = max(best, rank_of(rows, len(gens)))
+        best = max(best or 0, rank_of(rows, len(gens)))
+    if best is None:
+        raise ExprError(f"independence rank: all {len(points)} sample points are "
+                        "poles of the invariants' gradients")
     return best
 
 

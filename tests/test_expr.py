@@ -7,8 +7,9 @@ import pytest
 
 from plq.canonical import canonical_point
 from plq.expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
-                      monomial_exponents, sigma_poly, substitute)
+                      monomial_exponents, sigma_poly, split_terms, substitute)
 from plq.parsing import ParseError, parse_expression, parse_ratfunc, to_string
+from plq.solver import Mono, map_to_coords
 
 
 def table_uv():
@@ -290,3 +291,42 @@ def test_variable_table_validation():
         VarTable.make(["q1"], 1, [])
     with pytest.raises(ExprError):
         VarTable.make(["x"], 0, [], "rho")
+
+
+def test_split_terms_mixed_generator_and_parameter_terms():
+    """Terms group by generator exponent; parameters stay in full-length cells."""
+    table = table_uv()
+    p = parse_ratfunc("3*a*b*u1^2 - a*u1^2 + u1^2 + 2*u2 - b", table).num
+    split = split_terms(p, table.generator_indices)
+    assert split == {
+        (2, 0, 0): {(0, 0, 0, 1, 1): Fraction(3), (0, 0, 0, 1, 0): Fraction(-1),
+                    (0, 0, 0, 0, 0): Fraction(1)},
+        (0, 1, 0): {(0, 0, 0, 0, 0): Fraction(2)},
+        (0, 0, 0): {(0, 0, 0, 0, 1): Fraction(-1)},
+    }
+
+
+def test_split_terms_negative_generator_exponents():
+    """A shift moves keys below zero, as for inverse and log columns."""
+    table = table_uv()
+    p = parse_ratfunc("a*u1*u3 + u2^2", table).num
+    split = split_terms(p, table.generator_indices, (-2, -1, 0))
+    assert split == {(-1, -1, 1): {(0, 0, 0, 1, 0): Fraction(1)},
+                     (-2, 1, 0): {(0, 0, 0, 0, 0): Fraction(1)}}
+
+
+def test_split_terms_rejects_canonical_variables():
+    """A q, p or rho variable is neither generator nor parameter: no split by
+    generators and no coordinates, though it can itself be a key."""
+    table = VarTable.make(["H"], 1, ["kappa"], "rho")
+    gens = table.generator_indices
+    index = {Mono((1,)): 0, Mono((2,)): 1}
+    for text in ("H*q1", "p1 + H", "kappa*rho*H^2"):
+        expr = parse_expression(text, table)
+        assert split_terms(expr.rat.num, gens) is None
+        assert map_to_coords(expr, table, index) is None
+    assert map_to_coords(parse_expression("kappa*H^2 - H", table), table, index) == {
+        1: RatFunc.var(table, "kappa"), 0: RatFunc.const(table, -1)}
+    keys = [i for i, kind in enumerate(table.kinds) if kind != "parameter"]
+    assert split_terms(parse_ratfunc("kappa*q1", table).num, keys) == {
+        (0, 1, 0, 0): {(0, 0, 0, 1, 0): Fraction(1)}}

@@ -2,10 +2,14 @@
 
 import pytest
 
-from plq.corpus import corpus_problem
-from plq.expr import ExprError, VarTable
+from fractions import Fraction
+
+from plq.corpus import corpus_names, corpus_problem
+from plq.expr import ExprError, RatFunc, VarTable
+from plq.linalg import nullspace, presolve_forced_zero
 from plq.parsing import parse_expression, parse_ratfunc, to_string
-from plq.solver import (AnsatzSpec, enumerate_basis, independence_rank,
+from plq.solver import (AnsatzSpec, assemble_system, coords_to_expression,
+                        enumerate_basis, independence_rank, map_to_coords,
                         solve_casimirs, solve_with_escalation,
                         verify_invariant)
 from plq.structure import BracketTable, bind_parameters
@@ -187,3 +191,73 @@ def test_solution_denominators_cleared():
         "u1^2*a2 - u2^2*b3 + u4^2*b1",
         "u1^2*a1*b1 - u1^2*a2*b2 + u2^2*b2*b3 - u3^2*b1*b3",
     ]
+
+
+def test_independence_rank_fails_when_every_point_is_a_pole():
+    """No usable sample point is an error, not a rank of zero."""
+    problem = corpus_problem("nappi-witten")
+    f = parse_expression("1/P1", problem.table)
+    with pytest.raises(ExprError, match="pole"):
+        independence_rank([f], problem.brackets, witness={"P1": Fraction(0)},
+                          extra_points=0)
+
+
+def assert_rows_annihilate(btable, ansatz, invertible, texts):
+    basis = enumerate_basis(btable.r, ansatz, invertible)
+    index = {elem: k for k, elem in enumerate(basis)}
+    rows = assemble_system(btable, basis)
+    zero = RatFunc.zero(btable.table)
+    for text in texts:
+        coords = map_to_coords(parse_expression(text, btable.table),
+                               btable.table, index)
+        assert coords, text
+        for row in rows:
+            total = sum((v * coords[c] for c, v in row.items() if c in coords),
+                        zero)
+            assert total.is_zero(), (text, row)
+
+
+def test_assembly_clears_denominators_row_wide():
+    """Polynomial f_ij are scaled by a row's common denominator too: known
+    invariants over parameter denominators satisfy every assembled row."""
+    problem = corpus_problem("hydrogen")
+    assert_rows_annihilate(problem.brackets, AnsatzSpec(max_degree=3),
+                           problem.invertible, [
+                               "L1*M1 + L2*M2 + L3*M3",
+                               "H*(L1^2 + L2^2 + L3^2) - m/2*(M1^2 + M2^2 + M3^2)"])
+    problem, bound = bound_quadratic()
+    c1 = "(a2*b2 - a1*b1)/b3*u1^2 - b2*u2^2 + b1*u3^2"
+    c2 = "a1*u1^2 - b3*u3^2 + b2*u4^2"
+    assert_rows_annihilate(bound, AnsatzSpec(max_degree=4), problem.invertible,
+                           [c1, c2, f"({c1})*({c2})"])
+
+
+def oracle_cases():
+    for name in corpus_names():
+        invertible = any(corpus_problem(name).invertible)
+        for degree in (2, 3, 4):
+            yield pytest.param(name, AnsatzSpec(degree), id=f"{name}-{degree}")
+            if invertible:
+                yield pytest.param(name, AnsatzSpec(degree, 1, True),
+                                   id=f"{name}-{degree}-inverse-log")
+
+
+@pytest.mark.parametrize("name,ansatz", list(oracle_cases()))
+def test_assembled_nullspace_passes_independent_verification(name, ansatz):
+    """Every nullspace vector of the assembled system is an invariant by
+    verify_invariant, which differentiates the expression directly."""
+    if name == "sklyanin":
+        problem, btable = bound_quadratic()
+    else:
+        problem = corpus_problem(name)
+        btable = problem.brackets
+    basis = enumerate_basis(btable.r, ansatz, problem.invertible)
+    reduced, forced = presolve_forced_zero(assemble_system(btable, basis))
+    vectors = nullspace(reduced, len(basis), RatFunc.one(problem.table),
+                        forced_zero=forced)
+    # Galilei's only invariant needs a log column.
+    assert vectors or (name == "galilei" and not ansatz.allow_log)
+    for vec in vectors:
+        expr = coords_to_expression(problem.table, basis,
+                                    {c: v for c, v in enumerate(vec) if v != 0})
+        assert verify_invariant(expr, btable).ok, str(expr)
