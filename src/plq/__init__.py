@@ -22,7 +22,7 @@ from .solver import (AnsatzSpec, CasimirBasis, InvariantReport,
                      verify_invariant)
 from .structure import (DEFAULT_SEED, BracketTable, JacobiReport, RankReport,
                         bind_parameters, generic_rank, jacobi_check,
-                        symbolic_determinant, verify_parameter_constraint)
+                        verify_parameter_constraint)
 
 __all__ = [
     "AnsatzSpec", "BracketTable", "CanonicalRealization", "CasimirBasis",
@@ -35,9 +35,8 @@ __all__ = [
     "express_in_generators", "generator_trajectory", "generic_rank",
     "independence_rank", "jacobi_check", "load_problem", "parse_expression",
     "parse_ratfunc", "save_problem", "sigma_poly", "solve_casimirs",
-    "solve_with_escalation", "substitute", "symbolic_determinant",
-    "to_string", "verify_closure", "verify_invariant",
-    "verify_parameter_constraint",
+    "solve_with_escalation", "substitute", "to_string", "verify_closure",
+    "verify_invariant", "verify_parameter_constraint",
 ]
 
 __version__ = "0.1.0"

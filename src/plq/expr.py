@@ -442,6 +442,9 @@ class RatFunc:
             den = a * a - sigma_poly(table) * b * b
             if den.is_zero():
                 raise ExprError("denominator annihilated by algebraic conjugation")
+        if den.is_constant():
+            return RatFunc(num.scale(1 / den.constant_value()), Poly.one(table),
+                           _normalized=True)
         if not num.is_zero():
             exact = num.divide_exact(den)
             if exact is not None:

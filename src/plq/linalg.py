@@ -131,32 +131,6 @@ def presolve_forced_zero(rows: Sequence[Row]) -> tuple[list[Row], set[int]]:
     return work, forced
 
 
-def det(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
-    """Exact determinant of a dense square matrix by elimination."""
-    n = len(matrix)
-    a = [list(r) for r in matrix]
-    sign_flip = False
-    acc = one
-    for col in range(n):
-        hit = None
-        for k in range(col, n):
-            if a[k][col] != 0:
-                hit = k
-                break
-        if hit is None:
-            return zero
-        if hit != col:
-            a[col], a[hit] = a[hit], a[col]
-            sign_flip = not sign_flip
-        pv = a[col][col]
-        acc = acc * pv
-        for k in range(col + 1, n):
-            if a[k][col] != 0:
-                f = a[k][col] / pv
-                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
-    return -acc if sign_flip else acc
-
-
 def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
     """Pfaffian of a skew matrix of even size, by first-row expansion with memoization."""
     n = len(matrix)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import combinations, islice
+from typing import Iterator, Mapping, Sequence
 
 from .expr import (GENERATOR, PARAMETER, ExprError, RatFunc, VarTable, diff,
                    substitute)
-from .linalg import det, pfaffian, rank_of, rows_from_dense
+from .linalg import pfaffian, rank_of, rows_from_dense, rref
 
 DEFAULT_SEED = 20140
 
@@ -141,36 +142,51 @@ class RankReport:
                 f"over {self.samples} points, seed {self.seed})")
 
 
-def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
-                 samples: int = 16) -> RankReport:
-    """Generic rank of the structure matrix: random rational sampling bounded
-    below, exact symbolic elimination as the authority."""
-    table = btable.table
-    matrix = btable.structure_matrix()
-    symbolic = rank_of(rows_from_dense(matrix), btable.r)
-    rng = random.Random(seed)
-    sampled_max = 0
-    witness: dict[str, Fraction] | None = None
-    taken = 0
-    attempts = 0
-    want = samples
-    while taken < want and attempts < 40 * samples:
-        attempts += 1
+def _evaluations(matrix: Sequence[Sequence[RatFunc]], table: VarTable,
+                 rng: random.Random, attempts: int
+                 ) -> Iterator[tuple[list[Fraction], list[list[Fraction]]]]:
+    """Random sample points with the matrix evaluated there; poles are skipped."""
+    for _ in range(attempts):
         point = sample_point(table, rng)
         try:
             numeric = [[f.evaluate(point) for f in row] for row in matrix]
         except ExprError:
             continue
-        taken += 1
-        rk = rank_of(rows_from_dense(numeric), btable.r)
-        if rk > sampled_max:
-            sampled_max = rk
-            witness = None
-        if rk == max(sampled_max, symbolic) and witness is None:
-            witness = {table.names[i]: point[i] for i in range(len(table))
-                       if table.kinds[i] in (GENERATOR, PARAMETER)}
-        if taken == want and (sampled_max < symbolic) and want < 12 * samples:
-            want += samples
+        yield point, numeric
+
+
+def _certified_rank(matrix: Sequence[Sequence[RatFunc]], block: list[int],
+                    full: RatFunc) -> int:
+    """Rank of a skew matrix, given a principal block with nonzero Pfaffian.
+
+    The block grows by two indices whose bordered sub-Pfaffian is not
+    identically zero.  When none is left, the block's Schur complement
+    vanishes, so the rank is the block's size.  `full` is the Pfaffian of the
+    whole matrix, the last border.
+    """
+    r = len(matrix)
+    zero, one = RatFunc.zero(full.table), RatFunc.one(full.table)
+    for a, b in combinations([i for i in range(r) if i not in block], 2):
+        grown = sorted([*block, a, b])
+        pf = full if len(grown) == r else pfaffian(
+            [[matrix[i][j] for j in grown] for i in grown], zero, one)
+        if not pf.is_zero():
+            return _certified_rank(matrix, grown, full)
+    return len(block)
+
+
+def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
+                 samples: int = 16) -> RankReport:
+    """Generic rank of the structure matrix: random rational sampling bounded
+    below, a sub-Pfaffian certificate as the authority.
+
+    The certificate starts from the pivot columns at the first point of
+    highest rank in the first block of samples: they index a principal block
+    that is nonsingular there.  Blocks are added, up to 12 in all, while no
+    point attains the certified rank; the first point that does is the witness.
+    """
+    table = btable.table
+    matrix = btable.structure_matrix()
     r = btable.r
     if r % 2 == 0:
         degeneracy = pfaffian(matrix, RatFunc.zero(table), RatFunc.one(table))
@@ -178,15 +194,21 @@ def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
     else:
         degeneracy = RatFunc.zero(table)
         kind = "determinant"
-    return RankReport(rank=symbolic, corank=r - symbolic, sampled_rank=sampled_max,
-                      witness=witness, seed=seed, samples=taken, kind=kind,
+    points = _evaluations(matrix, table, random.Random(seed), 40 * samples)
+    ranked = [(rank_of(rows_from_dense(m), r), p, m) for p, m in islice(points, samples)]
+    best = max(ranked, key=lambda t: t[0], default=None)
+    start = rref(rows_from_dense(best[2]), r)[1] if best else []
+    rank = _certified_rank(matrix, start, degeneracy)
+    while (0 < len(ranked) < 12 * samples and len(ranked) % samples == 0
+           and max(k for k, _, _ in ranked) < rank):
+        ranked += [(rank_of(rows_from_dense(m), r), p, m) for p, m in islice(points, samples)]
+    witness = next(({table.names[i]: p[i] for i in range(len(table))
+                     if table.kinds[i] in (GENERATOR, PARAMETER)}
+                    for k, p, _ in ranked if k == rank), None)
+    return RankReport(rank=rank, corank=r - rank,
+                      sampled_rank=max((k for k, _, _ in ranked), default=0),
+                      witness=witness, seed=seed, samples=len(ranked), kind=kind,
                       degeneracy=degeneracy)
-
-
-def symbolic_determinant(btable: BracketTable) -> RatFunc:
-    """Exact determinant of the structure matrix."""
-    table = btable.table
-    return det(btable.structure_matrix(), RatFunc.zero(table), RatFunc.one(table))
 
 
 def bind_parameters(btable: BracketTable, bindings: Mapping[str, RatFunc]) -> BracketTable:

@@ -72,6 +72,23 @@ def test_ratfunc_denominator_is_radical_free_and_monic():
     assert lead_coeff == 1
 
 
+@pytest.mark.parametrize("table, text, printed", [
+    (VarTable.make(["u1", "u2"], 0, ["a"]), "2*u1^2 - 3*a*u2 + 1",
+     {1: "2*u1^2 - 3*u2*a + 1", 3: "2/3*u1^2 - u2*a + 1/3"}),
+    (VarTable.make(["H"], 2, ["kappa"], "rho"), "kappa*rho*q1 - 2*H + 3",
+     {1: "q1*kappa*rho - 2*H + 3", 3: "1/3*q1*kappa*rho - 2/3*H + 1"}),
+])
+def test_ratfunc_make_constant_denominator(table, text, printed):
+    """A constant denominator scales the numerator, as exact division would."""
+    num = parse_ratfunc(text, table).num
+    for d in (1, 3):
+        den = Poly.const(table, d)
+        f = RatFunc.make(num, den)
+        assert f.den == Poly.one(table)
+        assert f.num == num.divide_exact(den)
+        assert str(f) == printed[d]
+
+
 def test_ratfunc_equality_by_cross_multiplication():
     """Equivalent quotients compare equal regardless of representation."""
     table = table_uv()

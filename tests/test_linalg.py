@@ -7,8 +7,30 @@ from itertools import permutations
 import pytest
 
 from plq.expr import Poly, RatFunc, VarTable
-from plq.linalg import (collect_rows, det, nullspace, pfaffian,
+from plq.linalg import (collect_rows, nullspace, pfaffian,
                         presolve_forced_zero, rank_of, rows_from_dense, rref)
+
+
+def det(matrix, zero, one):
+    """Reference determinant of a dense square matrix by elimination."""
+    n = len(matrix)
+    a = [list(r) for r in matrix]
+    sign_flip = False
+    acc = one
+    for col in range(n):
+        hit = next((k for k in range(col, n) if a[k][col] != 0), None)
+        if hit is None:
+            return zero
+        if hit != col:
+            a[col], a[hit] = a[hit], a[col]
+            sign_flip = not sign_flip
+        pv = a[col][col]
+        acc = acc * pv
+        for k in range(col + 1, n):
+            if a[k][col] != 0:
+                f = a[k][col] / pv
+                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
+    return -acc if sign_flip else acc
 
 
 def dense_rank(matrix):

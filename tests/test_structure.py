@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from plq.corpus import corpus_problem
-from plq.expr import ExprError, RatFunc, VarTable
+from plq.corpus import corpus_names, corpus_problem
+from plq.expr import ExprError, Poly, RatFunc, VarTable
+from plq.linalg import rank_of, rows_from_dense
 from plq.parsing import parse_ratfunc
 from plq.structure import (BracketTable, bind_parameters, generic_rank,
-                           jacobi_check, symbolic_determinant,
-                           verify_parameter_constraint)
+                           jacobi_check, verify_parameter_constraint)
+from test_linalg import det
 
 
 def so3_table():
@@ -96,7 +97,6 @@ def test_generic_rank_odd_dimension():
     assert report.sampled_rank == 2
     assert report.kind == "determinant"
     assert report.degeneracy.is_zero()
-    assert symbolic_determinant(problem.brackets).is_zero()
     assert report.witness is not None
 
 
@@ -113,13 +113,14 @@ def test_generic_rank_quadratic_pfaffian():
 def test_pfaffian_squares_to_structure_determinant():
     problem = corpus_problem("sklyanin")
     report = generic_rank(problem.brackets)
+    table = problem.table
     assert report.degeneracy * report.degeneracy == \
-        symbolic_determinant(problem.brackets)
+        det(problem.brackets.structure_matrix(), RatFunc.zero(table),
+            RatFunc.one(table))
 
 
 def test_witness_attains_generic_rank():
     """The reported witness point evaluates to a matrix of full generic rank."""
-    from plq.linalg import rank_of, rows_from_dense
     problem = corpus_problem("hydrogen")
     report = generic_rank(problem.brackets)
     assert (report.rank, report.corank) == (4, 3)
@@ -129,6 +130,62 @@ def test_witness_attains_generic_rank():
     numeric = [[f.evaluate(point) for f in row]
                for row in problem.brackets.structure_matrix()]
     assert rank_of(rows_from_dense(numeric), problem.brackets.r) == report.rank
+
+
+def bound_sklyanin():
+    problem = corpus_problem("sklyanin")
+    binding = {"a3": parse_ratfunc("(a2*b2 - a1*b1)/b3", problem.table)}
+    return bind_parameters(problem.brackets, binding)
+
+
+def low_rank_table(rng):
+    """Skew table M^T W M: M has sparse linear entries in at most 7 generators
+    and W is a constant skew k x k matrix, k <= 5, so the rank is at most 4."""
+    r = rng.randint(3, 7)
+    k = rng.randint(2, 5)
+    table = VarTable.make([f"u{i + 1}" for i in range(r)], 0, [])
+    terms = [Poly.one(table)] + [Poly.var(table, g) for g in table.generator_names]
+    m = [[sum((rng.choice([-2, -1, 1, 3]) * rng.choice(terms)
+               for _ in range(rng.randint(0, 2))), Poly.zero(table))
+          for _ in range(r)] for _ in range(k)]
+    w = [[0] * k for _ in range(k)]
+    for p in range(k):
+        for q in range(p + 1, k):
+            w[p][q] = rng.choice([-2, -1, 0, 0, 1, 3])
+            w[q][p] = -w[p][q]
+    entries = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            f = sum((m[p][i] * m[q][j] * w[p][q]
+                     for p in range(k) for q in range(k) if w[p][q]),
+                    Poly.zero(table))
+            entries[(i, j)] = RatFunc.from_poly(f)
+    return BracketTable(table, entries)
+
+
+def rank_cases():
+    cases = [(name, corpus_problem(name).brackets) for name in corpus_names()]
+    cases.append(("sklyanin-bound", bound_sklyanin()))
+    cases.append(("so3", so3_table()))
+    cases.append(("abelian", BracketTable(VarTable.make(["u1", "u2"], 0, []), {})))
+    rng = random.Random(2024)
+    cases += [(f"low-rank-{n}", low_rank_table(rng)) for n in range(20)]
+    return [pytest.param(bt, id=name) for name, bt in cases]
+
+
+@pytest.mark.parametrize("bt", rank_cases())
+def test_certified_rank_matches_elimination(bt):
+    """The sub-Pfaffian certificate agrees with elimination over RatFunc,
+    whether it starts from the sampled pivots or from the empty block."""
+    oracle = rank_of(rows_from_dense(bt.structure_matrix()), bt.r)
+    sampled = generic_rank(bt)
+    assert (sampled.rank, sampled.corank) == (oracle, bt.r - oracle)
+    assert sampled.sampled_rank <= oracle
+    unsampled = generic_rank(bt, samples=0)
+    assert (unsampled.rank, unsampled.corank) == (oracle, bt.r - oracle)
+    assert unsampled.witness is None
+    assert (unsampled.samples, unsampled.sampled_rank) == (0, 0)
+    assert unsampled.degeneracy == sampled.degeneracy
 
 
 def test_rank_seed_determinism():
