@@ -4,9 +4,17 @@ The flow of an observable G moves the generators by du_k/dt = {u_k, G}; in a
 canonical realization the motion is Hamilton's equations for the realized
 observable.  Integration runs in binary64 floating point: exactness lives in
 the symbolic modules, and flows serve as numerical witnesses that monitors
-(Casimirs, constraints, the observable itself) stay constant.  Expressions
-are compiled once per run into plain Python functions; every denominator is
-guarded so a trajectory that approaches a pole aborts with the step index.
+(Casimirs, constraints, the observable itself) stay constant.
+
+Each run is compiled once into one generated Python function that holds the
+whole step loop: the state, the four RK4 stages, the monitors and their drift
+live in scalar locals, and parameter values are constants.  The emitted
+source drops unit coefficients, writes negative coefficients as
+subtractions and evaluates each distinct denominator once per point; each of
+these is exact in IEEE round-to-nearest arithmetic, so the trajectory is the
+one a term-by-term evaluation gives.  Every denominator is guarded, so a
+trajectory that approaches a pole aborts with the step index, and so does
+one whose state or monitors leave the finite range.
 """
 
 from __future__ import annotations
@@ -23,20 +31,27 @@ from .parsing import to_string
 from .structure import BracketTable
 
 POLE_TOLERANCE = 1e-12
+NOT_FINITE = "state or monitor value is not finite"
 
 
 class FlowPoleError(ExprError):
-    """A denominator or logarithm argument degenerated along the trajectory."""
+    """A denominator or logarithm argument degenerated along the trajectory,
+    or a state or monitor value left the finite range."""
 
-    def __init__(self, step: int, time: float):
+    def __init__(self, step: int, time: float,
+                 reason: str = "denominator within 1e-12 of zero"):
         super().__init__(f"flow aborted at step {step} (t = {time:.6g}): "
-                         "denominator within 1e-12 of zero")
+                         + reason)
         self.step = step
         self.time = time
 
 
 class _PoleSignal(Exception):
     """Internal marker raised by compiled evaluators at a near-pole point."""
+
+
+class _NotFiniteSignal(Exception):
+    """Internal marker raised by a compiled run at an infinite or NaN value."""
 
 
 @dataclass
@@ -111,17 +126,22 @@ def _frac_src(c: Fraction) -> str:
 
 
 def _poly_src(p: Poly, names: Mapping[int, str]) -> str:
+    """Source of a polynomial: a unit coefficient is dropped and a negative
+    one becomes a subtraction, both exact in floating point."""
     if p.is_zero():
         return "0.0"
-    parts = []
+    src = ""
     for e, c in sorted(p.terms.items()):
-        factors = [_frac_src(c)]
-        for i, x in enumerate(e):
-            if x == 0:
-                continue
-            factors.append(names[i] if x == 1 else f"{names[i]}**{x}")
-        parts.append("*".join(factors))
-    return "(" + " + ".join(parts) + ")"
+        factors = [names[i] if x == 1 else f"{names[i]}**{x}"
+                   for i, x in enumerate(e) if x]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, _frac_src(abs(c)))
+        term = "*".join(factors)
+        if not src:
+            src = "-" + term if c < 0 else term
+        else:
+            src += (" - " if c < 0 else " + ") + term
+    return "(" + src + ")"
 
 
 def _as_logexpr(expr) -> LogExpr:
@@ -144,17 +164,21 @@ def _used_indices(exprs: Sequence[LogExpr]) -> set[int]:
     return used
 
 
-def compile_evaluator(table: VarTable, exprs: Sequence[object],
-                      state_indices: Sequence[int],
-                      values: Mapping[str, float]) -> Callable[[tuple], tuple]:
-    """Compile expressions into one function mapping a state tuple to a tuple
-    of values, with parameters baked in and denominators guarded."""
+def _emit(table: VarTable, exprs: Sequence[object],
+          state_indices: Sequence[int], values: Mapping[str, float],
+          tag: str) -> tuple[list[str], list[str], list[str]]:
+    """Source that evaluates expressions at a point held in locals x{i}.
+
+    Returns the lines binding parameter values, the lines run once per point
+    (the radial element, denominator and logarithm guards, which raise
+    `_PoleSignal`), and one output expression per input expression.  `tag`
+    keeps the denominator locals of separate emissions apart.
+    """
     norm = [_as_logexpr(e) for e in exprs]
     used = _used_indices(norm)
     names = {i: f"x{i}" for i in range(len(table))}
-    lines = ["def _compiled(state):"]
-    for k, i in enumerate(state_indices):
-        lines.append(f"    x{i} = state[{k}]")
+    constants: list[str] = []
+    point: list[str] = []
     state_set = set(state_indices)
     ia = table.alg_index
     for i in sorted(used):
@@ -164,7 +188,7 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
             name = table.names[i]
             if name not in values:
                 raise ExprError(f"no value given for parameter {name!r}")
-            lines.append(f"    x{i} = {float(values[name])!r}")
+            constants.append(f"x{i} = {float(values[name])!r}")
         else:
             raise ExprError(f"variable {table.names[i]!r} is not part of "
                             "the flow state")
@@ -173,20 +197,21 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
             raise ExprError("the radial element needs the position variables "
                             "in the flow state")
         square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
-        lines.append(f"    x{ia} = math.sqrt({square})")
-    counter = 0
+        point.append(f"x{ia} = sqrt({square})")
+    denominators: dict[str, str] = {}
     logged: set[int] = set()
 
     def guarded(rf: RatFunc) -> str:
-        nonlocal counter
         src = _poly_src(rf.num, names)
         if rf.is_poly():
             return src
-        dvar = f"d{counter}"
-        counter += 1
-        lines.append(f"    {dvar} = {_poly_src(rf.den, names)}")
-        lines.append(f"    if abs({dvar}) < {POLE_TOLERANCE!r}: "
-                     "raise _PoleSignal()")
+        den = _poly_src(rf.den, names)
+        dvar = denominators.get(den)
+        if dvar is None:
+            dvar = denominators[den] = f"d{tag}{len(denominators)}"
+            point.append(f"{dvar} = {den}")
+            point.append(f"if abs({dvar}) < {POLE_TOLERANCE!r}: "
+                         "raise _PoleSignal()")
         return f"({src} / {dvar})"
 
     outputs = []
@@ -195,14 +220,102 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
         for g, c in le.logs:
             if g not in logged:
                 logged.add(g)
-                lines.append(f"    if x{g} <= {POLE_TOLERANCE!r}: "
+                point.append(f"if x{g} <= {POLE_TOLERANCE!r}: "
                              "raise _PoleSignal()")
-            src = f"({src} + {guarded(c)}*math.log(x{g}))"
+            src = f"({src} + {guarded(c)}*log(x{g}))"
         outputs.append(src)
-    lines.append("    return (" + ", ".join(outputs) + ("," if len(outputs) == 1 else "") + ")")
+    return constants, point, outputs
+
+
+_NAMESPACE = {"sqrt": math.sqrt, "log": math.log, "isfinite": math.isfinite,
+              "_PoleSignal": _PoleSignal, "_NotFiniteSignal": _NotFiniteSignal,
+              "FlowPoleError": FlowPoleError, "NOT_FINITE": NOT_FINITE}
+
+
+def _define(lines: list[str], name: str) -> Callable:
     namespace: dict = {}
-    exec("\n".join(lines), {"math": math, "_PoleSignal": _PoleSignal}, namespace)
-    return namespace["_compiled"]
+    exec("\n".join(lines), dict(_NAMESPACE), namespace)
+    return namespace[name]
+
+
+def _tuple_src(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def compile_evaluator(table: VarTable, exprs: Sequence[object],
+                      state_indices: Sequence[int],
+                      values: Mapping[str, float]) -> Callable[[tuple], tuple]:
+    """Compile expressions into one function mapping a state tuple to a tuple
+    of values, with parameters baked in and denominators guarded."""
+    constants, point, outputs = _emit(table, exprs, state_indices, values, "")
+    body = [f"x{i} = state[{k}]" for k, i in enumerate(state_indices)]
+    body += constants + point + ["return " + _tuple_src(outputs)]
+    return _define(["def _compiled(state):"] + ["    " + l for l in body],
+                   "_compiled")
+
+
+def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
+                 monitors: Sequence[object], state_indices: Sequence[int],
+                 values: Mapping[str, float]) -> Callable:
+    """Compile a whole RK4 run into one function `_run(start, h, steps)`.
+
+    It returns the times, all `steps + 1` states, and the monitors' initial
+    values, largest drifts and final values.  A guard that trips raises
+    `FlowPoleError` with the step (0 for the start point); so does an
+    infinite or NaN state or monitor value.
+    """
+    rconst, rpoint, rout = _emit(table, rhs_exprs, state_indices, values, "r")
+    mconst, mpoint, mout = _emit(table, monitors, state_indices, values, "m")
+    n = len(state_indices)
+    ys = [f"y{k}" for k in range(n)]
+    base = [f"b{j}" for j in range(len(mout))]
+    current = [f"c{j}" for j in range(len(mout))]
+    drift = [f"m{j}" for j in range(len(mout))]
+
+    def at(offsets: Sequence[str]) -> list[str]:
+        return [f"x{i} = {y}{o}" for i, y, o in zip(state_indices, ys, offsets)]
+
+    def stage(s: int) -> list[str]:
+        return rpoint + [f"k{s}_{k} = {src}" for k, src in enumerate(rout)]
+
+    def monitored(names: list[str]) -> list[str]:
+        lines = mpoint + [f"{v} = {src}" for v, src in zip(names, mout)]
+        checked = ys + names
+        lines.append("s = " + " + ".join(checked))
+        lines.append("if s - s != 0.0 and not all(map(isfinite, "
+                     f"{_tuple_src(checked)})): raise _NotFiniteSignal()")
+        return lines
+
+    step = stage(1)
+    step += at([f" + half * k1_{k}" for k in range(n)]) + stage(2)
+    step += at([f" + half * k2_{k}" for k in range(n)]) + stage(3)
+    step += at([f" + h * k3_{k}" for k in range(n)]) + stage(4)
+    step += [f"{y} = {y} + sixth * (k1_{k} + 2.0 * (k2_{k} + k3_{k}) + k4_{k})"
+             for k, y in enumerate(ys)]
+    step += at([""] * n) + monitored(current)
+    step.append(f"append({_tuple_src(ys)})")
+    for b, c, m in zip(base, current, drift):
+        step += [f"d = abs({c} - {b})", f"if d > {m}: {m} = d"]
+    body = ["try:"]
+    body += ["    " + l for l in at([""] * n) + monitored(base)]
+    body += [f"    {m} = 0.0" for m in drift]
+    body += ["    for n in range(1, steps + 1):"]
+    body += ["        " + l for l in step]
+    lines = ["def _run(start, h, steps):"]
+    lines += ["    " + l for l in dict.fromkeys(rconst + mconst)]
+    lines += ["    " + _tuple_src(ys) + " = start",
+              "    half = h / 2.0", "    sixth = h / 6.0",
+              "    states = [start]", "    append = states.append",
+              "    n = 0"]
+    lines += ["    " + l for l in body]
+    lines += ["    except _PoleSignal:",
+              "        raise FlowPoleError(n, n * h) from None",
+              "    except (_NotFiniteSignal, OverflowError):",
+              "        raise FlowPoleError(n, n * h, NOT_FINITE) from None",
+              "    return ([i * h for i in range(steps + 1)], states, "
+              f"{_tuple_src(base)}, {_tuple_src(drift)}, "
+              f"{_tuple_src(current)})"]
+    return _define(lines, "_run")
 
 
 def _initial_vector(table: VarTable, state_indices: Sequence[int],
@@ -216,37 +329,10 @@ def _initial_vector(table: VarTable, state_indices: Sequence[int],
     return out
 
 
-def _integrate(rhs: Callable, mon: Callable, y0: Sequence[float], h: float,
-               steps: int, labels: Sequence[str],
+def _integrate(run: Callable, y0: Sequence[float], h: float, steps: int,
+               labels: Sequence[str],
                state_names: Sequence[str]) -> FlowResult:
-    y = tuple(y0)
-    try:
-        base = mon(y)
-    except _PoleSignal:
-        raise FlowPoleError(0, 0.0) from None
-    times = [0.0]
-    states = [y]
-    max_drift = [0.0] * len(base)
-    current = base
-    half = h / 2.0
-    sixth = h / 6.0
-    for n in range(1, steps + 1):
-        try:
-            k1 = rhs(y)
-            k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)))
-            k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)))
-            k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
-            y = tuple(a + sixth * (p + 2.0 * (q + r) + s)
-                      for a, p, q, r, s in zip(y, k1, k2, k3, k4))
-            current = mon(y)
-        except _PoleSignal:
-            raise FlowPoleError(n, n * h) from None
-        times.append(n * h)
-        states.append(y)
-        for i in range(len(base)):
-            d = abs(current[i] - base[i])
-            if d > max_drift[i]:
-                max_drift[i] = d
+    times, states, base, max_drift, current = run(tuple(y0), h, steps)
     final = [abs(a - b) for a, b in zip(current, base)]
     report = DriftReport([MonitorDrift(l, b, md, fd) for l, b, md, fd
                           in zip(labels, base, max_drift, final)])
@@ -259,8 +345,9 @@ def _check_abstract_domain(table: VarTable, expr: LogExpr, what: str) -> None:
         raise ExprError(f"{what} must use only generators and parameters")
 
 
-def abstract_flow(btable: BracketTable, cfg: FlowConfig) -> FlowResult:
-    """RK4 trajectory of the generator vector under du_k/dt = {u_k, G}."""
+def _abstract_system(btable: BracketTable, cfg: FlowConfig):
+    """The table, state indices, right-hand sides and monitors of the flow
+    du_k/dt = {u_k, G} on the generators."""
     table = btable.table
     r = btable.r
     observable = _as_logexpr(cfg.observable)
@@ -279,11 +366,34 @@ def abstract_flow(btable: BracketTable, cfg: FlowConfig) -> FlowResult:
                 continue
             total = total + partials[i] * LogExpr(f)
         rhs_exprs.append(total)
-    rhs = compile_evaluator(table, rhs_exprs, gens, cfg.initial_state)
-    mon = compile_evaluator(table, monitors, gens, cfg.initial_state)
-    y0 = _initial_vector(table, gens, cfg.initial_state)
-    return _integrate(rhs, mon, y0, cfg.step_size, cfg.steps, cfg.labels(),
-                      table.generator_names)
+    return table, list(gens), rhs_exprs, monitors
+
+
+def _canonical_system(real: CanonicalRealization, hamiltonian,
+                     cfg: FlowConfig):
+    """The table, state indices (q then p), Hamilton's equations for the
+    realized observable, and the realized monitors."""
+    table = real.table
+    realized = real.realize(_as_logexpr(hamiltonian))
+    qs = list(table.q_indices)
+    ps = list(table.p_indices)
+    rhs_exprs = [diff(realized, p) for p in ps]
+    rhs_exprs += [diff(realized, q) * RatFunc.const(table, -1) for q in qs]
+    monitors = [real.realize(_as_logexpr(m)) for m in cfg.monitors]
+    return table, qs + ps, rhs_exprs, monitors
+
+
+def _flow(table: VarTable, state: list[int], rhs_exprs: list,
+          monitors: list, cfg: FlowConfig) -> FlowResult:
+    run = _compile_run(table, rhs_exprs, monitors, state, cfg.initial_state)
+    y0 = _initial_vector(table, state, cfg.initial_state)
+    return _integrate(run, y0, cfg.step_size, cfg.steps, cfg.labels(),
+                      [table.names[i] for i in state])
+
+
+def abstract_flow(btable: BracketTable, cfg: FlowConfig) -> FlowResult:
+    """RK4 trajectory of the generator vector under du_k/dt = {u_k, G}."""
+    return _flow(*_abstract_system(btable, cfg), cfg)
 
 
 def canonical_flow(real: CanonicalRealization, hamiltonian,
@@ -293,20 +403,7 @@ def canonical_flow(real: CanonicalRealization, hamiltonian,
     Monitors given over the generators are realized first; monitors already
     over the canonical variables are integrated as written.
     """
-    table = real.table
-    realized = real.realize(_as_logexpr(hamiltonian))
-    qs = list(table.q_indices)
-    ps = list(table.p_indices)
-    state = qs + ps
-    rhs_exprs = [diff(realized, p) for p in ps]
-    rhs_exprs += [diff(realized, q) * RatFunc.const(table, -1) for q in qs]
-    monitors = [real.realize(_as_logexpr(m)) for m in cfg.monitors]
-    rhs = compile_evaluator(table, rhs_exprs, state, cfg.initial_state)
-    mon = compile_evaluator(table, monitors, state, cfg.initial_state)
-    y0 = _initial_vector(table, state, cfg.initial_state)
-    names = [table.names[i] for i in state]
-    return _integrate(rhs, mon, y0, cfg.step_size, cfg.steps, cfg.labels(),
-                      names)
+    return _flow(*_canonical_system(real, hamiltonian, cfg), cfg)
 
 
 def generator_trajectory(real: CanonicalRealization, result: FlowResult,

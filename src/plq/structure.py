@@ -96,15 +96,24 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
     """Verify the Jacobi identity for every generator triple i < j < k."""
     names = btable.generator_names
     r = btable.r
+    zero = RatFunc.zero(btable.table)
+    # partial[a][b][m] = d{u_a, u_b}/du_m, differentiated once per entry.
+    zero_partials = [diff(zero, m) for m in range(r)]
+    partial = [[zero_partials] * r for _ in range(r)]
+    for (a, b), f in btable.entries.items():
+        partial[a][b] = [diff(f, m) for m in range(r)]
+        partial[b][a] = [-d for d in partial[a][b]]
+    matrix = btable.structure_matrix()
     triples: list[JacobiTriple] = []
     for i in range(r):
         for j in range(i + 1, r):
             for k in range(j + 1, r):
-                residual = RatFunc.zero(btable.table)
+                djk, dki, dij = partial[j][k], partial[k][i], partial[i][j]
+                residual = zero
                 for m in range(r):
-                    residual = residual + (diff(btable.bracket(j, k), m) * btable.bracket(i, m)
-                                           + diff(btable.bracket(k, i), m) * btable.bracket(j, m)
-                                           + diff(btable.bracket(i, j), m) * btable.bracket(k, m))
+                    residual = residual + (djk[m] * matrix[i][m]
+                                           + dki[m] * matrix[j][m]
+                                           + dij[m] * matrix[k][m])
                 triples.append(JacobiTriple((names[i], names[j], names[k]),
                                             residual.is_zero(), residual))
     return JacobiReport(triples)

@@ -1,14 +1,17 @@
 """Numerical flow cross-checks: drift of conserved quantities under RK4."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from plq.canonical import CanonicalRealization
 from plq.corpus import corpus_problem
-from plq.expr import ExprError, VarTable
-from plq.flow import (FlowConfig, FlowPoleError, abstract_flow,
-                      canonical_flow, generator_trajectory)
+from plq.expr import ExprError, Poly, VarTable
+from plq.flow import (FlowConfig, FlowPoleError, _abstract_system,
+                      _as_logexpr, _canonical_system, _PoleSignal, _poly_src,
+                      abstract_flow, canonical_flow, generator_trajectory)
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.structure import BracketTable
 
@@ -175,3 +178,255 @@ def test_monitor_labels_default_to_expression_text():
                      1e-2, 10, [parse_expression("H", problem.table)])
     result = abstract_flow(problem.brackets, cfg)
     assert result.drift.monitors[0].label == "H"
+
+
+def test_state_leaving_finite_range_aborts():
+    """RK4 with dt = 1 multiplies phi + R^2 by 7 per step: the run stops at
+    the first step whose state is infinite instead of reporting inf."""
+    problem = sphere()
+    init = {"H": 1.0, "phi": 0.0, "V": 0.0, "R": 1.0}
+    observable = parse_expression("V", problem.table)
+    monitors = [sphere_invariant(problem.table)]
+    cfg = FlowConfig(observable, init, 1.0, 400, monitors)
+    with pytest.raises(FlowPoleError, match="not finite") as info:
+        abstract_flow(problem.brackets, cfg)
+    step = info.value.step
+    assert 300 < step < 400
+    assert info.value.time == float(step)
+    shorter = abstract_flow(problem.brackets,
+                            FlowConfig(observable, init, 1.0, step - 1, monitors))
+    assert all(map(math.isfinite, shorter.final_state))
+
+
+def test_overflowing_monitor_aborts_before_the_state_does():
+    """phi^2 overflows (a float power raises) about halfway to phi = inf."""
+    problem = sphere()
+    init = {"H": 1.0, "phi": 0.0, "V": 0.0, "R": 1.0}
+    cfg = FlowConfig(parse_expression("V", problem.table), init, 1.0, 400,
+                     [parse_expression("phi^2", problem.table)])
+    with pytest.raises(FlowPoleError, match="not finite") as info:
+        abstract_flow(problem.brackets, cfg)
+    assert 150 < info.value.step < 200
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_start_aborts_at_step_zero(value):
+    problem = sphere()
+    cfg = FlowConfig(parse_expression("V", problem.table),
+                     {"H": value, "phi": 0.0, "V": 0.0, "R": 1.0}, 1e-3, 10)
+    with pytest.raises(FlowPoleError, match="not finite") as info:
+        abstract_flow(problem.brackets, cfg)
+    assert (info.value.step, info.value.time) == (0, 0.0)
+
+
+def reference_poly_src(p, names):
+    """Term-by-term source: every coefficient written, signs added."""
+    parts = []
+    for e, c in sorted(p.terms.items()):
+        coef = (f"{c.numerator}.0" if c.denominator == 1
+                else f"({c.numerator}/{c.denominator})")
+        factors = [coef] + [names[i] if x == 1 else f"{names[i]}**{x}"
+                            for i, x in enumerate(e) if x]
+        parts.append("*".join(factors))
+    return "(" + " + ".join(parts) + ")"
+
+
+def reference_evaluator(table, exprs, state_indices, values):
+    """Term-by-term evaluator: every denominator computed and guarded where
+    it occurs, parameters read from `values`."""
+    names = {i: f"x{i}" for i in range(len(table))}
+    lines = ["def _compiled(state):"]
+    lines += [f"    x{i} = state[{k}]" for k, i in enumerate(state_indices)]
+    lines += [f"    x{i} = {float(values[table.names[i]])!r}"
+              for i in table.parameter_indices if table.names[i] in values]
+    if table.alg_index is not None and set(table.q_indices) <= set(state_indices):
+        square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
+        lines.append(f"    x{table.alg_index} = math.sqrt({square})")
+
+    def guarded(rf):
+        src = reference_poly_src(rf.num, names) if not rf.num.is_zero() else "0.0"
+        if rf.is_poly():
+            return src
+        dvar = f"d{len(lines)}"
+        lines.append(f"    {dvar} = {reference_poly_src(rf.den, names)}")
+        lines.append(f"    if abs({dvar}) < 1e-12: raise _PoleSignal()")
+        return f"({src} / {dvar})"
+
+    outputs = []
+    for le in map(_as_logexpr, exprs):
+        src = guarded(le.rat)
+        for g, c in le.logs:
+            lines.append(f"    if x{g} <= 1e-12: raise _PoleSignal()")
+            src = f"({src} + {guarded(c)}*math.log(x{g}))"
+        outputs.append(src + ",")
+    lines.append("    return (" + " ".join(outputs) + ")")
+    namespace = {}
+    exec("\n".join(lines), {"math": math, "_PoleSignal": _PoleSignal}, namespace)
+    return namespace["_compiled"]
+
+
+def reference_integrate(rhs, mon, y0, h, steps):
+    """RK4 one step at a time over two evaluators: times, states, initial
+    monitors, max and final drifts."""
+    y = tuple(y0)
+    try:
+        base = mon(y)
+    except _PoleSignal:
+        raise FlowPoleError(0, 0.0) from None
+    times = [0.0]
+    states = [y]
+    max_drift = [0.0] * len(base)
+    current = base
+    half = h / 2.0
+    sixth = h / 6.0
+    for n in range(1, steps + 1):
+        try:
+            k1 = rhs(y)
+            k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)))
+            k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)))
+            k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
+            y = tuple(a + sixth * (p + 2.0 * (q + r) + s)
+                      for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+            current = mon(y)
+        except _PoleSignal:
+            raise FlowPoleError(n, n * h) from None
+        times.append(n * h)
+        states.append(y)
+        for i in range(len(base)):
+            d = abs(current[i] - base[i])
+            if d > max_drift[i]:
+                max_drift[i] = d
+    final = [abs(a - b) for a, b in zip(current, base)]
+    return times, states, list(base), max_drift, final
+
+
+def pole_table():
+    table = VarTable.make(["u1", "u2"], 0, [])
+    return BracketTable(table, {(0, 1): parse_ratfunc("1", table)})
+
+
+def oracle_case(name):
+    """(system builder, flow function, config) of one oracle case."""
+    if name in ("sphere", "no-monitors"):
+        problem = sphere()
+        table = problem.table
+        monitors = [sphere_invariant(table)] if name == "sphere" else []
+        cfg = FlowConfig(parse_expression("V + H", table),
+                         {"H": 1.0, "phi": 2.0, "V": 3.0, "R": 1.0},
+                         1e-2, 1000, monitors)
+        return problem.brackets, cfg, "abstract"
+    if name == "hydrogen-abstract":
+        problem = corpus_problem("hydrogen")
+        table = problem.table
+        cfg = FlowConfig(
+            parse_expression("1/2*L1^2 - 1/3*L2*M3 + 1/4*M1^2 + H*L3 - 1/5*M2",
+                             table),
+            {"H": -0.5, "L1": 0.3, "L2": -0.2, "L3": 0.4, "M1": 0.1,
+             "M2": 0.25, "M3": -0.15, "m": 1.5, "kappa": 0.75},
+            1e-3, 2000,
+            [parse_expression(m, table) for m in (
+                "H", "L1*M1 + L2*M2 + L3*M3",
+                "H*(L1^2 + L2^2 + L3^2) - m/2*(M1^2 + M2^2 + M3^2)")])
+        return problem.brackets, cfg, "abstract"
+    if name == "hydrogen-kepler":
+        problem = corpus_problem("hydrogen")
+        table = problem.table
+        cfg = FlowConfig(parse_expression("H", table),
+                         {"q1": 1.0, "q2": 0.0, "q3": 0.0, "p1": 0.0,
+                          "p2": 0.8, "p3": 0.1, "m": 1.0, "kappa": 1.0},
+                         1e-3, 2000,
+                         [parse_expression(m, table) for m in ("H", "L3", "M1")])
+        return problem.realization, cfg, "canonical"
+    if name == "nappi-witten":
+        problem = corpus_problem("nappi-witten")
+        table = problem.table
+        cfg = FlowConfig(parse_expression("J + P1*P2", table),
+                         {"P1": 1.0, "P2": 0.5, "J": 0.25, "T": 2.0,
+                          "a": 1.0, "b": 1.0}, 1e-3, 2000,
+                         [parse_expression(m, table)
+                          for m in ("P1^2 + P2^2 + 2*J*T", "T")])
+        return problem.brackets, cfg, "abstract"
+    if name == "log-monitor":
+        problem = corpus_problem("galilei")
+        table = problem.table
+        cfg = FlowConfig(parse_expression("u1 + u3^2", table),
+                         {"u1": 0.3, "u2": 1.2, "u3": -0.4, "a": 1.0, "b": 2.0},
+                         1e-3, 2000,
+                         [parse_expression("a*u1*u2^-1 - b*log(u2) - a/2*u3",
+                                           table)])
+        return problem.brackets, cfg, "abstract"
+    bt = pole_table()
+    if name == "log-pole":
+        cfg = FlowConfig(parse_expression("u1", bt.table),
+                         {"u1": 1.0, "u2": 0.5}, 1e-3, 2000,
+                         [parse_expression("log(u2)", bt.table)])
+    else:
+        cfg = FlowConfig(parse_expression("1/2*u2^2", bt.table),
+                         {"u1": 1.0, "u2": -1.0}, 1e-3, 2000,
+                         [parse_expression("1/(u1 - 1/2)", bt.table)])
+    return bt, cfg, "abstract"
+
+
+def outcome(run):
+    try:
+        return run()
+    except FlowPoleError as exc:
+        return ("pole", exc.step, exc.time)
+
+
+@pytest.mark.parametrize("name", [
+    "sphere", "hydrogen-abstract", "hydrogen-kepler", "nappi-witten",
+    "no-monitors", "log-monitor", "log-pole", "pole"])
+def test_generated_run_matches_reference_loop(name):
+    """The one generated run reproduces the per-step loop over term-by-term
+    evaluators bit for bit: every state and time, the monitor values and
+    drifts, and pole steps."""
+    source, cfg, mode = oracle_case(name)
+    if mode == "abstract":
+        system = _abstract_system(source, cfg)
+        flow = lambda: abstract_flow(source, cfg)
+    else:
+        system = _canonical_system(source, cfg.observable, cfg)
+        flow = lambda: canonical_flow(source, cfg.observable, cfg)
+    table, state, rhs_exprs, monitors = system
+    rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state)
+    mon = reference_evaluator(table, monitors, state, cfg.initial_state)
+    y0 = [float(cfg.initial_state[table.names[i]]) for i in state]
+    want = outcome(lambda: reference_integrate(rhs, mon, y0, cfg.step_size,
+                                               cfg.steps))
+
+    def got_run():
+        result = flow()
+        m = result.drift.monitors
+        return (result.times, result.states, [d.initial for d in m],
+                [d.max_drift for d in m], [d.final_drift for d in m])
+    got = outcome(got_run)
+    assert got == want
+    if name.endswith("pole"):
+        assert 400 <= got[1] <= 600
+    else:
+        assert len(got[1]) == cfg.steps + 1
+
+
+def test_simplified_polynomial_source_is_exact():
+    """Dropping unit coefficients and subtracting negative terms changes no
+    bit of the value, signed zeros included."""
+    rng = random.Random(11)
+    table = VarTable.make(["u1", "u2", "u3"], 0, [])
+    names = {i: f"x{i}" for i in range(3)}
+    coefficients = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+                    Fraction(1, 3), Fraction(-2, 7)]
+    values = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.7e150]
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(rng.randint(0, 2) for _ in range(3))
+            terms[e] = rng.choice(coefficients)
+        p = Poly(table, terms)
+        new, old = _poly_src(p, names), reference_poly_src(p, names)
+        for _ in range(10):
+            point = {f"x{i}": rng.choice(values) * rng.choice([1.0, 1.3])
+                     for i in range(3)}
+            a, b = eval(new, {}, dict(point)), eval(old, {}, dict(point))
+            assert repr(a) == repr(b)
+            assert math.isnan(a) or math.copysign(1, a) == math.copysign(1, b)

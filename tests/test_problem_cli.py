@@ -204,6 +204,17 @@ def test_cli_flow_pole_exit(capsys, tmp_path):
     assert "step 500" in err or "aborted" in err
 
 
+def test_cli_flow_non_finite_exit(capsys, tmp_path):
+    """A trajectory that overflows fails with exit 1 and writes no report
+    (a report would hold Infinity, which is not JSON)."""
+    report = tmp_path / "flow.json"
+    assert main(["flow", "sphere", "--dt", "1", "--steps", "400",
+                 "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
 def test_cli_examples_listing_and_emit(tmp_path, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plq.corpus import corpus_names, corpus_problem
-from plq.expr import ExprError, Poly, RatFunc, VarTable
+from plq.expr import ExprError, Poly, RatFunc, VarTable, diff
 from plq.linalg import rank_of, rows_from_dense
 from plq.parsing import parse_ratfunc
 from plq.structure import (BracketTable, bind_parameters, generic_rank,
@@ -186,6 +186,61 @@ def test_certified_rank_matches_elimination(bt):
     assert unsampled.witness is None
     assert (unsampled.samples, unsampled.sampled_rank) == (0, 0)
     assert unsampled.degeneracy == sampled.degeneracy
+
+
+def reference_jacobi(bt):
+    """The triple loop that differentiates every bracket per triple."""
+    names = bt.generator_names
+    out = []
+    for i in range(bt.r):
+        for j in range(i + 1, bt.r):
+            for k in range(j + 1, bt.r):
+                residual = RatFunc.zero(bt.table)
+                for m in range(bt.r):
+                    residual = residual + (diff(bt.bracket(j, k), m) * bt.bracket(i, m)
+                                           + diff(bt.bracket(k, i), m) * bt.bracket(j, m)
+                                           + diff(bt.bracket(i, j), m) * bt.bracket(k, m))
+                out.append(((names[i], names[j], names[k]), residual.is_zero(),
+                            str(residual)))
+    return out
+
+
+def random_rational_table(rng):
+    """Random quadratic numerators over 3 to 5 generators and a parameter,
+    some over a linear denominator; such tables mostly violate Jacobi."""
+    r = rng.randint(3, 5)
+    table = VarTable.make([f"u{i + 1}" for i in range(r)], 0, ["c"])
+    atoms = [Poly.one(table)] + [Poly.var(table, n)
+                                 for n in (*table.generator_names, "c")]
+    entries = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rng.random() < 0.2:
+                continue
+            num = sum((rng.choice([-3, -1, 1, 2]) * rng.choice(atoms) * rng.choice(atoms)
+                       for _ in range(rng.randint(1, 3))), Poly.zero(table))
+            den = Poly.one(table)
+            if rng.random() < 0.3:
+                den = rng.choice(atoms[1:r + 1]) + rng.choice([1, 2])
+            entries[(i, j)] = RatFunc.make(num, den)
+    return BracketTable(table, entries)
+
+
+def jacobi_cases():
+    cases = [(name, corpus_problem(name).brackets) for name in corpus_names()]
+    cases.append(("sklyanin-bound", bound_sklyanin()))
+    rng = random.Random(7)
+    cases += [(f"low-rank-{n}", low_rank_table(rng)) for n in range(5)]
+    cases += [(f"rational-{n}", random_rational_table(rng)) for n in range(10)]
+    return [pytest.param(bt, id=name) for name, bt in cases]
+
+
+@pytest.mark.parametrize("bt", jacobi_cases())
+def test_jacobi_matches_reference_loop(bt):
+    """Differentiating each entry once gives the same residuals, printed
+    identically, as differentiating per triple."""
+    got = [(t.names, t.ok, str(t.residual)) for t in jacobi_check(bt).triples]
+    assert got == reference_jacobi(bt)
 
 
 def test_rank_seed_determinism():
