@@ -10,7 +10,6 @@ variables, which models a radial coordinate without leaving exact arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -334,16 +333,6 @@ class Poly:
             total += v
         return total
 
-    def evaluate_float(self, values: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, x in enumerate(e):
-                if x:
-                    v *= values[i] ** x
-            total += v
-        return total
-
     def __str__(self) -> str:
         return _poly_string(self.table, self.terms)
 
@@ -578,12 +567,6 @@ class RatFunc:
             raise ExprError("denominator vanishes at evaluation point")
         return self.num.evaluate(values) / d
 
-    def evaluate_float(self, values: Sequence[float]) -> float:
-        d = self.den.evaluate_float(values)
-        if d == 0.0:
-            raise ExprError("denominator vanishes at evaluation point")
-        return self.num.evaluate_float(values) / d
-
     def __str__(self) -> str:
         return _ratfunc_string(self)
 
@@ -720,15 +703,6 @@ class LogExpr:
         if self.logs:
             raise ExprError("expression carries log terms")
         return self.rat
-
-    def evaluate_float(self, values: Sequence[float]) -> float:
-        total = self.rat.evaluate_float(values)
-        for i, c in self.logs:
-            arg = values[i]
-            if arg <= 0.0:
-                raise ExprError(f"log argument {self.table.names[i]!r} not positive at point")
-            total += c.evaluate_float(values) * math.log(arg)
-        return total
 
     def __str__(self) -> str:
         return _logexpr_string(self)

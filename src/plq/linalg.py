@@ -18,7 +18,7 @@ E = TypeVar("E")
 Row = dict
 
 
-def _combine(row: Row, factor, pivot_row: Row) -> None:
+def subtract_scaled(row: Row, factor, pivot_row: Row) -> None:
     """In place: row -= factor * pivot_row, dropping entries that cancel."""
     for c, v in pivot_row.items():
         cur = row.get(c)
@@ -48,10 +48,10 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
             piv = {c: v / pv for c, v in piv.items()}
         for row in work:
             if col in row:
-                _combine(row, row[col], piv)
+                subtract_scaled(row, row[col], piv)
         for row in placed:
             if col in row:
-                _combine(row, row[col], piv)
+                subtract_scaled(row, row[col], piv)
         work = [r for r in work if r]
         placed.append(piv)
         pivots.append(col)
@@ -95,40 +95,22 @@ def nullspace(rows: Sequence[Row], ncols: int, one,
 def presolve_forced_zero(rows: Sequence[Row]) -> tuple[list[Row], set[int]]:
     """Iteratively apply singleton rows, which force their column to zero.
 
-    Returns the reduced rows (duplicates and empties dropped) and the set of
-    forced columns.  The nullspace is unchanged up to re-inserting zeros at
-    the forced columns.
+    Each pass forces the columns of the current singleton rows and removes
+    just those columns from every row.  Returns the rows left with at least
+    two entries and the set of forced columns.  The nullspace is unchanged up
+    to re-inserting zeros at the forced columns.
     """
     work = [dict(r) for r in rows if r]
     forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        keep: list[Row] = []
+    while True:
+        new = {c for row in work if len(row) == 1 for c in row}
+        if not new:
+            return work, forced
+        forced |= new
         for row in work:
-            for c in forced:
-                row.pop(c, None)
-            if not row:
-                continue
-            if len(row) == 1:
-                (c,) = row.keys()
-                forced.add(c)
-                changed = True
-            else:
-                keep.append(row)
-        seen: set[tuple] = set()
-        work = []
-        for row in keep:
-            for c in forced:
-                row.pop(c, None)
-            if not row:
-                continue
-            key = tuple(sorted((c, str(v)) for c, v in row.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            work.append(row)
-    return work, forced
+            for c in new.intersection(row):
+                del row[c]
+        work = [row for row in work if row]
 
 
 def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:

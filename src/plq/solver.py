@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 
 from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
                    generator_monomial, monomial_exponents, split_terms)
-from .linalg import grouped_rows, nullspace, presolve_forced_zero, rank_of, rref
+from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of, rref,
+                     subtract_scaled)
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, generic_rank,
                         sample_point)
 
@@ -280,19 +281,25 @@ class CasimirBasis:
         return rank_of(span_rows + [target], n) == base_rank
 
 
-def _reversed_echelon(vectors: list[list], ncols: int) -> list[dict[int, object]]:
-    """Echelonize vectors so pivots sit at the canonically simplest monomials.
+def _reversed_echelon(vectors: list[list]) -> list[dict[int, object]]:
+    """Candidates from nullspace vectors, pivots at the canonically simplest
+    monomials.
 
+    The vector of free column f is nonzero only at f and at pivot columns
+    before f, and no other vector is nonzero at f.  Scaled to one at their
+    last nonzero column and ordered by that column, largest first, the
+    vectors are therefore in reduced echelon form over reversed columns.
     Returns coordinate dictionaries in original orientation, ordered by
     ascending pivot complexity.
     """
     rows = []
     for vec in vectors:
-        row = {ncols - 1 - c: v for c, v in enumerate(vec) if v != 0}
+        row = {c: v for c, v in enumerate(vec) if v != 0}
         if row:
-            rows.append(row)
-    placed, _ = rref(rows, ncols)
-    return [{ncols - 1 - c: v for c, v in row.items()} for row in placed]
+            last = row[max(row)]
+            rows.append(row if last == 1 else {c: v / last for c, v in row.items()})
+    rows.sort(key=max, reverse=True)
+    return rows
 
 
 def _reduce_mod_span(row: dict, span: list[dict], ncols: int) -> dict:
@@ -301,14 +308,7 @@ def _reduce_mod_span(row: dict, span: list[dict], ncols: int) -> dict:
     for srow in span:
         pivot = min(srow)
         if pivot in rev:
-            factor = rev[pivot] / srow[pivot]
-            for c, v in srow.items():
-                cur = rev.get(c)
-                nv = -(factor * v) if cur is None else cur - factor * v
-                if nv == 0:
-                    rev.pop(c, None)
-                else:
-                    rev[c] = nv
+            subtract_scaled(rev, rev[pivot] / srow[pivot], srow)
     return {ncols - 1 - c: v for c, v in rev.items()}
 
 
@@ -393,17 +393,20 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
     rows = assemble_system(btable, basis)
     reduced, forced = presolve_forced_zero(rows)
     raw = nullspace(reduced, ncols, RatFunc.one(table), forced_zero=forced)
-    candidates = _reversed_echelon(raw, ncols)
+    candidates = _reversed_echelon(raw)
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()
     accepted_exprs: list[LogExpr] = [
         LogExpr(generator_monomial(table, _delta(r, btable.generator_names.index(n))))
         for n in central]
-    span = _span_of_products(table, accepted_exprs, index, ansatz.max_degree, ncols)
+    span = None  # built right before the next reduction after an acceptance
     solutions: list[LogExpr] = []
     vectors: list[dict[int, RatFunc]] = []
     for cand in candidates:
+        if span is None:
+            span = _span_of_products(table, accepted_exprs, index,
+                                     ansatz.max_degree, ncols)
         rem = _reduce_mod_span(cand, span, ncols)
         if not rem:
             continue
@@ -412,7 +415,7 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
         solutions.append(expr)
         vectors.append(norm)
         accepted_exprs.append(expr)
-        span = _span_of_products(table, accepted_exprs, index, ansatz.max_degree, ncols)
+        span = None
     verified = all(verify_invariant(s, btable).ok for s in solutions)
     central_exprs = [LogExpr(RatFunc.var(table, n)) for n in central]
     independence = independence_rank(solutions + central_exprs, btable, seed=seed,

@@ -104,11 +104,31 @@ def test_nullspace_vectors_are_independent():
             assert dense_rank(basis) == len(basis)
 
 
-def test_presolve_preserves_nullspace():
-    """Forcing singleton columns to zero leaves the solution set unchanged."""
+# Rows listed against the order in which they become singletons: column 0
+# forces 1, which forces 2, which forces 5; the repeated last row stays.
+SINGLETON_CHAIN = [[Fraction(x) for x in row] for row in (
+    (0, 0, 1, 0, 0, 1),
+    (0, 2, -1, 0, 0, 0),
+    (3, 1, 0, 0, 0, 0),
+    (4, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 1, 1),
+    (0, 0, 0, 1, 1, 1))]
+
+
+def presolve_inputs():
+    """Seeded sparse matrices, the singleton chain, and seeded repeated rows."""
     rng = random.Random(107)
     for _ in range(20):
-        matrix = random_matrix(rng, 6, 6, density=0.3)
+        yield random_matrix(rng, 6, 6, density=0.3)
+    yield SINGLETON_CHAIN
+    for _ in range(5):
+        half = random_matrix(rng, 3, 6, density=0.4)
+        yield half + half[::-1]
+
+
+def test_presolve_preserves_nullspace():
+    """Forcing singleton columns to zero leaves the solution set unchanged."""
+    for matrix in presolve_inputs():
         rows = rows_from_dense(matrix)
         plain = nullspace(rows, 6, Fraction(1))
         reduced, forced = presolve_forced_zero(rows)
@@ -119,6 +139,7 @@ def test_presolve_preserves_nullspace():
         stacked = plain + fast
         if stacked:
             assert dense_rank(stacked) == len(plain)
+    assert presolve_forced_zero(rows_from_dense(SINGLETON_CHAIN))[1] == {0, 1, 2, 5}
 
 
 def test_det_worked_examples():

@@ -1,17 +1,22 @@
 """Invariant solver: ansatz enumeration, nullspace solve, verification."""
 
+import importlib.util
 import pytest
 
 from fractions import Fraction
+from pathlib import Path
 
+from plq import solver
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, RatFunc, VarTable
-from plq.linalg import nullspace, presolve_forced_zero
+from plq.linalg import nullspace, presolve_forced_zero, rref
 from plq.parsing import parse_expression, parse_ratfunc, to_string
-from plq.solver import (AnsatzSpec, assemble_system, coords_to_expression,
-                        enumerate_basis, independence_rank, map_to_coords,
-                        solve_casimirs, solve_with_escalation,
-                        verify_invariant)
+from plq.problem import build_problem
+from plq.solver import (AnsatzSpec, _normalize_solution, _reversed_echelon,
+                        _span_of_products, assemble_system,
+                        coords_to_expression, enumerate_basis,
+                        independence_rank, map_to_coords, solve_casimirs,
+                        solve_with_escalation, verify_invariant)
 from plq.structure import BracketTable, bind_parameters
 
 
@@ -261,3 +266,145 @@ def test_assembled_nullspace_passes_independent_verification(name, ansatz):
         expr = coords_to_expression(problem.table, basis,
                                     {c: v for c, v in enumerate(vec) if v != 0})
         assert verify_invariant(expr, btable).ok, str(expr)
+
+
+def lie_problem(name):
+    """A generated Lie-Poisson table from the benchmark's generator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "lie.py"
+    spec = importlib.util.spec_from_file_location("lie", path)
+    lie = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lie)
+    return build_problem(lie.documents()[name][0])
+
+
+def reference_presolve(rows):
+    """Singleton presolve that re-applies every forced column to every row,
+    twice per pass, and drops rows that print alike."""
+    work = [dict(r) for r in rows if r]
+    forced = set()
+    changed = True
+    while changed:
+        changed = False
+        keep = []
+        for row in work:
+            for c in forced:
+                row.pop(c, None)
+            if not row:
+                continue
+            if len(row) == 1:
+                forced.add(next(iter(row)))
+                changed = True
+            else:
+                keep.append(row)
+        seen = set()
+        work = []
+        for row in keep:
+            for c in forced:
+                row.pop(c, None)
+            key = tuple(sorted((c, str(v)) for c, v in row.items()))
+            if row and key not in seen:
+                seen.add(key)
+                work.append(row)
+    return work, forced
+
+
+def reference_echelon(vectors, ncols):
+    """Candidates by a full rref of the nullspace over reversed columns."""
+    rows = [{ncols - 1 - c: v for c, v in enumerate(vec) if v != 0}
+            for vec in vectors]
+    placed, _ = rref([r for r in rows if r], ncols)
+    return [{ncols - 1 - c: v for c, v in row.items()} for row in placed]
+
+
+def reference_solutions(btable, basis, candidates, max_degree):
+    """Solution strings with the product span rebuilt after every acceptance
+    and a row reduction of its own."""
+    table = btable.table
+    index = {elem: k for k, elem in enumerate(basis)}
+    ncols = len(basis)
+    accepted = [parse_expression(n, table) for n in btable.central_generators()]
+    span = _span_of_products(table, accepted, index, max_degree, ncols)
+    out = []
+    for cand in candidates:
+        rev = {ncols - 1 - c: v for c, v in cand.items()}
+        for srow in span:
+            pivot = min(srow)
+            if pivot in rev:
+                factor = rev[pivot] / srow[pivot]
+                for c, v in srow.items():
+                    cur = rev.get(c)
+                    nv = -(factor * v) if cur is None else cur - factor * v
+                    if nv == 0:
+                        rev.pop(c, None)
+                    else:
+                        rev[c] = nv
+        if not rev:
+            continue
+        norm = _normalize_solution(table, {ncols - 1 - c: v for c, v in rev.items()})
+        expr = coords_to_expression(table, basis, norm)
+        out.append(to_string(expr))
+        accepted.append(expr)
+        span = _span_of_products(table, accepted, index, max_degree, ncols)
+    return out
+
+
+def printed(rows):
+    return [[(c, str(v)) for c, v in row.items()] for row in rows]
+
+
+def solver_oracle_cases():
+    for name in corpus_names() + ["sklyanin-bound", "gl3", "so4"]:
+        for degree in (2, 3, 4):
+            yield pytest.param(name, AnsatzSpec(degree), id=f"{name}-{degree}")
+            if name in corpus_names() and any(corpus_problem(name).invertible):
+                yield pytest.param(name, AnsatzSpec(degree, 1, True),
+                                   id=f"{name}-{degree}-inverse-log")
+
+
+@pytest.mark.parametrize("name,ansatz", list(solver_oracle_cases()))
+def test_solver_steps_match_reference(name, ansatz):
+    """Presolve, candidates and solutions equal those of the rref echelon,
+    the deduplicating presolve and the eagerly rebuilt product span."""
+    if name == "sklyanin-bound":
+        problem, btable = bound_quadratic()
+    else:
+        problem = lie_problem(name) if name in ("gl3", "so4") else corpus_problem(name)
+        btable = problem.brackets
+    basis = enumerate_basis(btable.r, ansatz, problem.invertible)
+    rows = assemble_system(btable, basis)
+    one = RatFunc.one(problem.table)
+    reduced, forced = presolve_forced_zero(rows)
+    ref_reduced, ref_forced = reference_presolve(rows)
+    assert forced == ref_forced
+    distinct = {tuple(row): row for row in printed(reduced)}
+    assert list(distinct.values()) == printed(ref_reduced)
+    candidates = _reversed_echelon(nullspace(reduced, len(basis), one, forced))
+    ref_candidates = reference_echelon(
+        nullspace(ref_reduced, len(basis), one, ref_forced), len(basis))
+    assert printed(candidates) == printed(ref_candidates)
+    solved = solve_casimirs(btable, ansatz, problem.invertible)
+    assert [to_string(s) for s in solved.solutions] == reference_solutions(
+        btable, basis, ref_candidates, ansatz.max_degree)
+
+
+@pytest.mark.parametrize("name", ["sphere", "so4"])
+def test_product_span_is_not_built_after_the_last_candidate(name, monkeypatch):
+    """The span is built before a reduction that follows an acceptance, and
+    not after the last candidate, even when that candidate is accepted."""
+    problem = lie_problem(name) if name == "so4" else corpus_problem(name)
+    events = []
+    span_of_products, reduce_mod_span = solver._span_of_products, solver._reduce_mod_span
+
+    def counted_span(*args):
+        events.append("span")
+        return span_of_products(*args)
+
+    def counted_reduce(*args):
+        rem = reduce_mod_span(*args)
+        events.append("accept" if rem else "prune")
+        return rem
+    monkeypatch.setattr(solver, "_span_of_products", counted_span)
+    monkeypatch.setattr(solver, "_reduce_mod_span", counted_reduce)
+    solved = solve_casimirs(problem.brackets, AnsatzSpec(2), problem.invertible)
+    assert events[-1] == "accept"
+    assert events == ["span", "accept"] * len(solved.solutions)
