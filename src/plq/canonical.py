@@ -20,7 +20,7 @@ from typing import Sequence
 from .expr import (ALGEBRAIC, ExprError, LogExpr, RatFunc, VarTable, diff,
                    generator_monomial, monomial_exponents, substitute)
 from .linalg import collect_rows, nullspace
-from .structure import DEFAULT_SEED, BracketTable
+from .structure import BracketTable
 
 
 class NotExpressibleError(ExprError):
@@ -33,15 +33,22 @@ class NotExpressibleError(ExprError):
         self.inverse_degree = inverse_degree
 
 
+def _partials(f: RatFunc) -> list[tuple[RatFunc, RatFunc]]:
+    """(df/dq_k, df/dp_k) for every canonical pair k."""
+    table = f.table
+    return [(diff(f, qi), diff(f, pi)) for qi, pi in zip(table.q_indices, table.p_indices)]
+
+
+def _bracket_of_partials(df: list[tuple[RatFunc, RatFunc]],
+                         dg: list[tuple[RatFunc, RatFunc]], zero: RatFunc) -> RatFunc:
+    return sum((fq * gp - fp * gq for (fq, fp), (gq, gp) in zip(df, dg)), zero)
+
+
 def canonical_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     """Canonical Poisson bracket of two rational expressions."""
-    table = f.table
-    if g.table is not table:
+    if g.table is not f.table:
         raise ExprError("bracket arguments over different tables")
-    total = RatFunc.zero(table)
-    for qi, pi in zip(table.q_indices, table.p_indices):
-        total = total + (diff(f, qi) * diff(g, pi) - diff(f, pi) * diff(g, qi))
-    return total
+    return _bracket_of_partials(_partials(f), _partials(g), RatFunc.zero(f.table))
 
 
 class CanonicalRealization:
@@ -105,13 +112,11 @@ class ClosurePair:
     names: tuple[str, str]
     ok: bool
     residual: RatFunc
-    screened: bool
 
 
 @dataclass
 class ClosureReport:
     pairs: list[ClosurePair]
-    seed: int
 
     @property
     def ok(self) -> bool:
@@ -121,46 +126,19 @@ class ClosureReport:
         return [p for p in self.pairs if not p.ok]
 
 
-def verify_closure(btable: BracketTable, realization: CanonicalRealization,
-                   seed: int = DEFAULT_SEED, screen_points: int = 4) -> ClosureReport:
-    """Check {R_i, R_j} = f_ij(R) for every generator pair.
-
-    Random-point screening runs first to reject mismatches cheaply; symbolic
-    equality is the authority on pairs that pass the screen.
-    """
-    table = btable.table
-    rng = random.Random(seed)
-    binding = realization.binding()
-    pairs: list[ClosurePair] = []
+def verify_closure(btable: BracketTable,
+                   realization: CanonicalRealization) -> ClosureReport:
+    """Check {R_i, R_j} = f_ij(R) for every generator pair by its exact
+    residual; each realized generator is differentiated once."""
+    partials = [_partials(e) for e in realization.expressions]
+    zero = RatFunc.zero(btable.table)
     names = btable.generator_names
+    pairs: list[ClosurePair] = []
     for i, j in combinations(range(btable.r), 2):
-        lhs = canonical_bracket(realization.expressions[i], realization.expressions[j])
-        entry = btable.bracket(i, j)
-        rhs_l = substitute(entry, binding, table)
-        rhs = rhs_l.as_ratfunc() if isinstance(rhs_l, LogExpr) else rhs_l
-        screened = False
-        mismatch = False
-        got = 0
-        attempts = 0
-        while got < screen_points and attempts < 10 * screen_points:
-            attempts += 1
-            point = canonical_point(table, rng)
-            try:
-                if lhs.evaluate(point) != rhs.evaluate(point):
-                    mismatch = True
-                    got += 1
-                    break
-            except ExprError:
-                continue
-            got += 1
-            screened = True
-        if mismatch:
-            residual = lhs - rhs
-            pairs.append(ClosurePair((names[i], names[j]), False, residual, True))
-            continue
-        residual = lhs - rhs
-        pairs.append(ClosurePair((names[i], names[j]), residual.is_zero(), residual, screened))
-    return ClosureReport(pairs, seed)
+        residual = (_bracket_of_partials(partials[i], partials[j], zero)
+                    - realization.realize(btable.bracket(i, j)))
+        pairs.append(ClosurePair((names[i], names[j]), residual.is_zero(), residual))
+    return ClosureReport(pairs)
 
 
 def express_in_generators(target: RatFunc, realization: CanonicalRealization,

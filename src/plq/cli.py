@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
                     "bindings": {k: to_string(v) for k, v in bindings.items()}}
     ok = True
     if problem.realization is not None:
-        closure = verify_closure(btable, problem.realization, seed=args.seed)
+        closure = verify_closure(btable, problem.realization)
         _print_closure(closure)
         report["closure"] = _closure_json(closure)
         ok = ok and closure.ok
@@ -185,7 +185,7 @@ def _cmd_solve(args) -> int:
                     "bindings": {k: to_string(v) for k, v in bindings.items()}}
     ok = True
     if problem.realization is not None and not bindings:
-        closure = verify_closure(btable, problem.realization, seed=args.seed)
+        closure = verify_closure(btable, problem.realization)
         _print_closure(closure)
         report["closure"] = _closure_json(closure)
         ok = ok and closure.ok

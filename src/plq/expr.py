@@ -554,6 +554,8 @@ class RatFunc:
         return RatFunc.make(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)) and other == 0:
+            return self.num.is_zero()
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -349,24 +349,14 @@ def _abstract_system(btable: BracketTable, cfg: FlowConfig):
     """The table, state indices, right-hand sides and monitors of the flow
     du_k/dt = {u_k, G} on the generators."""
     table = btable.table
-    r = btable.r
     observable = _as_logexpr(cfg.observable)
     _check_abstract_domain(table, observable, "the flow observable")
     monitors = [_as_logexpr(m) for m in cfg.monitors]
     for m in monitors:
         _check_abstract_domain(table, m, "a flow monitor")
-    gens = table.generator_indices
-    partials = [diff(observable, gi) for gi in gens]
-    rhs_exprs = []
-    for k in range(r):
-        total = LogExpr.zero(table)
-        for i in range(r):
-            f = btable.bracket(k, i)
-            if f.is_zero():
-                continue
-            total = total + partials[i] * LogExpr(f)
-        rhs_exprs.append(total)
-    return table, list(gens), rhs_exprs, monitors
+    # du_k/dt = {u_k, G} = -{G, u_k}
+    rhs_exprs = [-b for b in btable.brackets_with_generators(observable)]
+    return table, list(table.generator_indices), rhs_exprs, monitors
 
 
 def _canonical_system(real: CanonicalRealization, hamiltonian,

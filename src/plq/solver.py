@@ -188,21 +188,8 @@ class InvariantReport:
 
 def verify_invariant(expr: LogExpr, btable: BracketTable) -> InvariantReport:
     """Check sum_i (dF/du_i) f_ij = 0 for every generator j, with residuals."""
-    table = btable.table
-    r = btable.r
-    residuals = []
-    ok = True
-    for j in range(r):
-        total = LogExpr.zero(table)
-        for i in range(r):
-            f = btable.bracket(i, j)
-            if f.is_zero():
-                continue
-            total = total + diff(expr, table.generator_indices[i]) * LogExpr(f)
-        if not total.is_zero():
-            ok = False
-        residuals.append((table.generator_names[j], total))
-    return InvariantReport(ok, residuals)
+    residuals = list(zip(btable.generator_names, btable.brackets_with_generators(expr)))
+    return InvariantReport(all(t.is_zero() for _, t in residuals), residuals)
 
 
 def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,

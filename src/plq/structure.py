@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator, Mapping, Sequence
 
-from .expr import (GENERATOR, PARAMETER, ExprError, RatFunc, VarTable, diff,
-                   substitute)
+from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, RatFunc, VarTable,
+                   diff, substitute)
 from .linalg import pfaffian, rank_of, rows_from_dense, rref
 
 DEFAULT_SEED = 20140
@@ -59,6 +59,21 @@ class BracketTable:
             return self.entries.get((i, j), RatFunc.zero(self.table))
         f = self.entries.get((j, i))
         return RatFunc.zero(self.table) if f is None else -f
+
+    def brackets_with_generators(self, expr: LogExpr) -> list[LogExpr]:
+        """{F, u_j} = sum_i (dF/du_i) f_ij for every generator j, each
+        partial dF/du_i taken once."""
+        table = self.table
+        partials = [diff(expr, g) for g in table.generator_indices]
+        out = []
+        for j in range(self.r):
+            total = LogExpr.zero(table)
+            for i in range(self.r):
+                f = self.bracket(i, j)
+                if not f.is_zero():
+                    total = total + partials[i] * LogExpr(f)
+            out.append(total)
+        return out
 
     def structure_matrix(self) -> list[list[RatFunc]]:
         """Dense r x r skew matrix of bracket entries."""

@@ -89,6 +89,19 @@ def test_ratfunc_make_constant_denominator(table, text, printed):
         assert str(f) == printed[d]
 
 
+def test_ratfunc_compares_with_zero_by_numerator():
+    """A comparison with 0 reads the numerator; other constants still compare
+    by value."""
+    table = table_uv()
+    zero = RatFunc.zero(table)
+    f = parse_ratfunc("(u1 - u2)/(u1 + u3)", table)
+    assert zero == 0 and zero == Fraction(0)
+    assert f != 0 and f != Fraction(0)
+    assert (f - f) == 0
+    assert RatFunc.const(table, 2) == 2
+    assert RatFunc.const(table, 2) != 0
+
+
 def test_ratfunc_equality_by_cross_multiplication():
     """Equivalent quotients compare equal regardless of representation."""
     table = table_uv()

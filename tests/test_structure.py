@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from plq.corpus import corpus_names, corpus_problem
-from plq.expr import ExprError, Poly, RatFunc, VarTable, diff
+from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
+from plq.flow import FlowConfig, _abstract_system
 from plq.linalg import rank_of, rows_from_dense
-from plq.parsing import parse_ratfunc
+from plq.parsing import parse_expression, parse_ratfunc
+from plq.solver import verify_invariant
 from plq.structure import (BracketTable, bind_parameters, generic_rank,
                            jacobi_check, verify_parameter_constraint)
 from test_linalg import det
+from test_solver import lie_problem
 
 
 def so3_table():
@@ -241,6 +244,53 @@ def test_jacobi_matches_reference_loop(bt):
     identically, as differentiating per triple."""
     got = [(t.names, t.ok, str(t.residual)) for t in jacobi_check(bt).triples]
     assert got == reference_jacobi(bt)
+
+
+def reference_bracket_strings(bt, expr, flow):
+    """Printed {F, u_j} = sum_i (dF/du_i) f_ij, or with flow the right-hand
+    side {u_j, F} = sum_i (dF/du_i) f_ji, differentiating F afresh for every
+    (i, j)."""
+    table = bt.table
+    out = []
+    for j in range(bt.r):
+        total = LogExpr.zero(table)
+        for i in range(bt.r):
+            f = bt.bracket(j, i) if flow else bt.bracket(i, j)
+            if not f.is_zero():
+                total = total + diff(expr, table.generator_indices[i]) * LogExpr(f)
+        out.append(str(total))
+    return out
+
+
+def bracket_observables(problem):
+    """Expressions that are not invariants (so residuals print nonzero),
+    with an inverse power, plus galilei's log invariant and a log
+    non-invariant."""
+    names = problem.generator_names
+    a, b, m, z = names[0], names[1], names[len(names) // 2], names[-1]
+    out = [f"{a}*{b} - 1/2*{z}^2 + {b}", f"{a}^2*{z} + 3*{b}*{m}",
+           f"{b}^2*{z}^-1 - {a}"]
+    if problem.name == "galilei":
+        out += ["a*u1*u2^-1 - b*log(u2) - a/2*u3", "log(u1) + u3"]
+    return out
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "gl3", "so5"])
+def test_shared_bracket_loop_matches_reference(name):
+    """verify_invariant's residuals and the abstract flow's right-hand sides
+    print as the loop that differentiates per (i, j) prints them; hydrogen's
+    entries carry 1/m."""
+    problem = lie_problem(name) if name in ("gl3", "so5") else corpus_problem(name)
+    bt = problem.brackets
+    for text in bracket_observables(problem):
+        expr = parse_expression(text, problem.table)
+        want = reference_bracket_strings(bt, expr, flow=False)
+        report = verify_invariant(expr, bt)
+        assert [(n, str(r)) for n, r in report.residuals] == \
+            list(zip(problem.generator_names, want))
+        assert report.ok == all(w == "0" for w in want)
+        rhs = _abstract_system(bt, FlowConfig(expr, {}, 0.1, 1))[2]
+        assert [str(e) for e in rhs] == reference_bracket_strings(bt, expr, flow=True)
 
 
 def test_rank_seed_determinism():
