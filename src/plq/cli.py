@@ -179,6 +179,11 @@ def _cmd_solve(args) -> int:
     problem = _load(args.file)
     bindings = _parse_bindings(problem, args.bind)
     btable = _bound_brackets(problem, bindings)
+    base = problem.ansatz
+    ansatz = AnsatzSpec(
+        base.max_degree if args.max_degree is None else args.max_degree,
+        base.inverse_degree if args.inverse_degree is None else args.inverse_degree,
+        base.allow_log or args.allow_log)
     print(f"problem: {problem.name} ({btable.r} generators)")
     report: dict = {"problem": problem.name, "command": "solve",
                     "seed": args.seed,
@@ -193,16 +198,10 @@ def _cmd_solve(args) -> int:
     _print_jacobi(jacobi)
     report["jacobi"] = _jacobi_json(jacobi)
     ok = ok and jacobi.ok
-    base = problem.ansatz
-    inverse = base.inverse_degree if args.inverse_degree is None \
-        else args.inverse_degree
-    allow_log = base.allow_log or args.allow_log
     if args.max_degree is not None:
-        ansatz = AnsatzSpec(args.max_degree, inverse, allow_log)
         basis = solve_casimirs(btable, ansatz, problem.invertible,
                                seed=args.seed)
     else:
-        ansatz = AnsatzSpec(base.max_degree, inverse, allow_log)
         basis = solve_with_escalation(btable, ansatz, problem.invertible,
                                       seed=args.seed)
     rank_report = basis.rank_report

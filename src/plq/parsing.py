@@ -12,8 +12,9 @@ The grammar is a small arithmetic language over the variables of a table:
 A rational literal is consumed greedily with two tokens of lookahead, so
 ``3/2`` is one literal rather than a quotient.  Negative exponents apply to
 generator variables only, and ``log`` applies to generator variables only.
-Whitespace is insignificant.  Printing produces a string that parses back to
-an equal expression.
+Exponents are bounded by MAX_EXPONENT in magnitude, since each power is
+expanded by repeated multiplication.  Whitespace is insignificant.  Printing
+produces a string that parses back to an equal expression.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class _Token:
 
 
 _OPS = set("+-*/^()")
+
+MAX_EXPONENT = 64
 
 
 def tokenize(text: str) -> list[_Token]:
@@ -152,6 +155,9 @@ class _Parser:
             tok = self.next()
         if tok.kind != "int":
             raise ParseError("expected an integer exponent", tok.pos)
+        digits = tok.text.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ParseError(f"exponent magnitude above {MAX_EXPONENT}", tok.pos)
         return sign * int(tok.text)
 
     def atom(self) -> tuple[LogExpr, bool]:

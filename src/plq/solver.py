@@ -299,14 +299,39 @@ def _reduce_mod_span(row: dict, span: list[dict], ncols: int) -> dict:
     return {ncols - 1 - c: v for c, v in rev.items()}
 
 
+def _lowest_grade(expr: LogExpr, gens: Sequence[int]) -> int | None:
+    """Lowest total generator degree of an expression that is a polynomial in
+    the generators over the parameter field; None for any other expression."""
+    den = split_terms(expr.rat.den, gens)
+    num = split_terms(expr.rat.num, gens)
+    if expr.logs or den is None or any(any(key) for key in den) or not num:
+        return None
+    return min(sum(key) for key in num)
+
+
 def _span_of_products(table: VarTable, items: Sequence[LogExpr],
                       index: Mapping[BasisElem, int], max_factors: int,
                       ncols: int) -> list[dict]:
-    """Reversed-echelon span of all expandable products of the given invariants."""
-    product_rows: list[dict[int, object]] = []
+    """Reversed-echelon span of all expandable products of the given invariants.
 
-    def rec(start: int, current: LogExpr | None, depth: int) -> None:
+    Products that cannot lie in the basis are never expanded.  Over an
+    integral domain the lowest homogeneous part of a product is the product
+    of the lowest parts, so once the factors' lowest grades add up past the
+    basis's top grade, the product and every product below it in `rec` have a
+    term outside the basis.  An item with no lowest grade (inverse powers,
+    logs, generator denominators) can cancel degree that the others add, so
+    one such item turns the bound off.
+    """
+    product_rows: list[dict[int, object]] = []
+    grades = [_lowest_grade(e, table.generator_indices) for e in items]
+    top = max((_pos_grade(e.exps) for e in index if isinstance(e, Mono)), default=0)
+    if None in grades:
+        grades, top = [0] * len(items), 0
+
+    def rec(start: int, current: LogExpr | None, depth: int, grade: int) -> None:
         for k in range(start, len(items)):
+            if grade + grades[k] > top:
+                continue
             try:
                 nxt = items[k] if current is None else current * items[k]
             except ExprError:
@@ -315,9 +340,9 @@ def _span_of_products(table: VarTable, items: Sequence[LogExpr],
             if coords:
                 product_rows.append({ncols - 1 - c: v for c, v in coords.items()})
             if depth + 1 < max_factors:
-                rec(k, nxt, depth + 1)
+                rec(k, nxt, depth + 1, grade + grades[k])
 
-    rec(0, None, 0)
+    rec(0, None, 0, 0)
     placed, _ = rref(product_rows, ncols)
     return placed
 

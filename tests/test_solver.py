@@ -9,7 +9,7 @@ from pathlib import Path
 from plq import solver
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, RatFunc, VarTable
-from plq.linalg import nullspace, presolve_forced_zero, rref
+from plq.linalg import nullspace, presolve_forced_zero, rank_of, rref
 from plq.parsing import parse_expression, parse_ratfunc, to_string
 from plq.problem import build_problem
 from plq.solver import (AnsatzSpec, _normalize_solution, _reversed_echelon,
@@ -408,3 +408,115 @@ def test_product_span_is_not_built_after_the_last_candidate(name, monkeypatch):
     solved = solve_casimirs(problem.brackets, AnsatzSpec(2), problem.invertible)
     assert events[-1] == "accept"
     assert events == ["span", "accept"] * len(solved.solutions)
+
+
+def unpruned_span(table, items, index, max_factors, ncols):
+    """Span of every expandable product of up to max_factors items, each one
+    expanded and mapped to coordinates, with no grade bound."""
+    product_rows = []
+
+    def rec(start, current, depth):
+        for k in range(start, len(items)):
+            try:
+                nxt = items[k] if current is None else current * items[k]
+            except ExprError:
+                continue
+            coords = solver.map_to_coords(nxt, table, index)
+            if coords:
+                product_rows.append({ncols - 1 - c: v for c, v in coords.items()})
+            if depth + 1 < max_factors:
+                rec(k, nxt, depth + 1)
+
+    rec(0, None, 0)
+    return rref(product_rows, ncols)[0]
+
+
+def span_setup(name, ansatz):
+    """Table, basis index and accepted invariants (central generators, then
+    solutions) of one solve."""
+    if name == "sklyanin-bound":
+        problem, btable = bound_quadratic()
+    else:
+        problem = lie_problem(name) if name in ("gl3", "so4", "so5") else corpus_problem(name)
+        btable = problem.brackets
+    solved = solve_casimirs(btable, ansatz, problem.invertible)
+    table = problem.table
+    index = {elem: k for k, elem in enumerate(solved.basis)}
+    items = [parse_expression(n, table) for n in solved.free_central] + solved.solutions
+    return table, index, items
+
+
+@pytest.mark.parametrize("name,ansatz", list(solver_oracle_cases()))
+def test_span_of_products_matches_unpruned(name, ansatz):
+    """The grade bound leaves the span's placed rows unchanged."""
+    table, index, items = span_setup(name, ansatz)
+    args = (table, items, index, ansatz.max_degree, len(index))
+    assert printed(_span_of_products(*args)) == printed(unpruned_span(*args))
+
+
+def count_expansions(monkeypatch, build, *args):
+    """map_to_coords results while one span is built."""
+    results = []
+    map_to_coords = solver.map_to_coords
+
+    def counted(*a):
+        results.append(map_to_coords(*a))
+        return results[-1]
+    monkeypatch.setattr(solver, "map_to_coords", counted)
+    build(*args)
+    monkeypatch.setattr(solver, "map_to_coords", map_to_coords)
+    return results
+
+
+@pytest.mark.parametrize("name", ["so5", "gl3"])
+def test_span_expands_only_products_in_the_basis(name, monkeypatch):
+    """On a homogeneous table every product expanded lands in the basis."""
+    ansatz = AnsatzSpec(4)
+    table, index, items = span_setup(name, ansatz)
+    args = (table, items, index, ansatz.max_degree, len(index))
+    pruned = count_expansions(monkeypatch, _span_of_products, *args)
+    unpruned = count_expansions(monkeypatch, unpruned_span, *args)
+    assert all(coords for coords in pruned)
+    assert len(pruned) == sum(1 for coords in unpruned if coords) < len(unpruned)
+
+
+@pytest.mark.parametrize("name,texts", [
+    ("spinchain", ["u4^2", "u4", "u1*u2^-1 - 1/2*u3"]),
+    ("galilei", ["u1*u3", "u3", "a*u1*u2^-1 - b*log(u2) - a/2*u3"])])
+def test_span_bound_is_off_with_inverse_or_log_items(name, texts, monkeypatch):
+    """An inverse or log invariant among the items prunes nothing, though the
+    polynomial items' grades alone add up past the top grade."""
+    problem = corpus_problem(name)
+    ansatz = AnsatzSpec(3, 1, True)
+    basis = enumerate_basis(problem.brackets.r, ansatz, problem.invertible)
+    index = {elem: k for k, elem in enumerate(basis)}
+    items = [parse_expression(t, problem.table) for t in texts]
+    args = (problem.table, items, index, ansatz.max_degree, len(basis))
+    pruned = count_expansions(monkeypatch, _span_of_products, *args)
+    unpruned = count_expansions(monkeypatch, unpruned_span, *args)
+    assert [str(c) for c in pruned] == [str(c) for c in unpruned]
+
+
+def test_span_keeps_products_whose_inverse_factor_cancels_degree():
+    """u1^2 * u3^2 * u1^-2*u2 = u2*u3^2 lies in the degree-3 basis although
+    the first two factors' grades add up to 4."""
+    table = VarTable.make(["u1", "u2", "u3"], 0, [])
+    basis = enumerate_basis(3, AnsatzSpec(3, 2), [True, False, False])
+    index = {elem: k for k, elem in enumerate(basis)}
+    items = [parse_expression(t, table) for t in ("u1^2", "u3^2", "u1^-2*u2")]
+    args = (table, items, index, 3, len(basis))
+    span = _span_of_products(*args)
+    assert printed(span) == printed(unpruned_span(*args))
+    target = map_to_coords(parse_expression("u2*u3^2", table), table, index)
+    rows = [{len(basis) - 1 - c: v for c, v in row.items()} for row in span]
+    assert rank_of(rows + [target], len(basis)) == len(rows)
+
+
+def test_so5_escalated_solve():
+    """so(5) escalates to degree 4 and finds both Casimirs."""
+    problem = lie_problem("so5")
+    result = solve_with_escalation(problem.brackets, problem.ansatz,
+                                   problem.invertible)
+    assert len(result.solutions) == 2
+    assert result.verified
+    assert (result.independence, result.corank) == (2, 2)

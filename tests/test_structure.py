@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from plq import structure
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
 from plq.flow import FlowConfig, _abstract_system
@@ -229,12 +231,44 @@ def random_rational_table(rng):
     return BracketTable(table, entries)
 
 
+def sparse_rational_table(rng):
+    """Random tables over 4 to 6 generators with about a third of the entries
+    set, most over a generator denominator (a binomial or a monomial)."""
+    r = rng.randint(4, 6)
+    table = VarTable.make([f"u{i + 1}" for i in range(r)], 0, ["c"])
+    gens = [Poly.var(table, n) for n in table.generator_names]
+    atoms = [Poly.one(table), Poly.var(table, "c"), *gens]
+    entries = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rng.random() < 0.65:
+                continue
+            num = sum((rng.choice([-2, -1, 1, 3]) * rng.choice(atoms) * rng.choice(gens)
+                       for _ in range(rng.randint(1, 2))), Poly.zero(table))
+            den = rng.choice([rng.choice(gens) + rng.choice([-1, 2]),
+                              rng.choice(gens) * rng.choice(gens), Poly.one(table)])
+            entries[(i, j)] = RatFunc.make(num, den)
+    return BracketTable(table, entries)
+
+
+def corrupted_hydrogen():
+    """Hydrogen with {M1, M2} = -2/m*H*L3 + M1, which breaks the identity."""
+    bt = corpus_problem("hydrogen").brackets
+    entries = dict(bt.entries)
+    entries[(4, 5)] = entries[(4, 5)] + RatFunc.var(bt.table, "M1")
+    return BracketTable(bt.table, entries)
+
+
 def jacobi_cases():
+    # The corpus includes sklyanin unbound, whose identity fails.
     cases = [(name, corpus_problem(name).brackets) for name in corpus_names()]
     cases.append(("sklyanin-bound", bound_sklyanin()))
+    cases.append(("hydrogen-corrupted", corrupted_hydrogen()))
+    cases += [(name, lie_problem(name).brackets) for name in ("gl3", "so5")]
     rng = random.Random(7)
     cases += [(f"low-rank-{n}", low_rank_table(rng)) for n in range(5)]
     cases += [(f"rational-{n}", random_rational_table(rng)) for n in range(10)]
+    cases += [(f"sparse-rational-{n}", sparse_rational_table(rng)) for n in range(10)]
     return [pytest.param(bt, id=name) for name, bt in cases]
 
 
@@ -244,6 +278,39 @@ def test_jacobi_matches_reference_loop(bt):
     identically, as differentiating per triple."""
     got = [(t.names, t.ok, str(t.residual)) for t in jacobi_check(bt).triples]
     assert got == reference_jacobi(bt)
+
+
+def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
+    """Outside differentiation, jacobi_check multiplies only nonzero factors
+    on gl(3): one product per nonzero partial and bracket entry pair."""
+    bt = lie_problem("gl3").brackets
+    factors = []
+    in_diff = []
+    mul, diff_ = RatFunc.__mul__, structure.diff
+
+    def counted_mul(a, b):
+        if not in_diff:
+            factors.append((a, b))
+        return mul(a, b)
+
+    def quiet_diff(*args):
+        in_diff.append(True)
+        try:
+            return diff_(*args)
+        finally:
+            in_diff.pop()
+    monkeypatch.setattr(RatFunc, "__mul__", counted_mul)
+    monkeypatch.setattr(structure, "diff", quiet_diff)
+    assert jacobi_check(bt).ok
+    monkeypatch.undo()
+    assert not any(a.is_zero() or b.is_zero() for a, b in factors)
+    nonzero = 0
+    for i, j, k in combinations(range(bt.r), 3):
+        for (a, b), x in (((j, k), i), ((k, i), j), ((i, j), k)):
+            nonzero += sum(1 for m in range(bt.r)
+                           if not diff(bt.bracket(a, b), m).is_zero()
+                           and not bt.bracket(x, m).is_zero())
+    assert len(factors) == nonzero > 0
 
 
 def reference_bracket_strings(bt, expr, flow):
