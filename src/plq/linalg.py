@@ -79,15 +79,14 @@ def nullspace(rows: Sequence[Row], ncols: int, one,
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for p in pivots:
-            entry = by_pivot[p].get(f)
-            if entry is not None:
-                vec[p] = -entry
-        first = next(v for v in vec if v != 0)
+        sparse = {p: -by_pivot[p][f] for p in pivots if f in by_pivot[p]}
+        sparse[f] = one
+        first = sparse[min(sparse)]
         if first != 1:
-            vec = [v / first for v in vec]
+            sparse = {c: v / first for c, v in sparse.items()}
+        vec = [zero] * ncols
+        for c, v in sparse.items():
+            vec[c] = v
         basis.append(vec)
     return basis
 

@@ -13,7 +13,9 @@ A rational literal is consumed greedily with two tokens of lookahead, so
 ``3/2`` is one literal rather than a quotient.  Negative exponents apply to
 generator variables only, and ``log`` applies to generator variables only.
 Exponents are bounded by MAX_EXPONENT in magnitude, since each power is
-expanded by repeated multiplication.  Whitespace is insignificant.  Printing
+expanded by repeated multiplication, and integer literals by
+MAX_LITERAL_DIGITS digits, Python's default limit for converting a string to
+an int.  Whitespace is insignificant.  Printing
 produces a string that parses back to an equal expression.
 """
 
@@ -43,6 +45,7 @@ class _Token:
 _OPS = set("+-*/^()")
 
 MAX_EXPONENT = 64
+MAX_LITERAL_DIGITS = 4300
 
 
 def tokenize(text: str) -> list[_Token]:
@@ -158,7 +161,16 @@ class _Parser:
         digits = tok.text.lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise ParseError(f"exponent magnitude above {MAX_EXPONENT}", tok.pos)
-        return sign * int(tok.text)
+        return sign * int(digits or 0)
+
+    @staticmethod
+    def integer(tok: _Token) -> int:
+        """Value of an integer literal, checked for length before int()."""
+        digits = tok.text.lstrip("0")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                             tok.pos)
+        return int(digits or 0)
 
     def atom(self) -> tuple[LogExpr, bool]:
         tok = self.next()
@@ -167,12 +179,12 @@ class _Parser:
             self.expect_op(")")
             return value, False
         if tok.kind == "int":
-            num = int(tok.text)
+            num = self.integer(tok)
             if (self.peek().kind == "op" and self.peek().text == "/"
                     and self.peek(1).kind == "int"):
                 self.next()
                 den_tok = self.next()
-                den = int(den_tok.text)
+                den = self.integer(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", den_tok.pos)
                 return LogExpr(RatFunc.const(self.table, Fraction(num, den))), False

@@ -4,16 +4,19 @@ An invariant F of a bracket table satisfies sum_i (dF/du_i) f_ij = 0 for every
 generator j.  The solver expands F over a graded monomial basis, optionally
 extended by inverses and logarithms of invertible generators, assembles the
 resulting linear system with entries in the parameter field, and reads off an
-exact nullspace basis.  Vectors are echelonized so the simplest monomials
-lead, reduced modulo products of already accepted solutions (powers and
-products of known invariants carry no new information), and normalized so the
-canonically leading coefficient is one and parameter denominators are cleared.
+exact nullspace basis.  The table's gradings split that system: only columns
+of inner weight zero are assembled, and each outer block is solved on its
+own.  Vectors are echelonized so the simplest monomials lead, reduced modulo
+products of already accepted solutions (powers and products of known
+invariants carry no new information), and normalized so the canonically
+leading coefficient is one and parameter denominators are cleared.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -108,17 +111,7 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
             terms.append([(k, 1, tuple(-x for x in _delta(r, k)))])
     rows: list[dict] = []
     for j in range(r):
-        fs = [(i, btable.bracket(i, j)) for i in range(r)]
-        dens = {str(f.den): f.den for _, f in fs if not f.is_poly()}
-        split = {}
-        for i, f in fs:
-            if f.is_zero():
-                continue
-            cleared = f.num  # f_ij times common / den_ij
-            for key, d in dens.items():
-                if key != str(f.den):
-                    cleared = cleared * d
-            split[i] = split_terms(cleared, gens)
+        split = {i: split_terms(p, gens) for i, p in btable.cleared_rows[j][1].items()}
         grouped: dict[tuple[int, ...], dict[int, dict]] = {}
         for c, contributions in enumerate(terms):
             for i, scale, shift in contributions:
@@ -130,6 +123,61 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
                         acc[pk] = acc[pk] + v if pk in acc else v
         rows.extend(grouped_rows(table, grouped))
     return rows
+
+
+def _dot(w: Sequence[int], e: Sequence[int]) -> int:
+    return sum(map(mul, w, e))
+
+
+def graded_columns(btable: BracketTable, basis: Sequence[BasisElem]
+                   ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The basis columns that can carry an invariant, with their block keys.
+
+    For an inner weight w, {h, u^e} = (w.e) u^e and {h, log u_k} = w_k, a
+    constant outside the basis; every invariant F has {h, F} = 0, so its
+    coefficients vanish off inner weight 0.  Kept are log columns and the
+    monomials of inner weight 0.  A column's key is its weight w.e under
+    every outer grading w (zero for log columns): row j of column u^e has
+    weight w.e + w_j + c plus the weight of the row's cleared denominator, so
+    no assembled row spans two keys.
+    """
+    inner = btable.inner_gradings()
+    outer = btable.outer_gradings()
+    kept: list[int] = []
+    keys: list[tuple[int, ...]] = []
+    for c, elem in enumerate(basis):
+        e = elem.exps if isinstance(elem, Mono) else (0,) * btable.r
+        if not any(_dot(w, e) for w in inner):
+            kept.append(c)
+            keys.append(tuple(_dot(w, e) for w in outer))
+    return kept, keys
+
+
+def _block_nullspace(rows: Sequence[dict], kept: Sequence[int],
+                     keys: Sequence[tuple[int, ...]], one) -> list[dict[int, object]]:
+    """Nullspace of the system over the kept columns, block by block.
+
+    Rows and columns are indexed by position in `kept`.  The singleton
+    presolve runs once, since its waves never cross a block; a remaining row
+    belongs to the block of its columns' key, and each block's nullspace is
+    taken over its unforced columns alone.  Vectors come back sparse over
+    full-basis column indices.
+    """
+    reduced, forced = presolve_forced_zero(rows)
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for c, key in enumerate(keys):
+        if c not in forced:
+            blocks.setdefault(key, []).append(c)
+    block_rows: dict[tuple[int, ...], list[dict]] = {key: [] for key in blocks}
+    for row in reduced:
+        block_rows[keys[min(row)]].append(row)
+    vectors = []
+    for key, cols in blocks.items():
+        local = {c: n for n, c in enumerate(cols)}
+        for vec in nullspace([{local[c]: v for c, v in row.items()} for row in block_rows[key]],
+                             len(cols), one):
+            vectors.append({kept[cols[n]]: v for n, v in enumerate(vec) if v != 0})
+    return vectors
 
 
 def _as_ratfunc(table: VarTable, value) -> RatFunc:
@@ -268,9 +316,9 @@ class CasimirBasis:
         return rank_of(span_rows + [target], n) == base_rank
 
 
-def _reversed_echelon(vectors: list[list]) -> list[dict[int, object]]:
-    """Candidates from nullspace vectors, pivots at the canonically simplest
-    monomials.
+def _reversed_echelon(vectors: list[dict]) -> list[dict[int, object]]:
+    """Candidates from sparse nullspace vectors, pivots at the canonically
+    simplest monomials.
 
     The vector of free column f is nonzero only at f and at pivot columns
     before f, and no other vector is nonzero at f.  Scaled to one at their
@@ -280,11 +328,9 @@ def _reversed_echelon(vectors: list[list]) -> list[dict[int, object]]:
     ascending pivot complexity.
     """
     rows = []
-    for vec in vectors:
-        row = {c: v for c, v in enumerate(vec) if v != 0}
-        if row:
-            last = row[max(row)]
-            rows.append(row if last == 1 else {c: v / last for c, v in row.items()})
+    for row in vectors:
+        last = row[max(row)]
+        rows.append(row if last == 1 else {c: v / last for c, v in row.items()})
     rows.sort(key=max, reverse=True)
     return rows
 
@@ -402,10 +448,9 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
         raise ExprError("ansatz basis is empty")
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
-    rows = assemble_system(btable, basis)
-    reduced, forced = presolve_forced_zero(rows)
-    raw = nullspace(reduced, ncols, RatFunc.one(table), forced_zero=forced)
-    candidates = _reversed_echelon(raw)
+    kept, keys = graded_columns(btable, basis)
+    rows = assemble_system(btable, [basis[c] for c in kept])
+    candidates = _reversed_echelon(_block_nullspace(rows, kept, keys, RatFunc.one(table)))
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()

@@ -8,15 +8,17 @@ generators and generic rank p, at most r - p.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterator, Mapping, Sequence
 
-from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, RatFunc, VarTable,
-                   diff, substitute)
-from .linalg import pfaffian, rank_of, rows_from_dense, rref
+from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
+                   VarTable, diff, substitute)
+from .linalg import nullspace, pfaffian, rank_of, rows_from_dense, rref
 
 DEFAULT_SEED = 20140
 
@@ -75,6 +77,70 @@ class BracketTable:
             out.append(total)
         return out
 
+    @cached_property
+    def cleared_rows(self) -> list[tuple[Poly, dict[int, Poly]]]:
+        """Each row j cleared of denominators: the product D of the distinct
+        f_ij denominators, and {i: f_ij * D} for every nonzero f_ij."""
+        out = []
+        for j in range(self.r):
+            fs = [(i, f) for i in range(self.r) if not (f := self.bracket(i, j)).is_zero()]
+            dens = {str(f.den): f.den for _, f in fs if not f.is_poly()}
+            cleared = {}
+            for i, f in fs:
+                c = f.num
+                for key, d in dens.items():
+                    if key != str(f.den):
+                        c = c * d
+                cleared[i] = c
+            common = Poly.one(self.table)
+            for d in dens.values():
+                common = common * d
+            out.append((common, cleared))
+        return out
+
+    def outer_gradings(self) -> list[tuple[int, ...]]:
+        """Basis of the integer generator weights w that grade the table: with
+        some shift c, every nonzero f_ij is homogeneous of weight
+        w_i + w_j + c, parameters at weight 0.
+
+        Unknowns are (w, c).  Each numerator term a of f_ij = N/D, against the
+        first denominator term d0, gives w.a - w.d0 - w_i - w_j - c = 0; each
+        other denominator term d gives w.(d - d0) = 0.
+        """
+        gens = self.table.generator_indices
+        r = self.r
+        rows = []
+        for (i, j), f in self.entries.items():
+            d0, *rest = [[e[g] for g in gens] for e in f.den.terms]
+            for e in f.num.terms:
+                row = {k: e[g] - d0[k] - (k == i) - (k == j) for k, g in enumerate(gens)}
+                row[r] = -1
+                rows.append(row)
+            rows.extend({k: x - y for k, (x, y) in enumerate(zip(d, d0))} for d in rest)
+        rows = [{k: Fraction(v) for k, v in row.items() if v} for row in rows]
+        return _integer_weights(v[:r] for v in nullspace(rows, r + 1, Fraction(1)))
+
+    def inner_gradings(self) -> list[tuple[int, ...]]:
+        """Basis of the integer weights w of the rational combinations
+        h = sum_k a_k u_k that act diagonally, {h, u_j} = w_j u_j.
+
+        Unknowns are (a, w).  Row j, sum_k a_k f_kj = w_j u_j, is cleared of
+        denominators and split by full exponent, one equation per monomial.
+        """
+        gens = self.table.generator_indices
+        r = self.r
+        rows = []
+        for j, (common, cleared) in enumerate(self.cleared_rows):
+            g = gens[j]
+            grouped: dict[tuple[int, ...], dict[int, Fraction]] = {}
+            for k, p in cleared.items():
+                for e, c in p.terms.items():
+                    grouped.setdefault(e, {})[k] = c
+            for e, c in common.terms.items():
+                grouped.setdefault(e[:g] + (e[g] + 1,) + e[g + 1:], {})[r + j] = -c
+            rows.extend(grouped.values())
+        return _integer_weights(v[r:] for v in nullspace(rows, 2 * r, Fraction(1)))
+
     def structure_matrix(self) -> list[list[RatFunc]]:
         """Dense r x r skew matrix of bracket entries."""
         return [[self.bracket(i, j) for j in range(self.r)] for i in range(self.r)]
@@ -86,6 +152,18 @@ class BracketTable:
             if all(self.bracket(i, j).is_zero() for j in range(self.r)):
                 out.append(self.table.names[i])
         return out
+
+
+def _integer_weights(vectors) -> list[tuple[int, ...]]:
+    """The nonzero rational vectors, each scaled to coprime integers."""
+    out = []
+    for w in vectors:
+        if any(w):
+            scale = math.lcm(*(x.denominator for x in w))
+            ints = [int(x * scale) for x in w]
+            g = math.gcd(*ints)
+            out.append(tuple(x // g for x in ints))
+    return out
 
 
 @dataclass

@@ -187,6 +187,16 @@ def test_cli_check_parse_error_is_usage(capsys):
     assert main(["check", "sphere", "--invariant", "V +"]) == 2
 
 
+def test_cli_overlong_integer_literal_is_usage(capsys):
+    """A literal past Python's int() digit limit is a parse error, exit 2,
+    not a ValueError traceback; leading zeros do not count."""
+    assert main(["check", "sphere", "--invariant", "9" * 5000 + "*H"]) == 2
+    assert "integer literal longer than 4300 digits" in capsys.readouterr().err
+    assert main(["check", "sphere", "--invariant", "1/" + "9" * 4301 + "*H"]) == 2
+    assert "integer literal longer than 4300 digits" in capsys.readouterr().err
+    assert main(["check", "sphere", "--invariant", "0" * 5000 + "2*H - 2*H"]) == 0
+
+
 def test_cli_flow_defaults(capsys):
     assert main(["flow", "sphere"]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from plq.parsing import parse_expression, parse_ratfunc, to_string
 from plq.problem import build_problem
 from plq.solver import (AnsatzSpec, _normalize_solution, _reversed_echelon,
                         _span_of_products, assemble_system,
-                        coords_to_expression, enumerate_basis,
+                        coords_to_expression, enumerate_basis, graded_columns,
                         independence_rank, map_to_coords, solve_casimirs,
                         solve_with_escalation, verify_invariant)
 from plq.structure import BracketTable, bind_parameters
@@ -268,13 +268,18 @@ def test_assembled_nullspace_passes_independent_verification(name, ansatz):
         assert verify_invariant(expr, btable).ok, str(expr)
 
 
-def lie_problem(name):
-    """A generated Lie-Poisson table from the benchmark's generator."""
+def lie_module():
+    """The benchmark's Lie-Poisson table generator."""
     path = Path(__file__).resolve().parents[1] / "bench" / "lie.py"
     spec = importlib.util.spec_from_file_location("lie", path)
     lie = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lie)
-    return build_problem(lie.documents()[name][0])
+    return lie
+
+
+def lie_problem(name):
+    """A generated Lie-Poisson table from the benchmark's generator."""
+    return build_problem(lie_module().documents()[name][0])
 
 
 def reference_presolve(rows):
@@ -378,10 +383,15 @@ def test_solver_steps_match_reference(name, ansatz):
     assert forced == ref_forced
     distinct = {tuple(row): row for row in printed(reduced)}
     assert list(distinct.values()) == printed(ref_reduced)
-    candidates = _reversed_echelon(nullspace(reduced, len(basis), one, forced))
+    candidates = _reversed_echelon([{c: v for c, v in enumerate(vec) if v != 0}
+                                    for vec in nullspace(reduced, len(basis), one, forced)])
     ref_candidates = reference_echelon(
         nullspace(ref_reduced, len(basis), one, ref_forced), len(basis))
     assert printed(candidates) == printed(ref_candidates)
+    kept, keys = graded_columns(btable, basis)
+    block_candidates = _reversed_echelon(solver._block_nullspace(
+        assemble_system(btable, [basis[c] for c in kept]), kept, keys, one))
+    assert printed(block_candidates) == printed(candidates)
     solved = solve_casimirs(btable, ansatz, problem.invertible)
     assert [to_string(s) for s in solved.solutions] == reference_solutions(
         btable, basis, ref_candidates, ansatz.max_degree)
@@ -520,3 +530,45 @@ def test_so5_escalated_solve():
     assert len(result.solutions) == 2
     assert result.verified
     assert (result.independence, result.corank) == (2, 2)
+
+
+@pytest.mark.parametrize("n,degree", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_full_nullspace_is_zero_at_dropped_columns(n, degree):
+    """Every nullspace vector of the system over the whole basis vanishes at
+    the columns of nonzero inner weight that the solver leaves out."""
+    btable = build_problem(lie_module().gl_document(n)).brackets
+    basis = enumerate_basis(btable.r, AnsatzSpec(degree), [False] * btable.r)
+    kept, _ = graded_columns(btable, basis)
+    dropped = set(range(len(basis))) - set(kept)
+    assert dropped
+    reduced, forced = presolve_forced_zero(assemble_system(btable, basis))
+    vectors = nullspace(reduced, len(basis), RatFunc.one(btable.table), forced)
+    assert vectors
+    for vec in vectors:
+        assert all(vec[c] == 0 for c in dropped)
+
+
+def test_gl3_degree_4_assembles_only_weight_zero_columns(monkeypatch):
+    """gl(3) at degree 4 assembles the 78 monomials of torus weight 0 (row
+    sums of the exponent matrix equal its column sums), not all 714."""
+    problem = lie_problem("gl3")
+    btable = problem.brackets
+    assembled = []
+    assemble = solver.assemble_system
+
+    def recorded(bt, basis):
+        assembled.append(list(basis))
+        return assemble(bt, basis)
+    monkeypatch.setattr(solver, "assemble_system", recorded)
+    result = solve_casimirs(btable, AnsatzSpec(4), problem.invertible)
+    names = btable.generator_names
+
+    def weight_zero(e):
+        return all(sum(x for g, x in zip(names, e) if g[1] == k)
+                   == sum(x for g, x in zip(names, e) if g[2] == k) for k in "123")
+    basis = enumerate_basis(btable.r, AnsatzSpec(4), problem.invertible)
+    expected = [elem for elem in basis if weight_zero(elem.exps)]
+    assert (len(basis), len(expected)) == (714, 78)
+    assert assembled == [expected]
+    assert result.system_rows == len(assemble(btable, expected))
+    assert len(result.solutions) == 3 and result.verified

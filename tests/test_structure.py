@@ -12,7 +12,8 @@ from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
 from plq.flow import FlowConfig, _abstract_system
 from plq.linalg import rank_of, rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
-from plq.solver import verify_invariant
+from plq.solver import (AnsatzSpec, assemble_system, enumerate_basis,
+                        graded_columns, verify_invariant)
 from plq.structure import (BracketTable, bind_parameters, generic_rank,
                            jacobi_check, verify_parameter_constraint)
 from test_linalg import det
@@ -392,3 +393,98 @@ def test_rank_summary_mentions_kind():
     problem = corpus_problem("sphere")
     text = generic_rank(problem.brackets).summary()
     assert "rank 2" in text and "corank 1" in text and "determinant" in text
+
+
+def same_span(weights, expected):
+    """Whether two lists of integer vectors span the same rational space."""
+    def rows(ws):
+        return [{k: Fraction(x) for k, x in enumerate(w) if x} for w in ws]
+    n = len(expected[0]) if expected else 0
+    rank = rank_of(rows(expected), n)
+    return rank_of(rows(weights), n) == rank == rank_of(rows(weights + expected), n)
+
+
+def test_gl3_has_inner_gradings():
+    """The diagonal generators of gl(3) act diagonally: x_kk brackets x_ij
+    to (d_ki - d_jk) x_ij, so the inner weights span the two-dimensional
+    root lattice."""
+    bt = lie_problem("gl3").brackets
+    names = bt.generator_names
+    roots = [tuple((n[1] == str(k)) - (n[2] == str(k)) for n in names)
+             for k in (1, 2, 3)]
+    inner = bt.inner_gradings()
+    assert len(inner) == 2
+    assert same_span(inner, roots)
+    for w in inner:
+        for i in range(3):
+            assert w[names.index(f"x{i + 1}{i + 1}")] == 0
+
+
+def test_so4_has_the_degree_grading_only():
+    bt = lie_problem("so4").brackets
+    assert bt.outer_gradings() == [(1,) * 6]
+    assert bt.inner_gradings() == []
+
+
+def test_hydrogen_outer_gradings_keep_parameters_at_weight_zero():
+    """{L, L} = L, {L, M} = M and {M1, M2} = -2/m*H*L3 force c = -w_L and
+    w_H = 2 w_M - 2 w_L, with w_L and w_M free; m in the denominators
+    carries no weight."""
+    bt = corpus_problem("hydrogen").brackets
+    assert bt.generator_names == ("H", "L1", "L2", "L3", "M1", "M2", "M3")
+    expected = [(2, 0, 0, 0, 1, 1, 1), (-2, 1, 1, 1, 0, 0, 0)]
+    assert same_span(bt.outer_gradings(), expected)
+    assert bt.inner_gradings() == []
+
+
+def test_abelian_table_makes_every_monomial_its_own_block():
+    table = VarTable.make(["u1", "u2", "u3"], 0, [])
+    bt = BracketTable(table, {})
+    assert same_span(bt.outer_gradings(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert bt.inner_gradings() == []
+    basis = enumerate_basis(3, AnsatzSpec(3), [False] * 3)
+    kept, keys = graded_columns(bt, basis)
+    assert kept == list(range(len(basis)))
+    assert len(set(keys)) == len(basis)
+
+
+def assert_no_row_spans_two_blocks(bt, basis):
+    kept, keys = graded_columns(bt, basis)
+    rows = assemble_system(bt, [basis[c] for c in kept])
+    assert rows
+    for row in rows:
+        assert len({keys[c] for c in row}) == 1
+
+
+def test_non_homogeneous_entry_ties_the_weights():
+    """{u1, u2} = u3 + u1^2: w3 - w1 - w2 - c = 0 and 2 w1 - w1 - w2 - c = 0,
+    so c = w1 - w2 and w3 = 2 w1, the weight of u1^2.  No combination acts
+    diagonally: {h, u1} = -a2 (u3 + u1^2) and {h, u2} = a1 (u3 + u1^2)."""
+    table = VarTable.make(["u1", "u2", "u3"], 0, [])
+    bt = BracketTable(table, {(0, 1): parse_ratfunc("u3 + u1^2", table)})
+    assert same_span(bt.outer_gradings(), [(1, 0, 2), (0, 1, 0)])
+    assert bt.inner_gradings() == []
+    assert_no_row_spans_two_blocks(bt, enumerate_basis(3, AnsatzSpec(3), [False] * 3))
+
+
+def test_sl2_inner_grading_keeps_weight_zero_columns():
+    """{h, e} = 2e, {h, f} = -2f, {e, f} = h: h has inner weights (0, 2, -2),
+    so the kept monomials are h^a (e f)^b."""
+    table = VarTable.make(["h", "e", "f"], 0, [])
+    bt = BracketTable(table, {(0, 1): parse_ratfunc("2*e", table),
+                              (0, 2): parse_ratfunc("-2*f", table),
+                              (1, 2): parse_ratfunc("h", table)})
+    assert same_span(bt.inner_gradings(), [(0, 1, -1)])
+    basis = enumerate_basis(3, AnsatzSpec(4), [False] * 3)
+    kept, _ = graded_columns(bt, basis)
+    assert sorted(basis[c].exps for c in kept) == sorted(
+        (a, b, b) for a in range(5) for b in range(3) if 0 < a + 2 * b <= 4)
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "gl3", "so4"])
+def test_no_assembled_row_spans_two_blocks(name):
+    problem = lie_problem(name) if name in ("gl3", "so4") else corpus_problem(name)
+    invertible = problem.invertible
+    ansatz = AnsatzSpec(3, 1, True) if any(invertible) else AnsatzSpec(3)
+    assert_no_row_spans_two_blocks(problem.brackets,
+                                   enumerate_basis(problem.brackets.r, ansatz, invertible))
