@@ -9,17 +9,19 @@ the symbolic modules, and flows serve as numerical witnesses that monitors
 Each run is compiled once into one generated Python function that holds the
 whole step loop: the state, the four RK4 stages, the monitors and their drift
 live in scalar locals, and parameter values are constants.  The emitted
-source drops unit coefficients, writes negative coefficients as
-subtractions and evaluates each distinct denominator once per point; each of
-these is exact in IEEE round-to-nearest arithmetic, so the trajectory is the
-one a term-by-term evaluation gives.  Every denominator is guarded, so a
-trajectory that approaches a pole aborts with the step index, and so does
-one whose state or monitors leave the finite range.
+source drops unit coefficients, writes negative coefficients as subtractions,
+computes each distinct denominator and each repeated power once per point,
+and those that use only parameters once per run; each of these is exact in
+IEEE round-to-nearest arithmetic, so the trajectory is the one a term-by-term
+evaluation gives.  Every denominator is guarded, so a trajectory that
+approaches a pole aborts with the step index, and so does one whose state or
+monitors leave the finite range.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -125,15 +127,18 @@ def _frac_src(c: Fraction) -> str:
     return f"({c.numerator}/{c.denominator})"
 
 
-def _poly_src(p: Poly, names: Mapping[int, str]) -> str:
+def _poly_src(p: Poly, names: Mapping[int, str],
+              bound: Mapping[str, str] = {}) -> str:
     """Source of a polynomial: a unit coefficient is dropped and a negative
-    one becomes a subtraction, both exact in floating point."""
+    one becomes a subtraction, both exact in floating point.  A power with a
+    local in `bound` is read from that local."""
     if p.is_zero():
         return "0.0"
     src = ""
     for e, c in sorted(p.terms.items()):
         factors = [names[i] if x == 1 else f"{names[i]}**{x}"
                    for i, x in enumerate(e) if x]
+        factors = [bound.get(f, f) for f in factors]
         if abs(c) != 1 or not factors:
             factors.insert(0, _frac_src(abs(c)))
         term = "*".join(factors)
@@ -169,16 +174,18 @@ def _emit(table: VarTable, exprs: Sequence[object],
           tag: str) -> tuple[list[str], list[str], list[str]]:
     """Source that evaluates expressions at a point held in locals x{i}.
 
-    Returns the lines binding parameter values, the lines run once per point
-    (the radial element, denominator and logarithm guards, which raise
-    `_PoleSignal`), and one output expression per input expression.  `tag`
-    keeps the denominator locals of separate emissions apart.
+    Returns the lines run once (parameter values, then the powers and guarded
+    denominators that use only parameters), the lines run once per point (the
+    radial element, repeated powers, denominator and logarithm guards; guards
+    raise `_PoleSignal`), and one output expression per input expression.
+    `tag` keeps the denominator locals of separate emissions apart.
     """
     norm = [_as_logexpr(e) for e in exprs]
     used = _used_indices(norm)
     names = {i: f"x{i}" for i in range(len(table))}
     constants: list[str] = []
     point: list[str] = []
+    params: set[int] = set()
     state_set = set(state_indices)
     ia = table.alg_index
     for i in sorted(used):
@@ -189,6 +196,7 @@ def _emit(table: VarTable, exprs: Sequence[object],
             if name not in values:
                 raise ExprError(f"no value given for parameter {name!r}")
             constants.append(f"x{i} = {float(values[name])!r}")
+            params.add(i)
         else:
             raise ExprError(f"variable {table.names[i]!r} is not part of "
                             "the flow state")
@@ -198,19 +206,40 @@ def _emit(table: VarTable, exprs: Sequence[object],
                             "in the flow state")
         square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
         point.append(f"x{ia} = sqrt({square})")
+    # Count each power once per polynomial written, a shared denominator once.
+    rats = [rf for le in norm for rf in (le.rat, *(c for _, c in le.logs))]
+    dens = {_poly_src(rf.den, names): rf.den for rf in rats if not rf.is_poly()}
+    uses = Counter((i, x) for p in [rf.num for rf in rats] + list(dens.values())
+                   for e in p.terms for i, x in enumerate(e) if x > 1)
+    bound = {f"x{i}**{x}": f"x{i}_{x}" for (i, x), count in uses.items()
+             if count > 1 or i in params}
+    unplaced = dict(bound)
+
+    def place(p: Poly, lines: list[str]) -> None:
+        # A bound power goes just before its first use, so the operations
+        # that can raise (powers, guards) keep their term-by-term order.
+        for e in sorted(p.terms):
+            for i, x in enumerate(e):
+                local = unplaced.pop(f"x{i}**{x}", None)
+                if local:
+                    (constants if i in params else lines).append(
+                        f"{local} = x{i}**{x}")
+
     denominators: dict[str, str] = {}
     logged: set[int] = set()
 
     def guarded(rf: RatFunc) -> str:
-        src = _poly_src(rf.num, names)
+        src = _poly_src(rf.num, names, bound)
         if rf.is_poly():
             return src
         den = _poly_src(rf.den, names)
         dvar = denominators.get(den)
         if dvar is None:
             dvar = denominators[den] = f"d{tag}{len(denominators)}"
-            point.append(f"{dvar} = {den}")
-            point.append(f"if abs({dvar}) < {POLE_TOLERANCE!r}: "
+            lines = constants if rf.den.used_indices() <= params else point
+            place(rf.den, lines)
+            lines.append(f"{dvar} = {_poly_src(rf.den, names, bound)}")
+            lines.append(f"if abs({dvar}) < {POLE_TOLERANCE!r}: "
                          "raise _PoleSignal()")
         return f"({src} / {dvar})"
 
@@ -224,6 +253,8 @@ def _emit(table: VarTable, exprs: Sequence[object],
                              "raise _PoleSignal()")
             src = f"({src} + {guarded(c)}*log(x{g}))"
         outputs.append(src)
+    for rf in rats:
+        place(rf.num, point)
     return constants, point, outputs
 
 
@@ -262,7 +293,8 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     It returns the times, all `steps + 1` states, and the monitors' initial
     values, largest drifts and final values.  A guard that trips raises
     `FlowPoleError` with the step (0 for the start point); so does an
-    infinite or NaN state or monitor value.
+    infinite or NaN state or monitor value.  Parameter-only work runs before
+    step 0 for the monitors and before step 1 for the right-hand sides.
     """
     rconst, rpoint, rout = _emit(table, rhs_exprs, state_indices, values, "r")
     mconst, mpoint, mout = _emit(table, monitors, state_indices, values, "m")
@@ -297,12 +329,12 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     for b, c, m in zip(base, current, drift):
         step += [f"d = abs({c} - {b})", f"if d > {m}: {m} = d"]
     body = ["try:"]
-    body += ["    " + l for l in at([""] * n) + monitored(base)]
+    body += ["    " + l for l in mconst + at([""] * n) + monitored(base)]
     body += [f"    {m} = 0.0" for m in drift]
+    body += ["    " + l for l in ["n = 1"] + rconst]
     body += ["    for n in range(1, steps + 1):"]
     body += ["        " + l for l in step]
     lines = ["def _run(start, h, steps):"]
-    lines += ["    " + l for l in dict.fromkeys(rconst + mconst)]
     lines += ["    " + _tuple_src(ys) + " = start",
               "    half = h / 2.0", "    sixth = h / 6.0",
               "    states = [start]", "    append = states.append",
@@ -398,14 +430,17 @@ def canonical_flow(real: CanonicalRealization, hamiltonian,
 
 def generator_trajectory(real: CanonicalRealization, result: FlowResult,
                          values: Mapping[str, float]) -> list[tuple[float, ...]]:
-    """Generator values along a canonical trajectory, via the realization."""
+    """Generator values along a canonical trajectory, via the realization; a
+    point at a pole or an overflow raises `FlowPoleError` with its index."""
     table = real.table
     state = list(table.q_indices) + list(table.p_indices)
     fn = compile_evaluator(table, list(real.expressions), state, values)
     out = []
-    for point in result.states:
+    for n, point in enumerate(result.states):
         try:
             out.append(fn(point))
         except _PoleSignal:
-            raise FlowPoleError(0, 0.0) from None
+            raise FlowPoleError(n, result.times[n]) from None
+        except OverflowError:
+            raise FlowPoleError(n, result.times[n], NOT_FINITE) from None
     return out

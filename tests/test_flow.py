@@ -2,16 +2,19 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from plq.canonical import CanonicalRealization
 from plq.corpus import corpus_problem
+from plq import flow as flow_module
 from plq.expr import ExprError, Poly, VarTable
-from plq.flow import (FlowConfig, FlowPoleError, _abstract_system,
-                      _as_logexpr, _canonical_system, _PoleSignal, _poly_src,
-                      abstract_flow, canonical_flow, generator_trajectory)
+from plq.flow import (DriftReport, FlowConfig, FlowPoleError, FlowResult,
+                      _abstract_system, _as_logexpr, _canonical_system,
+                      _PoleSignal, _poly_src, abstract_flow, canonical_flow,
+                      compile_evaluator, generator_trajectory)
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.structure import BracketTable
 
@@ -355,6 +358,24 @@ def oracle_case(name):
                          [parse_expression("a*u1*u2^-1 - b*log(u2) - a/2*u3",
                                            table)])
         return problem.brackets, cfg, "abstract"
+    if name == "parameter-power-log":
+        problem = corpus_problem("galilei")
+        table = problem.table
+        cfg = FlowConfig(parse_expression("u1 + a^2*u3^2", table),
+                         {"u1": 0.3, "u2": 1.2, "u3": -0.4, "a": 1.5, "b": 2.0},
+                         1e-3, 2000,
+                         [parse_expression(m, table) for m in (
+                             "a*u1*u2^-1 - b*log(u2) - a/2*u3",
+                             "u3^2 + a^3/b^2*log(u2)")])
+        return problem.brackets, cfg, "abstract"
+    if name.endswith("parameter-pole"):
+        table = VarTable.make(["u1", "u2"], 0, ["a"])
+        bt = BracketTable(table, {(0, 1): parse_ratfunc("1", table)})
+        monitor = "1/2*u2^2/a" if name.startswith("monitor") else "u1"
+        cfg = FlowConfig(parse_expression("1/2*u2^2/a", table),
+                         {"u1": 1.0, "u2": -1.0, "a": 1e-13}, 1e-3, 2000,
+                         [parse_expression(monitor, table)])
+        return bt, cfg, "abstract"
     bt = pole_table()
     if name == "log-pole":
         cfg = FlowConfig(parse_expression("u1", bt.table),
@@ -374,9 +395,15 @@ def outcome(run):
         return ("pole", exc.step, exc.time)
 
 
+# Oracle cases whose only denominator uses only parameters, with the step at
+# which the per-step loop first evaluates it.
+EARLY_POLES = {"rhs-parameter-pole": 1, "monitor-parameter-pole": 0}
+
+
 @pytest.mark.parametrize("name", [
     "sphere", "hydrogen-abstract", "hydrogen-kepler", "nappi-witten",
-    "no-monitors", "log-monitor", "log-pole", "pole"])
+    "no-monitors", "log-monitor", "log-pole", "pole", "parameter-power-log",
+    *EARLY_POLES])
 def test_generated_run_matches_reference_loop(name):
     """The one generated run reproduces the per-step loop over term-by-term
     evaluators bit for bit: every state and time, the monitor values and
@@ -402,7 +429,9 @@ def test_generated_run_matches_reference_loop(name):
                 [d.max_drift for d in m], [d.final_drift for d in m])
     got = outcome(got_run)
     assert got == want
-    if name.endswith("pole"):
+    if name in EARLY_POLES:
+        assert got[:2] == ("pole", EARLY_POLES[name])
+    elif name.endswith("pole"):
         assert 400 <= got[1] <= 600
     else:
         assert len(got[1]) == cfg.steps + 1
@@ -430,3 +459,103 @@ def test_simplified_polynomial_source_is_exact():
             a, b = eval(new, {}, dict(point)), eval(old, {}, dict(point))
             assert repr(a) == repr(b)
             assert math.isnan(a) or math.copysign(1, a) == math.copysign(1, b)
+
+
+def flow_system(source, cfg, mode):
+    if mode == "abstract":
+        return _abstract_system(source, cfg)
+    return _canonical_system(source, cfg.observable, cfg)
+
+
+@pytest.mark.parametrize("name", ["hydrogen-kepler", "hydrogen-abstract"])
+def test_run_computes_powers_once_per_point_and_parameter_work_once(
+        name, monkeypatch):
+    """Inside the step loop, no power is computed twice at one point, and
+    nothing that uses only parameters is computed at all."""
+    source, cfg, mode = oracle_case(name)
+    table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
+    lines = []
+    define = flow_module._define
+
+    def capture(src, fn):
+        lines.extend(line.strip() for line in src)
+        return define(src, fn)
+    monkeypatch.setattr(flow_module, "_define", capture)
+    flow_module._compile_run(table, rhs_exprs, monitors, state,
+                             cfg.initial_state)
+    loop = lines[lines.index("for n in range(1, steps + 1):") + 1:
+                 lines.index("except _PoleSignal:")]
+    # The lines of one point run from one move of the state locals to the next.
+    points = [[]]
+    for line in loop:
+        if re.fullmatch(r"x\d+ = y\d+.*", line):
+            points.append([])
+        else:
+            points[-1].append(line)
+    assert len(points) >= 5
+    for point in points:
+        powers = re.findall(r"x\d+\*\*\d+", "\n".join(point))
+        assert len(powers) == len(set(powers)), point
+    params = {str(i) for i in table.parameter_indices}
+    for line in loop:
+        assert not any(f"x{i}**" in line for i in params), line
+        value = line.partition(" = ")[2]
+        used = set(re.findall(r"\bx(\d+)", value))
+        assert not used or not used <= params, line
+
+
+def evaluated(fn, point):
+    try:
+        return fn(point)
+    except (_PoleSignal, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def test_compiled_evaluator_matches_reference_evaluator():
+    """The shared emitter reproduces the term-by-term evaluator bit for bit on
+    the hydrogen realization, signed zeros, poles and overflows included."""
+    problem = corpus_problem("hydrogen")
+    table = problem.table
+    exprs = list(problem.realization.expressions)
+    state = list(table.q_indices) + list(table.p_indices)
+    values = {"m": 1.5, "kappa": 0.75}
+    fast = compile_evaluator(table, exprs, state, values)
+    slow = reference_evaluator(table, exprs, state, values)
+    rng = random.Random(5)
+    choices = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.7e150, 1e200]
+    kinds = set()
+    for _ in range(3000):
+        point = tuple(rng.choice(choices) * rng.choice([1.0, 1.3])
+                      for _ in state)
+        got, want = evaluated(fast, point), evaluated(slow, point)
+        assert repr(got) == repr(want), point
+        kinds.add(want if isinstance(want, str) else "value")
+    assert kinds == {"value", "_PoleSignal", "OverflowError"}
+
+
+def hydrogen_path(bad_state, index):
+    """A three-point canonical path of the hydrogen realization with
+    `bad_state` at `index`."""
+    states = [(1.0, 0.0, 0.0, 0.0, 0.8, 0.1), (0.9, 0.1, 0.0, 0.05, 0.8, 0.1),
+              (0.8, 0.2, 0.0, 0.1, 0.7, 0.1)]
+    states[index] = bad_state
+    names = ["q1", "q2", "q3", "p1", "p2", "p3"]
+    return FlowResult(names, [0.0, 0.25, 0.5], states, DriftReport([]))
+
+
+def test_generator_trajectory_reports_the_point_at_a_pole():
+    problem = corpus_problem("hydrogen")
+    path = hydrogen_path((0.0, 0.0, 0.0, 0.1, 0.8, 0.1), 2)
+    with pytest.raises(FlowPoleError, match="within 1e-12") as info:
+        generator_trajectory(problem.realization, path,
+                             {"m": 1.0, "kappa": 1.0})
+    assert (info.value.step, info.value.time) == (2, 0.5)
+
+
+def test_generator_trajectory_reports_an_overflow_as_not_finite():
+    problem = corpus_problem("hydrogen")
+    path = hydrogen_path((1.0, 0.0, 0.0, 1e200, 0.8, 0.1), 1)
+    with pytest.raises(FlowPoleError, match="not finite") as info:
+        generator_trajectory(problem.realization, path,
+                             {"m": 1.0, "kappa": 1.0})
+    assert (info.value.step, info.value.time) == (1, 0.25)
