@@ -268,6 +268,9 @@ def _parse_init(text: str) -> dict[str, float]:
         except (ValueError, ZeroDivisionError):
             raise ProblemError(f"--init value for {name.strip()!r} is not "
                                f"a number: {raw.strip()!r}") from None
+        except OverflowError:
+            raise ProblemError(f"--init value for {name.strip()!r} overflows "
+                               f"a float: {raw.strip()!r}") from None
     return values
 
 
@@ -285,6 +288,9 @@ def _cmd_flow(args) -> int:
         init.update(_parse_init(args.init))
     if not init:
         raise ProblemError("flow needs --init values")
+    for name in init:
+        if not problem.table.has(name):
+            raise ProblemError(f"--init names an unknown variable: {name!r}")
     dt = args.dt if args.dt is not None else defaults.get("dt")
     steps = args.steps if args.steps is not None else defaults.get("steps")
     if dt is None or steps is None:

@@ -15,16 +15,19 @@ and those that use only parameters once per run; each of these is exact in
 IEEE round-to-nearest arithmetic, so the trajectory is the one a term-by-term
 evaluation gives.  Every denominator is guarded, so a trajectory that
 approaches a pole aborts with the step index, and so does one whose state or
-monitors leave the finite range.
+monitors leave the finite range.  A run keeps only its current state, so its
+memory does not grow with the step count; a result's states and times are
+rebuilt, by replaying the run, only when something reads them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
 
 from .canonical import CanonicalRealization
 from .expr import (PARAMETER, ExprError, LogExpr, Poly, RatFunc, VarTable,
@@ -73,6 +76,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.step_size <= 0:
             raise ExprError("step size must be positive")
+        if not math.isfinite(self.step_size):
+            raise ExprError("step size must be finite")
         if self.steps < 1:
             raise ExprError("step count must be at least 1")
         if self.monitor_labels is not None \
@@ -105,12 +110,38 @@ class DriftReport:
         return {m.label: m for m in self.monitors}
 
 
+class _Lazy(Sequence):
+    """A list built on the first read of an item other than its last; its
+    length and last item are known without building it."""
+
+    def __init__(self, build: Callable[[], list], length: int, last):
+        self._build, self._length, self._last = build, length, last
+
+    @cached_property
+    def _items(self) -> list:
+        return self._build()
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        return self._last if i in (-1, self._length - 1) else self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        return self._items == other
+
+
 @dataclass
 class FlowResult:
-    """RK4 trajectory with the drift report of its monitors."""
+    """RK4 trajectory with the drift report of its monitors.  A run's result
+    holds only its final state: reading any other state replays the run,
+    which gives the same states bit for bit."""
     state_names: list[str]
-    times: list[float]
-    states: list[tuple[float, ...]]
+    times: Sequence[float]
+    states: Sequence[tuple[float, ...]]
     drift: DriftReport
 
     @property
@@ -288,12 +319,14 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
 def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
                  monitors: Sequence[object], state_indices: Sequence[int],
                  values: Mapping[str, float]) -> Callable:
-    """Compile a whole RK4 run into one function `_run(start, h, steps)`.
+    """Compile a whole RK4 run into one function
+    `_run(start, h, steps, append=None)`.
 
-    It returns the times, all `steps + 1` states, and the monitors' initial
-    values, largest drifts and final values.  A guard that trips raises
-    `FlowPoleError` with the step (0 for the start point); so does an
-    infinite or NaN state or monitor value.  Parameter-only work runs before
+    It keeps only the current state and returns the final state and the
+    monitors' initial values, largest drifts and final values; given
+    `append`, it also passes it the state after each step.  A guard that
+    trips raises `FlowPoleError` with the step (0 for the start point); so
+    does an infinite or NaN state or monitor value.  Parameter-only work runs before
     step 0 for the monitors and before step 1 for the right-hand sides.
     """
     rconst, rpoint, rout = _emit(table, rhs_exprs, state_indices, values, "r")
@@ -325,7 +358,7 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     step += [f"{y} = {y} + sixth * (k1_{k} + 2.0 * (k2_{k} + k3_{k}) + k4_{k})"
              for k, y in enumerate(ys)]
     step += at([""] * n) + monitored(current)
-    step.append(f"append({_tuple_src(ys)})")
+    step.append(f"if append is not None: append({_tuple_src(ys)})")
     for b, c, m in zip(base, current, drift):
         step += [f"d = abs({c} - {b})", f"if d > {m}: {m} = d"]
     body = ["try:"]
@@ -334,19 +367,16 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     body += ["    " + l for l in ["n = 1"] + rconst]
     body += ["    for n in range(1, steps + 1):"]
     body += ["        " + l for l in step]
-    lines = ["def _run(start, h, steps):"]
+    lines = ["def _run(start, h, steps, append=None):"]
     lines += ["    " + _tuple_src(ys) + " = start",
-              "    half = h / 2.0", "    sixth = h / 6.0",
-              "    states = [start]", "    append = states.append",
-              "    n = 0"]
+              "    half = h / 2.0", "    sixth = h / 6.0", "    n = 0"]
     lines += ["    " + l for l in body]
     lines += ["    except _PoleSignal:",
               "        raise FlowPoleError(n, n * h) from None",
               "    except (_NotFiniteSignal, OverflowError):",
               "        raise FlowPoleError(n, n * h, NOT_FINITE) from None",
-              "    return ([i * h for i in range(steps + 1)], states, "
-              f"{_tuple_src(base)}, {_tuple_src(drift)}, "
-              f"{_tuple_src(current)})"]
+              f"    return ({_tuple_src(ys)}, {_tuple_src(base)}, "
+              f"{_tuple_src(drift)}, {_tuple_src(current)})"]
     return _define(lines, "_run")
 
 
@@ -364,11 +394,20 @@ def _initial_vector(table: VarTable, state_indices: Sequence[int],
 def _integrate(run: Callable, y0: Sequence[float], h: float, steps: int,
                labels: Sequence[str],
                state_names: Sequence[str]) -> FlowResult:
-    times, states, base, max_drift, current = run(tuple(y0), h, steps)
+    start = tuple(y0)
+    last, base, max_drift, current = run(start, h, steps)
     final = [abs(a - b) for a, b in zip(current, base)]
     report = DriftReport([MonitorDrift(l, b, md, fd) for l, b, md, fd
                           in zip(labels, base, max_drift, final)])
-    return FlowResult(list(state_names), times, states, report)
+
+    def replay() -> list[tuple[float, ...]]:
+        states = [start]
+        run(start, h, steps, states.append)
+        return states
+    times = _Lazy(lambda: [i * h for i in range(steps + 1)], steps + 1,
+                  steps * h)
+    return FlowResult(list(state_names), times,
+                      _Lazy(replay, steps + 1, last), report)
 
 
 def _check_abstract_domain(table: VarTable, expr: LogExpr, what: str) -> None:

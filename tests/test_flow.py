@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -559,3 +560,69 @@ def test_generator_trajectory_reports_an_overflow_as_not_finite():
         generator_trajectory(problem.realization, path,
                              {"m": 1.0, "kappa": 1.0})
     assert (info.value.step, info.value.time) == (1, 0.25)
+
+
+def oracle_flow(name):
+    source, cfg, mode = oracle_case(name)
+    if mode == "abstract":
+        return abstract_flow(source, cfg), cfg
+    return canonical_flow(source, cfg.observable, cfg), cfg
+
+
+@pytest.mark.parametrize("name", [
+    "sphere", "hydrogen-abstract", "hydrogen-kepler", "nappi-witten",
+    "no-monitors", "log-monitor", "parameter-power-log"])
+def test_replayed_last_state_is_the_final_state(name):
+    result, _ = oracle_flow(name)
+    final = result.final_state
+    assert repr(list(result.states)[-1]) == repr(final)
+    assert result.states[-1] is final
+
+
+def test_final_state_and_length_do_not_replay(monkeypatch):
+    """A run that records its states (is given `append`) is a replay."""
+    replays = []
+    compile_run = flow_module._compile_run
+
+    def counting_compile(*args):
+        run = compile_run(*args)
+
+        def counted(start, h, steps, append=None):
+            if append is not None:
+                replays.append(steps)
+            return run(start, h, steps, append)
+        return counted
+    monkeypatch.setattr(flow_module, "_compile_run", counting_compile)
+    result, cfg = oracle_flow("hydrogen-kepler")
+    assert len(result.states) == cfg.steps + 1
+    assert result.states[cfg.steps] is result.final_state
+    assert list(result.final_map().values()) == list(result.final_state)
+    assert replays == []
+    first = result.states[0]
+    assert replays == [cfg.steps]
+    assert result.states[1] != first and result.states[:2][0] == first
+    assert replays == [cfg.steps]
+
+
+def test_times_are_step_multiples():
+    result, cfg = oracle_flow("sphere")
+    h = cfg.step_size
+    assert result.times[-1] == cfg.steps * h
+    assert result.times == [i * h for i in range(cfg.steps + 1)]
+    assert len(result.times) == cfg.steps + 1
+
+
+def test_long_run_memory_does_not_grow_with_steps():
+    """200,000 stored states of four floats would take about 35 MB."""
+    problem = sphere()
+    cfg = FlowConfig(parse_expression("V", problem.table),
+                     {"H": 1.0, "phi": 0.0, "V": 0.0, "R": 1.0}, 1e-6, 200000,
+                     [sphere_invariant(problem.table)])
+    tracemalloc.start()
+    try:
+        result = abstract_flow(problem.brackets, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.states) == 200001
+    assert peak < 2_000_000

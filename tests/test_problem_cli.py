@@ -225,6 +225,30 @@ def test_cli_flow_non_finite_exit(capsys, tmp_path):
     assert captured.out == ""
     assert not report.exists()
 
+
+def test_cli_flow_overflowing_init_is_usage(capsys):
+    assert main(["flow", "sphere", "--observable", "V",
+                 "--init", "H=1e400,phi=0,V=0,R=1",
+                 "--dt", "0.001", "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --init value for 'H' overflows a float: '1e400'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dt", ["inf", "nan", "1e400"])
+def test_cli_flow_non_finite_step_size_is_usage(capsys, dt):
+    assert main(["flow", "sphere", "--dt", dt, "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: step size must be finite\n"
+    assert captured.out == ""
+
+
+def test_cli_flow_unknown_init_name_is_usage(capsys):
+    """A name that is neither a variable nor a parameter is not ignored."""
+    assert main(["flow", "sphere", "--init", "h=2", "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --init names an unknown variable: 'h'\n"
+    assert captured.out == ""
 def test_cli_examples_listing_and_emit(tmp_path, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
