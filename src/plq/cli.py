@@ -17,12 +17,14 @@ from pathlib import Path
 
 from .canonical import verify_closure
 from .corpus import corpus_data, corpus_names, corpus_problem
-from .expr import ExprError, RatFunc
+from .expr import (CANONICAL_P, CANONICAL_Q, GENERATOR, PARAMETER, ExprError,
+                   RatFunc, substitute)
 from .flow import (FlowConfig, FlowPoleError, abstract_flow, canonical_flow)
 from .parsing import ParseError, parse_expression, parse_ratfunc, to_string
 from .problem import (Problem, ProblemError, build_problem, load_problem,
-                      problem_to_data, save_problem)
-from .solver import (AnsatzSpec, CasimirBasis, solve_casimirs,
+                      save_problem)
+# solve_casimirs is unused here but stays bound: bench/tracing.py wraps it.
+from .solver import (ESCALATION_CEILING, AnsatzSpec, CasimirBasis, solve_casimirs,
                      solve_with_escalation, verify_invariant)
 from .structure import (DEFAULT_SEED, BracketTable, bind_parameters,
                         generic_rank, jacobi_check)
@@ -52,24 +54,16 @@ def _parse_bindings(problem: Problem, pairs: list[str]) -> dict[str, RatFunc]:
     return bindings
 
 
-def _bound_brackets(problem: Problem, bindings: dict[str, RatFunc]) -> BracketTable:
-    if not bindings:
-        return problem.brackets
-    return bind_parameters(problem.brackets, bindings)
-
-
-def _closure_json(report) -> dict:
-    return {"ok": report.ok, "pairs": len(report.pairs),
-            "failures": [{"pair": list(p.names),
-                          "residual": to_string(p.residual)}
-                         for p in report.failures()]}
-
-
-def _jacobi_json(report) -> dict:
-    return {"ok": report.ok, "triples": len(report.triples),
-            "failures": [{"triple": list(t.names),
-                          "residual": to_string(t.residual)}
-                         for t in report.failures()]}
+def _start(args, command: str
+           ) -> tuple[Problem, dict[str, RatFunc], BracketTable, dict]:
+    """The problem, its `--bind` bindings, the bound bracket table and the
+    report header."""
+    problem = _load(args.file)
+    bindings = _parse_bindings(problem, args.bind)
+    btable = bind_parameters(problem.brackets, bindings) if bindings else problem.brackets
+    report = {"problem": problem.name, "command": command, "seed": args.seed,
+              "bindings": {k: to_string(v) for k, v in bindings.items()}}
+    return problem, bindings, btable, report
 
 
 def _degeneracy_note(rank_report) -> str:
@@ -113,97 +107,69 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
 
 
-def _print_closure(report) -> None:
-    if report.ok:
-        print(f"closure: ok ({_count(len(report.pairs), 'pair')})")
-        return
-    print(f"closure: FAILED ({len(report.failures())} of "
-          f"{_count(len(report.pairs), 'pair')})")
-    for p in report.failures():
-        print(f"  ({p.names[0]}, {p.names[1]}): residual "
-              f"{to_string(p.residual)}")
+def _report_check(report: dict, label: str, noun: str, result) -> bool:
+    """Print a closure or Jacobi result, whose cases are `result.<noun>s`,
+    and add it to the report under `label`."""
+    total = len(getattr(result, noun + "s"))
+    failures = result.failures()
+    if result.ok:
+        print(f"{label}: ok ({_count(total, noun)})")
+    else:
+        print(f"{label}: FAILED ({len(failures)} of {_count(total, noun)})")
+    for f in failures:
+        print(f"  ({', '.join(f.names)}): residual {to_string(f.residual)}")
+    report[label] = {"ok": result.ok, noun + "s": total,
+                     "failures": [{noun: list(f.names),
+                                   "residual": to_string(f.residual)}
+                                  for f in failures]}
+    return result.ok
 
 
-def _print_jacobi(report) -> None:
-    if report.ok:
-        print(f"jacobi: ok ({_count(len(report.triples), 'triple')})")
-        return
-    print(f"jacobi: FAILED ({len(report.failures())} of "
-          f"{_count(len(report.triples), 'triple')})")
-    for t in report.failures():
-        print(f"  ({', '.join(t.names)}): residual {to_string(t.residual)}")
+def _check_brackets(btable: BracketTable, realization, report: dict) -> bool:
+    """Closure of the realization, when there is one, then the Jacobi
+    identity, each printed and reported; whether both hold."""
+    ok = True
+    if realization is not None:
+        ok = _report_check(report, "closure", "pair",
+                           verify_closure(btable, realization))
+    return _report_check(report, "jacobi", "triple", jacobi_check(btable)) and ok
 
 
 def _cmd_verify(args) -> int:
-    problem = _load(args.file)
-    bindings = _parse_bindings(problem, args.bind)
-    btable = _bound_brackets(problem, bindings)
+    problem, _, btable, report = _start(args, "verify")
     print(f"problem: {problem.name} ({btable.r} generators)")
-    report: dict = {"problem": problem.name, "command": "verify",
-                    "seed": args.seed,
-                    "bindings": {k: to_string(v) for k, v in bindings.items()}}
-    ok = True
-    if problem.realization is not None:
-        closure = verify_closure(btable, problem.realization)
-        _print_closure(closure)
-        report["closure"] = _closure_json(closure)
-        ok = ok and closure.ok
-    jacobi = jacobi_check(btable)
-    _print_jacobi(jacobi)
-    report["jacobi"] = _jacobi_json(jacobi)
-    ok = ok and jacobi.ok
+    ok = _check_brackets(btable, problem.realization, report)
     _write_json(args.json, report)
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_rank(args) -> int:
-    problem = _load(args.file)
-    bindings = _parse_bindings(problem, args.bind)
-    btable = _bound_brackets(problem, bindings)
+    problem, _, btable, report = _start(args, "rank")
     rank_report = generic_rank(btable, seed=args.seed)
     print(f"problem: {problem.name} ({btable.r} generators)")
     print(f"rank: {rank_report.rank}, corank: {rank_report.corank}")
     print(_degeneracy_note(rank_report))
     print(f"sampled max {rank_report.sampled_rank} over "
           f"{rank_report.samples} points (seed {rank_report.seed})")
-    report = {"problem": problem.name, "command": "rank",
-              "seed": args.seed,
-              "bindings": {k: to_string(v) for k, v in bindings.items()},
-              "rank": _rank_json(rank_report)}
+    report["rank"] = _rank_json(rank_report)
     _write_json(args.json, report)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     t0 = time.monotonic()
-    problem = _load(args.file)
-    bindings = _parse_bindings(problem, args.bind)
-    btable = _bound_brackets(problem, bindings)
+    problem, bindings, btable, report = _start(args, "solve")
     base = problem.ansatz
     ansatz = AnsatzSpec(
         base.max_degree if args.max_degree is None else args.max_degree,
         base.inverse_degree if args.inverse_degree is None else args.inverse_degree,
         base.allow_log or args.allow_log)
     print(f"problem: {problem.name} ({btable.r} generators)")
-    report: dict = {"problem": problem.name, "command": "solve",
-                    "seed": args.seed,
-                    "bindings": {k: to_string(v) for k, v in bindings.items()}}
-    ok = True
-    if problem.realization is not None and not bindings:
-        closure = verify_closure(btable, problem.realization)
-        _print_closure(closure)
-        report["closure"] = _closure_json(closure)
-        ok = ok and closure.ok
-    jacobi = jacobi_check(btable)
-    _print_jacobi(jacobi)
-    report["jacobi"] = _jacobi_json(jacobi)
-    ok = ok and jacobi.ok
-    if args.max_degree is not None:
-        basis = solve_casimirs(btable, ansatz, problem.invertible,
-                               seed=args.seed)
-    else:
-        basis = solve_with_escalation(btable, ansatz, problem.invertible,
-                                      seed=args.seed)
+    ok = _check_brackets(btable, None if bindings else problem.realization, report)
+    # A pinned degree is also the ceiling, so the solve does not escalate.
+    ceiling = ESCALATION_CEILING if args.max_degree is None else args.max_degree
+    basis = solve_with_escalation(btable, ansatz, problem.invertible,
+                                  seed=args.seed, ceiling=ceiling)
     rank_report = basis.rank_report
     print(f"rank: {rank_report.rank}, corank: {rank_report.corank}")
     print(_degeneracy_note(rank_report))
@@ -229,12 +195,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = _load(args.file)
-    bindings = _parse_bindings(problem, args.bind)
-    btable = _bound_brackets(problem, bindings)
+    problem, bindings, btable, report = _start(args, "check")
     expr = parse_expression(args.invariant, problem.table)
     if bindings:
-        from .expr import substitute
         expr = substitute(expr, bindings, problem.table)
     result = verify_invariant(expr, btable)
     print(f"problem: {problem.name}")
@@ -245,11 +208,8 @@ def _cmd_check(args) -> int:
         residuals[gen] = to_string(residual)
         if not residual.is_zero():
             print(f"  residual against {gen}: {to_string(residual)}")
-    report = {"problem": problem.name, "command": "check",
-              "seed": args.seed,
-              "bindings": {k: to_string(v) for k, v in bindings.items()},
-              "check": {"invariant": to_string(expr), "verified": result.ok,
-                        "residuals": residuals}}
+    report["check"] = {"invariant": to_string(expr), "verified": result.ok,
+                       "residuals": residuals}
     _write_json(args.json, report)
     return EXIT_OK if result.ok else EXIT_FAILED
 
@@ -275,17 +235,14 @@ def _parse_init(text: str) -> dict[str, float]:
 
 
 def _cmd_flow(args) -> int:
-    problem = _load(args.file)
-    bindings = _parse_bindings(problem, args.bind)
-    btable = _bound_brackets(problem, bindings)
+    problem, _, btable, report = _start(args, "flow")
     defaults = problem.flow_defaults or {}
     observable_text = args.observable or defaults.get("observable")
     if not observable_text:
         raise ProblemError("flow needs --observable (no default in the "
                            "problem file)")
-    init = dict(defaults.get("init", {}))
-    if args.init:
-        init.update(_parse_init(args.init))
+    given = _parse_init(args.init) if args.init else {}
+    init = {**defaults.get("init", {}), **given}
     if not init:
         raise ProblemError("flow needs --init values")
     for name in init:
@@ -302,18 +259,22 @@ def _cmd_flow(args) -> int:
     cfg = FlowConfig(observable, init, float(dt), int(steps), monitors,
                      monitor_texts or None)
     table = problem.table
-    canonical_names = {table.names[i]
-                       for i in (*table.q_indices, *table.p_indices)}
-    wants_canonical = bool(canonical_names & set(init))
+    kind = {name: table.kind(table.index(name)) for name in init}
+    wants_canonical = any(kind[name] in (CANONICAL_Q, CANONICAL_P) for name in init)
     if wants_canonical and problem.realization is None:
         raise ProblemError("initial state uses canonical variables but the "
                            "problem has no realization")
+    mode = "canonical" if wants_canonical else "abstract"
+    takes = ((CANONICAL_Q, CANONICAL_P, PARAMETER) if wants_canonical
+             else (GENERATOR, PARAMETER))
+    for name in given:
+        if kind[name] not in takes:
+            raise ProblemError(f"--init value for {name!r} is not used by "
+                               f"the {mode} flow")
     if wants_canonical:
         result = canonical_flow(problem.realization, observable, cfg)
-        mode = "canonical"
     else:
         result = abstract_flow(btable, cfg)
-        mode = "abstract"
     print(f"problem: {problem.name}")
     print(f"flow ({mode}): observable {to_string(observable)}, "
           f"{steps} steps of {dt}")
@@ -322,9 +283,8 @@ def _cmd_flow(args) -> int:
     for m in result.drift.monitors:
         print(f"monitor {m.label}: initial {m.initial:.9g}, "
               f"max drift {m.max_drift:.3g}, final drift {m.final_drift:.3g}")
-    report = {"problem": problem.name, "command": "flow", "mode": mode,
-              "seed": args.seed,
-              "bindings": {k: to_string(v) for k, v in bindings.items()},
+    # The flow report names its mode right after the command.
+    report = {"problem": problem.name, "command": "flow", "mode": mode, **report,
               "flow": {"observable": to_string(observable), "dt": float(dt),
                        "steps": int(steps),
                        "final_state": {k: v for k, v in final.items()},

@@ -301,7 +301,12 @@ class Poly:
             return NotImplemented
         return self.terms == o.terms
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        """Structural, whatever the term order; a constant hashes like the
+        number it equals."""
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(self.terms.items()))
 
     def divide_exact(self, d: "Poly") -> "Poly | None":
         """Exact quotient self / d, or None when division leaves a remainder."""
@@ -334,7 +339,7 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        return _poly_string(self.table, self.terms)
+        return _terms_string(self.table, self.terms)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -485,15 +490,12 @@ class RatFunc:
                 raise ExprError("expressions over different tables")
             return other
         if isinstance(other, Poly):
-            return RatFunc.from_poly(self._coerce_poly(other))
+            if other.table is not self.table:
+                raise ExprError("expressions over different tables")
+            return RatFunc.from_poly(other)
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(self.table, other)
         return None
-
-    def _coerce_poly(self, p: Poly) -> Poly:
-        if p.table is not self.table:
-            raise ExprError("expressions over different tables")
-        return p
 
     def __add__(self, other) -> "RatFunc":
         o = self._coerce(other)
@@ -865,6 +867,27 @@ def generator_monomial(table: VarTable, exps: Sequence[int]) -> RatFunc:
                    Poly(table, {tuple(den): Fraction(1)}))
 
 
+def clear_denominators(table: VarTable, fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
+    """The product D of the distinct denominators of `fs`, and each f * D.
+
+    A denominator that occurs more than once is a factor of D once.  Each
+    f * D is f's numerator times the distinct denominators other than f's own,
+    multiplied in order of first occurrence.
+    """
+    dens = list(dict.fromkeys(f.den for f in fs if not f.is_poly()))
+    cleared = []
+    for f in fs:
+        c = f.num
+        for d in dens:
+            if d != f.den:
+                c = c * d
+        cleared.append(c)
+    common = Poly.one(table)
+    for d in dens:
+        common = common * d
+    return common, cleared
+
+
 Split = dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
 
 
@@ -920,10 +943,6 @@ def _terms_string(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]) ->
         else:
             pieces.append((" - " if c < 0 else " + ") + body)
     return "".join(pieces)
-
-
-def _poly_string(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]) -> str:
-    return _terms_string(table, terms)
 
 
 def _ratfunc_string(r: RatFunc) -> str:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from .expr import PARAMETER, ExprError, Poly, RatFunc, VarTable, split_terms
+from .expr import (PARAMETER, Poly, RatFunc, VarTable, clear_denominators,
+                   split_terms)
 
 E = TypeVar("E")
 
@@ -149,27 +150,17 @@ def rows_from_dense(matrix: Sequence[Sequence[E]]) -> list[Row]:
 def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
     """Linear system rows asking a combination of expression columns to vanish.
 
-    Denominators are cleared by the product of distinct denominator
-    polynomials; each cleared column is split by its non-parameter monomials
-    with `split_terms`, and `grouped_rows` emits one row per monomial.
+    Denominators are cleared with `clear_denominators`; each cleared column is
+    split by its non-parameter monomials with `split_terms`, and
+    `grouped_rows` emits one row per monomial.
     """
     if not columns:
         return []
     table = columns[0].table
     keys = [i for i, k in enumerate(table.kinds) if k != PARAMETER]
-    distinct: dict[str, Poly] = {}
-    for col in columns:
-        if not col.is_poly():
-            distinct.setdefault(str(col.den), col.den)
-    common = Poly.one(table)
-    for d in distinct.values():
-        common = common * d
     grouped: dict[tuple[int, ...], dict[int, dict]] = {}
-    for cidx, col in enumerate(columns):
-        cleared = col * RatFunc.from_poly(common)
-        if not cleared.is_poly():
-            raise ExprError("failed to clear denominators in linear system")
-        for key, cell in split_terms(cleared.num, keys).items():
+    for cidx, cleared in enumerate(clear_denominators(table, columns)[1]):
+        for key, cell in split_terms(cleared, keys).items():
             grouped.setdefault(key, {})[cidx] = cell
     return grouped_rows(table, grouped)
 

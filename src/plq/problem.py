@@ -60,9 +60,7 @@ def _str_list(value, context: str) -> list[str]:
 def _parse(text: str, table: VarTable, context: str):
     try:
         return parse_ratfunc(text, table)
-    except ParseError as exc:
-        raise ProblemError(f"{context}: {exc}") from None
-    except ExprError as exc:
+    except (ParseError, ExprError) as exc:
         raise ProblemError(f"{context}: {exc}") from None
 
 

@@ -22,10 +22,13 @@ from typing import Mapping, Sequence
 
 from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
                    generator_monomial, monomial_exponents, split_terms)
-from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of, rref,
-                     subtract_scaled)
-from .structure import (DEFAULT_SEED, BracketTable, RankReport, generic_rank,
-                        sample_point)
+from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
+                     rows_from_dense, rref, subtract_scaled)
+from .structure import (DEFAULT_SEED, BracketTable, RankReport, _evaluations,
+                        generic_rank)
+
+
+ESCALATION_CEILING = 4  # the largest max_degree an escalating solve reaches
 
 
 @dataclass(frozen=True)
@@ -250,32 +253,19 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
         return 0
     table = btable.table
     gens = table.generator_indices
-    grads = [[diff(e, i) for i in gens] for e in exprs]
-    rng = random.Random(seed)
-    points: list[list[Fraction]] = []
+    grads = [[diff(e, i).as_ratfunc() for i in gens] for e in exprs]
+    given = []
     if witness is not None:
         vals = [Fraction(0)] * len(table)
         for name, v in witness.items():
             vals[table.index(name)] = v
-        points.append(vals)
-    attempts = 0
-    while len(points) < extra_points + (1 if witness is not None else 0) \
-            and attempts < 20 * extra_points:
-        attempts += 1
-        points.append(sample_point(table, rng))
-    best = None
-    for point in points:
-        try:
-            matrix = [[entry.as_ratfunc().evaluate(point) for entry in row]
-                      for row in grads]
-        except ExprError:
-            continue
-        rows = [{c: v for c, v in enumerate(r) if v != 0} for r in matrix]
-        best = max(best or 0, rank_of(rows, len(gens)))
-    if best is None:
-        raise ExprError(f"independence rank: all {len(points)} sample points are "
-                        "poles of the invariants' gradients")
-    return best
+        given.append(vals)
+    points = _evaluations(grads, table, random.Random(seed), extra_points, given)
+    ranks = [rank_of(rows_from_dense(m), len(gens)) for _, m in points]
+    if not ranks:
+        raise ExprError(f"independence rank: all {len(given) + extra_points} sample "
+                        "points are poles of the invariants' gradients")
+    return max(ranks)
 
 
 @dataclass
@@ -399,14 +389,11 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
     out = {c: _as_ratfunc(table, v) for c, v in coords.items()}
     lead = out[min(out)]
     out = {c: v / lead for c, v in out.items()}
-    distinct: dict[str, Poly] = {}
-    for v in out.values():
-        if not v.is_poly():
-            distinct.setdefault(str(v.den), v.den)
+    distinct = list(dict.fromkeys(v.den for v in out.values() if not v.is_poly()))
     if not distinct:
         return out
     clear = Poly.one(table)
-    for d in distinct.values():
+    for d in distinct:
         if clear.divide_exact(d) is not None:
             continue
         quot = d.divide_exact(clear)
@@ -416,7 +403,7 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
     changed = True
     while changed:
         changed = False
-        for d in distinct.values():
+        for d in distinct:
             if d.is_constant():
                 continue
             parts = {c: v.num.divide_exact(d) for c, v in out.items()}
@@ -454,9 +441,8 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()
-    accepted_exprs: list[LogExpr] = [
-        LogExpr(generator_monomial(table, _delta(r, btable.generator_names.index(n))))
-        for n in central]
+    central_exprs = [LogExpr(RatFunc.var(table, n)) for n in central]
+    accepted_exprs = list(central_exprs)
     span = None  # built right before the next reduction after an acceptance
     solutions: list[LogExpr] = []
     vectors: list[dict[int, RatFunc]] = []
@@ -474,7 +460,6 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
         accepted_exprs.append(expr)
         span = None
     verified = all(verify_invariant(s, btable).ok for s in solutions)
-    central_exprs = [LogExpr(RatFunc.var(table, n)) for n in central]
     independence = independence_rank(solutions + central_exprs, btable, seed=seed,
                                      witness=rank_report.witness)
     return CasimirBasis(solutions=solutions, vectors=vectors, basis=basis,
@@ -486,7 +471,8 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
 
 def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None,
                           invertible: Sequence[bool] | None = None,
-                          seed: int = DEFAULT_SEED, ceiling: int = 4) -> CasimirBasis:
+                          seed: int = DEFAULT_SEED,
+                          ceiling: int = ESCALATION_CEILING) -> CasimirBasis:
     """Solve, raising max_degree one step at a time until the functional
     independence rank reaches the corank or the ceiling is hit."""
     if ansatz is None:

@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
 from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
-                   VarTable, diff, substitute)
+                   VarTable, clear_denominators, diff, substitute)
 from .linalg import nullspace, pfaffian, rank_of, rows_from_dense, rref
 
 DEFAULT_SEED = 20140
@@ -83,19 +83,9 @@ class BracketTable:
         f_ij denominators, and {i: f_ij * D} for every nonzero f_ij."""
         out = []
         for j in range(self.r):
-            fs = [(i, f) for i in range(self.r) if not (f := self.bracket(i, j)).is_zero()]
-            dens = {str(f.den): f.den for _, f in fs if not f.is_poly()}
-            cleared = {}
-            for i, f in fs:
-                c = f.num
-                for key, d in dens.items():
-                    if key != str(f.den):
-                        c = c * d
-                cleared[i] = c
-            common = Poly.one(self.table)
-            for d in dens.values():
-                common = common * d
-            out.append((common, cleared))
+            fs = {i: f for i in range(self.r) if not (f := self.bracket(i, j)).is_zero()}
+            common, cleared = clear_denominators(self.table, list(fs.values()))
+            out.append((common, dict(zip(fs, cleared))))
         return out
 
     def outer_gradings(self) -> list[tuple[int, ...]]:
@@ -252,11 +242,13 @@ class RankReport:
 
 
 def _evaluations(matrix: Sequence[Sequence[RatFunc]], table: VarTable,
-                 rng: random.Random, attempts: int
+                 rng: random.Random, attempts: int,
+                 given: Sequence[list[Fraction]] = ()
                  ) -> Iterator[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Random sample points with the matrix evaluated there; poles are skipped."""
-    for _ in range(attempts):
-        point = sample_point(table, rng)
+    """The given points, then `attempts` random sample points, each with the
+    matrix evaluated there; poles are skipped."""
+    draws = (sample_point(table, rng) for _ in range(attempts))
+    for point in chain(given, draws):
         try:
             numeric = [[f.evaluate(point) for f in row] for row in matrix]
         except ExprError:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from plq.canonical import canonical_point
-from plq.expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
-                      monomial_exponents, sigma_poly, split_terms, substitute)
+from plq.expr import (ExprError, LogExpr, Poly, RatFunc, VarTable,
+                      clear_denominators, diff, monomial_exponents, sigma_poly,
+                      split_terms, substitute)
 from plq.parsing import ParseError, parse_expression, parse_ratfunc, to_string
 from plq.solver import Mono, map_to_coords
 
@@ -360,3 +361,26 @@ def test_split_terms_rejects_canonical_variables():
     keys = [i for i, kind in enumerate(table.kinds) if kind != "parameter"]
     assert split_terms(parse_ratfunc("kappa*q1", table).num, keys) == {
         (0, 1, 0, 0): {(0, 0, 0, 1, 0): Fraction(1)}}
+
+
+def test_equal_polys_hash_equal_whatever_their_term_order():
+    table = table_uv()
+    a, b = Poly.var(table, "u1"), Poly.var(table, "a").scale(Fraction(-1, 2))
+    p, q = a * a + b, b + a * a
+    assert list(p.terms) != list(q.terms)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, Poly(table, dict(reversed(list(p.terms.items()))))}) == 1
+    assert len({Poly.const(table, Fraction(3, 2)), Fraction(3, 2)}) == 1
+    assert len({Poly.zero(table), 0}) == 1
+
+
+def test_clear_denominators_takes_a_repeated_denominator_once():
+    table = table_uv()
+    fs = [parse_ratfunc(text, table)
+          for text in ("u1/(u2 + a)", "u3/(u2 + a)", "b/u3", "u1 - 2")]
+    assert fs[0].den == fs[1].den and fs[0].den is not fs[1].den
+    common, cleared = clear_denominators(table, fs)
+    assert common == parse_ratfunc("(u2 + a)*u3", table).num
+    assert all(RatFunc.from_poly(c) == f * RatFunc.from_poly(common)
+               for f, c in zip(fs, cleared))
+    assert clear_denominators(table, []) == (Poly.one(table), [])

@@ -13,6 +13,7 @@ from plq.problem import (ProblemError, build_problem, load_problem,
                          problem_to_data, save_problem)
 from plq.solver import verify_invariant
 from plq.structure import bind_parameters
+from test_solver import lie_module
 
 
 def minimal_data():
@@ -249,6 +250,47 @@ def test_cli_flow_unknown_init_name_is_usage(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --init names an unknown variable: 'h'\n"
     assert captured.out == ""
+@pytest.mark.parametrize("init, name, mode", [
+    ("q1=1,q2=0,q3=0,p1=0,p2=0.8,p3=0.1,m=1,kappa=1,H=3", "H", "canonical"),
+    ("q1=1,q2=0,q3=0,p1=0,p2=0.8,p3=0.1,m=1,kappa=1,rho=7", "rho", "canonical"),
+    ("H=-0.5,L1=0.3,L2=-0.2,L3=0.4,M1=0.1,M2=0.25,M3=-0.15,m=1,kappa=1,rho=2",
+     "rho", "abstract"),
+])
+def test_cli_flow_init_value_the_mode_ignores_is_usage(capsys, init, name, mode):
+    """Canonical runs take q, p and parameters, abstract runs generators and
+    parameters; a value the run would drop is an error."""
+    assert main(["flow", "hydrogen", "--observable", "H", "--init", init,
+                 "--dt", "0.001", "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --init value for {name!r} is not used by "
+                            f"the {mode} flow\n")
+    assert captured.out == ""
+
+
+def test_cli_flow_checks_only_the_given_init_names(capsys):
+    """The sphere's default state names generators; a canonical --init on top
+    of it is not rejected for them."""
+    assert main(["flow", "sphere", "--init", "q1=1,q2=0,q3=0,p1=0,p2=1,p3=0",
+                 "--steps", "10"]) == 0
+    assert "flow (canonical)" in capsys.readouterr().out
+
+
+def test_cli_pinned_degree_does_not_escalate(tmp_path, capsys):
+    """gl(3) at degree 2 falls short of its corank 3 and stays there; without
+    the pin it escalates to degree 3."""
+    path = tmp_path / "gl3.json"
+    path.write_text(json.dumps(lie_module().documents()["gl3"][0]))
+    assert main(["solve", str(path), "--max-degree", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "escalation:" not in out
+    assert "independence rank: 2 (corank 3)" in out
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert ("escalation: independence 2 < corank 3: raising max_degree to 3"
+            in out)
+    assert "independence rank: 3 (corank 3)" in out
+
+
 def test_cli_examples_listing_and_emit(tmp_path, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
