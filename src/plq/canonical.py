@@ -154,7 +154,7 @@ def express_in_generators(target: RatFunc, realization: CanonicalRealization,
     d_exps = [e for e in monomial_exponents(r, inverse_degree, 0, [False] * r, True)
               if all(x == 0 or invertible[k] for k, x in enumerate(e))]
     n_cols = [realization.realize(generator_monomial(table, e)) for e in n_exps]
-    d_cols = [realization.realize(generator_monomial(table, e)) * target * Fraction(-1)
+    d_cols = [realization.realize(generator_monomial(table, e)) * target * -1
               for e in d_exps]
     rows = collect_rows(n_cols + d_cols)
     basis = nullspace(rows, len(n_cols) + len(d_cols), RatFunc.one(table))

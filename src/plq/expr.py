@@ -3,7 +3,9 @@
 The expression tower has three levels: sparse multivariate polynomials with
 rational coefficients (Poly), quotients of polynomials (RatFunc), and rational
 expressions extended by logarithms of single variables (LogExpr).  All
-arithmetic is exact; coefficients are fractions.Fraction throughout.  One
+arithmetic is exact.  A coefficient is an int when it is integral and a
+fractions.Fraction only when its denominator is not 1; every coefficient
+division goes through `exact_div`, which never applies `/` to two ints.  One
 distinguished algebraic element may square to the sum of the squared position
 variables, which models a radial coordinate without leaving exact arithmetic.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 GENERATOR = "generator"
@@ -84,27 +88,27 @@ class VarTable:
     def kind(self, i: int) -> str:
         return self.kinds[i]
 
-    @property
+    @cached_property
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == GENERATOR)
 
-    @property
+    @cached_property
     def generator_names(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self.generator_indices)
 
-    @property
+    @cached_property
     def q_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == CANONICAL_Q)
 
-    @property
+    @cached_property
     def p_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == CANONICAL_P)
 
-    @property
+    @cached_property
     def parameter_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == PARAMETER)
 
-    @property
+    @cached_property
     def alg_index(self) -> int | None:
         for i, k in enumerate(self.kinds):
             if k == ALGEBRAIC:
@@ -116,16 +120,33 @@ class VarTable:
         return len(self.q_indices)
 
 
-def _as_fraction(x) -> Fraction:
+def normal_coeff(c):
+    """An integral Fraction as its int; any other value unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def exact_div(a, b):
+    """The exact quotient a / b of coefficients, or of any field elements.
+
+    Two ints never meet `/`: their quotient is an int when b divides a and a
+    Fraction otherwise.  A Fraction quotient that is integral becomes an int.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return normal_coeff(a / b)
+
+
+def _coefficient(x) -> int | Fraction:
     if isinstance(x, Fraction):
-        return x
+        return normal_coeff(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise ExprError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
 def _exp_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
@@ -133,7 +154,8 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
 
 
 class Poly:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero Fraction.
+    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient,
+    an int when integral and a Fraction otherwise.
 
     The algebraic element's exponent is kept at 0 or 1; even powers are
     rewritten into the sum of squared position variables at construction.
@@ -141,7 +163,7 @@ class Poly:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int | Fraction]):
         self.table = table
         self.terms = dict(terms)
 
@@ -151,7 +173,7 @@ class Poly:
 
     @staticmethod
     def const(table: VarTable, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Poly(table, {})
         return Poly(table, {(0,) * len(table): c})
@@ -164,18 +186,19 @@ class Poly:
     def var(table: VarTable, name: str) -> "Poly":
         e = [0] * len(table)
         e[table.index(name)] = 1
-        return Poly(table, {tuple(e): Fraction(1)})
+        return Poly(table, {tuple(e): 1})
 
     @staticmethod
-    def from_terms(table: VarTable, raw: Iterable[tuple[tuple[int, ...], Fraction]]) -> "Poly":
+    def from_terms(table: VarTable,
+                   raw: Iterable[tuple[tuple[int, ...], int | Fraction]]) -> "Poly":
         """Canonicalize raw (exponent, coefficient) pairs: merge, reduce, drop zeros."""
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in raw:
             if c == 0:
                 continue
             if min(e) < 0:
                 raise ExprError("polynomial exponents must be nonnegative")
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + c
         return Poly(table, _reduce_algebraic(table, acc))
 
     def is_zero(self) -> bool:
@@ -184,15 +207,15 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         """The value of a constant polynomial."""
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ExprError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Leading (exponent, coefficient) in descending graded lexicographic order."""
         if self.is_zero():
             raise ExprError("zero polynomial has no leading term")
@@ -226,10 +249,10 @@ class Poly:
         return Poly.from_terms(self.table, ((_exp_add(e, shift), c) for e, c in self.terms.items()))
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Poly.zero(self.table)
-        return Poly(self.table, {e: v * c for e, v in self.terms.items()})
+        return Poly(self.table, {e: normal_coeff(v * c) for e, v in self.terms.items()})
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
@@ -246,11 +269,11 @@ class Poly:
             return NotImplemented
         acc = dict(self.terms)
         for e, c in o.terms.items():
-            s = acc.get(e, Fraction(0)) + c
+            s = acc.get(e, 0) + c
             if s == 0:
                 acc.pop(e, None)
             else:
-                acc[e] = s
+                acc[e] = normal_coeff(s)
         return Poly(self.table, acc)
 
     __radd__ = __add__
@@ -274,15 +297,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = _exp_add(e1, e2)
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
         return Poly(self.table, _reduce_algebraic(self.table, acc))
 
     __rmul__ = __mul__
@@ -315,20 +334,21 @@ class Poly:
         if d.is_zero():
             raise ExprError("division by zero polynomial")
         rem = self
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], int | Fraction] = {}
         de, dc = d.leading()
         while not rem.is_zero():
             re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, de))
+            qe = tuple(map(sub, re, de))
             if min(qe) < 0:
                 return None
-            qc = rc / dc
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
+            qc = exact_div(rc, dc)
+            quot[qe] = quot.get(qe, 0) + qc
             rem = rem - d.shift(qe).scale(qc)
         return Poly.from_terms(self.table, quot.items())
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        """Exact value at a point given as one Fraction per table variable."""
+        """Exact value, always a Fraction, at a point given as one exact
+        number per table variable."""
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
@@ -345,13 +365,8 @@ class Poly:
         return f"Poly({self})"
 
 
-def _sigma_terms(table: VarTable) -> dict[tuple[int, ...], Fraction]:
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for qi in table.q_indices:
-        e = [0] * len(table)
-        e[qi] = 2
-        acc[tuple(e)] = Fraction(1)
-    return acc
+def _sigma_terms(table: VarTable) -> dict[tuple[int, ...], int]:
+    return {tuple(_exp_with((0,) * len(table), qi, 2)): 1 for qi in table.q_indices}
 
 
 def sigma_poly(table: VarTable) -> Poly:
@@ -359,37 +374,39 @@ def sigma_poly(table: VarTable) -> Poly:
     return Poly(table, _sigma_terms(table))
 
 
-def _reduce_algebraic(table: VarTable, acc: dict[tuple[int, ...], Fraction]) -> dict:
+def _reduce_algebraic(table: VarTable, acc: dict[tuple[int, ...], int | Fraction]) -> dict:
+    """Terms with even powers of the algebraic element rewritten, zeros
+    dropped and integral Fractions made ints."""
     ia = table.alg_index
     if ia is None or all(e[ia] <= 1 for e in acc):
-        return {e: c for e, c in acc.items() if c != 0}
+        return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
     sigma = _sigma_terms(table)
-    powers: dict[int, dict[tuple[int, ...], Fraction]] = {0: {(0,) * len(table): Fraction(1)}}
+    powers: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * len(table): 1}}
 
-    def sig_pow(k: int) -> dict[tuple[int, ...], Fraction]:
+    def sig_pow(k: int) -> dict[tuple[int, ...], int]:
         if k not in powers:
             prev = sig_pow(k - 1)
-            nxt: dict[tuple[int, ...], Fraction] = {}
+            nxt: dict[tuple[int, ...], int] = {}
             for e1, c1 in prev.items():
                 for e2, c2 in sigma.items():
                     e = _exp_add(e1, e2)
-                    nxt[e] = nxt.get(e, Fraction(0)) + c1 * c2
+                    nxt[e] = nxt.get(e, 0) + c1 * c2
             powers[k] = nxt
         return powers[k]
 
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for e, c in acc.items():
         k = e[ia]
         if k <= 1:
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
             continue
         half, rest = divmod(k, 2)
         base = list(e)
         base[ia] = rest
         for es, cs in sig_pow(half).items():
             key = _exp_add(tuple(base), es)
-            out[key] = out.get(key, Fraction(0)) + c * cs
-    return {e: c for e, c in out.items() if c != 0}
+            out[key] = out.get(key, 0) + c * cs
+    return {e: normal_coeff(c) for e, c in out.items() if c != 0}
 
 
 class RatFunc:
@@ -437,7 +454,7 @@ class RatFunc:
             if den.is_zero():
                 raise ExprError("denominator annihilated by algebraic conjugation")
         if den.is_constant():
-            return RatFunc(num.scale(1 / den.constant_value()), Poly.one(table),
+            return RatFunc(num.scale(exact_div(1, den.constant_value())), Poly.one(table),
                            _normalized=True)
         if not num.is_zero():
             exact = num.divide_exact(den)
@@ -450,8 +467,9 @@ class RatFunc:
             den = den.shift(back)
         _, lc = den.leading()
         if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+            inv = exact_div(1, lc)
+            num = num.scale(inv)
+            den = den.scale(inv)
         return RatFunc(num, den, _normalized=True)
 
     @staticmethod
@@ -717,12 +735,8 @@ class LogExpr:
 
 def _poly_diff_parts(p: Poly, i: int) -> Poly:
     """Formal termwise derivative treating the algebraic element as inert."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
-        if e[i]:
-            key = tuple(_exp_with(e, i, e[i] - 1))
-            out[key] = out.get(key, Fraction(0)) + c * e[i]
-    return Poly(p.table, out)
+    return Poly(p.table, {tuple(_exp_with(e, i, e[i] - 1)): normal_coeff(c * e[i])
+                          for e, c in p.terms.items() if e[i]})
 
 
 def diff_poly(p: Poly, i: int) -> RatFunc:
@@ -863,8 +877,8 @@ def generator_monomial(table: VarTable, exps: Sequence[int]) -> RatFunc:
             num[gens[k]] = e
         elif e < 0:
             den[gens[k]] = -e
-    return RatFunc(Poly(table, {tuple(num): Fraction(1)}),
-                   Poly(table, {tuple(den): Fraction(1)}))
+    return RatFunc(Poly(table, {tuple(num): 1}),
+                   Poly(table, {tuple(den): 1}))
 
 
 def clear_denominators(table: VarTable, fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
@@ -888,7 +902,7 @@ def clear_denominators(table: VarTable, fs: Sequence[RatFunc]) -> tuple[Poly, li
     return common, cleared
 
 
-Split = dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
+Split = dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]]
 
 
 def split_terms(p: Poly, keys: Sequence[int],
@@ -912,7 +926,7 @@ def _var_power_string(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def _term_body(table: VarTable, e: tuple[int, ...], coeff: Fraction) -> tuple[str, bool]:
+def _term_body(table: VarTable, e: tuple[int, ...], coeff: int | Fraction) -> tuple[str, bool]:
     """Printed form of |coeff| * monomial and whether it starts with a bare power."""
     mag = abs(coeff)
     factors = [_var_power_string(table.names[i], x) for i, x in enumerate(e) if x]
@@ -925,7 +939,7 @@ def _term_body(table: VarTable, e: tuple[int, ...], coeff: Fraction) -> tuple[st
     return f"{mag}*" + "*".join(factors), False
 
 
-def _terms_string(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]) -> str:
+def _terms_string(table: VarTable, terms: Mapping[tuple[int, ...], int | Fraction]) -> str:
     if not terms:
         return "0"
     order = sorted(terms, key=_grlex_key, reverse=True)

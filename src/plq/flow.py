@@ -152,7 +152,7 @@ class FlowResult:
         return dict(zip(self.state_names, self.final_state))
 
 
-def _frac_src(c: Fraction) -> str:
+def _frac_src(c: int | Fraction) -> str:
     if c.denominator == 1:
         return f"{c.numerator}.0"
     return f"({c.numerator}/{c.denominator})"

@@ -1,10 +1,11 @@
-"""Exact linear algebra over a field of Fraction or RatFunc entries.
+"""Exact linear algebra over a field of rational or RatFunc entries.
 
 Rows are sparse mappings from column index to a nonzero field element.  The
 pivot rule is deterministic everywhere: columns are scanned left to right and
 the first remaining row with a nonzero entry in the current column pivots.
-Entries only ever pass through ring operations and exact division, so results
-are exact for any element type supporting +, -, *, / and comparison with 0.
+Entries only ever pass through ring operations and `expr.exact_div`, so
+results are exact for int and Fraction entries and for any element type
+supporting +, -, *, / and comparison with 0.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 from .expr import (PARAMETER, Poly, RatFunc, VarTable, clear_denominators,
-                   split_terms)
+                   exact_div, normal_coeff, split_terms)
 
 E = TypeVar("E")
 
@@ -46,7 +47,7 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
         piv = work.pop(hit)
         pv = piv[col]
         if pv != 1:
-            piv = {c: v / pv for c, v in piv.items()}
+            piv = {c: exact_div(v, pv) for c, v in piv.items()}
         for row in work:
             if col in row:
                 subtract_scaled(row, row[col], piv)
@@ -84,7 +85,7 @@ def nullspace(rows: Sequence[Row], ncols: int, one,
         sparse[f] = one
         first = sparse[min(sparse)]
         if first != 1:
-            sparse = {c: v / first for c, v in sparse.items()}
+            sparse = {c: exact_div(v, first) for c, v in sparse.items()}
         vec = [zero] * ncols
         for c, v in sparse.items():
             vec[c] = v
@@ -170,14 +171,15 @@ def grouped_rows(table: VarTable,
     """Rows from {monomial key -> {column -> {parameter exponent -> coefficient}}}.
 
     Rows come out in descending graded lexicographic order of the key; an
-    entry is a Fraction when constant, else a polynomial rational function.
+    entry is a number (int or Fraction) when constant, else a polynomial
+    rational function.
     Zero entries and empty rows are dropped.
     """
     out: list[Row] = []
     for key in sorted(grouped, key=lambda e: (sum(e), e), reverse=True):
         row = {}
         for cidx, cell in grouped[key].items():
-            p = Poly(table, {e: c for e, c in cell.items() if c})
+            p = Poly(table, {e: normal_coeff(c) for e, c in cell.items() if c})
             if p.is_zero():
                 continue
             row[cidx] = p.constant_value() if p.is_constant() else RatFunc.from_poly(p)

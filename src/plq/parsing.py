@@ -22,9 +22,8 @@ produces a string that parses back to an equal expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .expr import GENERATOR, ExprError, LogExpr, RatFunc, VarTable
+from .expr import GENERATOR, ExprError, LogExpr, RatFunc, VarTable, exact_div
 
 
 class ParseError(ValueError):
@@ -187,8 +186,8 @@ class _Parser:
                 den = self.integer(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", den_tok.pos)
-                return LogExpr(RatFunc.const(self.table, Fraction(num, den))), False
-            return LogExpr(RatFunc.const(self.table, Fraction(num))), False
+                return LogExpr(RatFunc.const(self.table, exact_div(num, den))), False
+            return LogExpr(RatFunc.const(self.table, num)), False
         if tok.kind == "name":
             if tok.text == "log" and self.peek().kind == "op" and self.peek().text == "(":
                 self.next()

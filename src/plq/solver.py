@@ -20,7 +20,7 @@ from operator import mul
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
+from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
                    generator_monomial, monomial_exponents, split_terms)
 from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
                      rows_from_dense, rref, subtract_scaled)
@@ -320,7 +320,7 @@ def _reversed_echelon(vectors: list[dict]) -> list[dict[int, object]]:
     rows = []
     for row in vectors:
         last = row[max(row)]
-        rows.append(row if last == 1 else {c: v / last for c, v in row.items()})
+        rows.append(row if last == 1 else {c: exact_div(v, last) for c, v in row.items()})
     rows.sort(key=max, reverse=True)
     return rows
 
@@ -331,7 +331,7 @@ def _reduce_mod_span(row: dict, span: list[dict], ncols: int) -> dict:
     for srow in span:
         pivot = min(srow)
         if pivot in rev:
-            subtract_scaled(rev, rev[pivot] / srow[pivot], srow)
+            subtract_scaled(rev, exact_div(rev[pivot], srow[pivot]), srow)
     return {ncols - 1 - c: v for c, v in rev.items()}
 
 
@@ -388,7 +388,7 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
     denominators and strip common polynomial content from the coefficients."""
     out = {c: _as_ratfunc(table, v) for c, v in coords.items()}
     lead = out[min(out)]
-    out = {c: v / lead for c, v in out.items()}
+    out = {c: exact_div(v, lead) for c, v in out.items()}
     distinct = list(dict.fromkeys(v.den for v in out.values() if not v.is_poly()))
     if not distinct:
         return out

@@ -107,8 +107,8 @@ class BracketTable:
                 row[r] = -1
                 rows.append(row)
             rows.extend({k: x - y for k, (x, y) in enumerate(zip(d, d0))} for d in rest)
-        rows = [{k: Fraction(v) for k, v in row.items() if v} for row in rows]
-        return _integer_weights(v[:r] for v in nullspace(rows, r + 1, Fraction(1)))
+        rows = [{k: v for k, v in row.items() if v} for row in rows]
+        return _integer_weights(v[:r] for v in nullspace(rows, r + 1, 1))
 
     def inner_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer weights w of the rational combinations
@@ -122,14 +122,14 @@ class BracketTable:
         rows = []
         for j, (common, cleared) in enumerate(self.cleared_rows):
             g = gens[j]
-            grouped: dict[tuple[int, ...], dict[int, Fraction]] = {}
+            grouped: dict[tuple[int, ...], dict[int, int | Fraction]] = {}
             for k, p in cleared.items():
                 for e, c in p.terms.items():
                     grouped.setdefault(e, {})[k] = c
             for e, c in common.terms.items():
                 grouped.setdefault(e[:g] + (e[g] + 1,) + e[g + 1:], {})[r + j] = -c
             rows.extend(grouped.values())
-        return _integer_weights(v[r:] for v in nullspace(rows, 2 * r, Fraction(1)))
+        return _integer_weights(v[r:] for v in nullspace(rows, 2 * r, 1))
 
     def structure_matrix(self) -> list[list[RatFunc]]:
         """Dense r x r skew matrix of bracket entries."""

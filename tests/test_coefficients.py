@@ -1,0 +1,80 @@
+"""Coefficients are ints when integral and Fractions otherwise; no float
+ever reaches the exact kernel or the linear algebra over it."""
+
+from fractions import Fraction
+
+import pytest
+
+from plq import linalg, solver
+from plq.expr import Poly, exact_div
+from plq.linalg import nullspace, rref
+from test_cli_golden import CASES, problem_files, run_case
+
+# verify, rank, solve and check of every corpus problem (sklyanin bound and
+# unbound), gl(3) and so(4).
+SYMBOLIC = [name for name, argv in CASES.items()
+            if argv[0] in ("verify", "rank", "solve", "check")
+            and not name.startswith("error-")]
+
+
+def normal(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_exact_div_keeps_ints_and_never_floats():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-7, 2) == Fraction(-7, 2)
+    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3
+    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_linalg_on_int_rows_is_exact():
+    placed, pivots = rref([{0: 2, 1: 4}, {1: 3}], 2)
+    assert (placed, pivots) == ([{0: 1}, {1: 1}], [0, 1])
+    assert all(type(v) is int for row in placed for v in row.values())
+    assert nullspace([{0: 2, 1: 4}, {1: 3}], 2, 1) == []
+    placed, _ = rref([{0: 3, 1: 1}], 2)
+    assert placed == [{0: 1, 1: Fraction(1, 3)}]
+    (vec,) = nullspace([{0: 2, 1: 3}], 2, 1)
+    assert vec == [1, Fraction(-2, 3)]
+    assert all(normal(v) for v in vec)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return problem_files(tmp_path_factory.mktemp("coefficients"))
+
+
+@pytest.mark.parametrize("name", SYMBOLIC)
+def test_commands_build_only_normal_coefficients(name, files, tmp_path, monkeypatch):
+    bad_terms: list = []
+    bad_rows: list = []
+
+    init = Poly.__init__
+
+    def checked_init(self, table, terms):
+        init(self, table, terms)
+        bad_terms.extend(c for c in self.terms.values() if not normal(c))
+
+    def watch_rows(f):
+        def checked(*args):
+            for a in args:
+                values = a.values() if isinstance(a, dict) else [a]
+                bad_rows.extend(v for v in values if isinstance(v, float))
+            out = f(*args)
+            if isinstance(out, float):
+                bad_rows.append(out)
+            return out
+        return checked
+
+    monkeypatch.setattr(Poly, "__init__", checked_init)
+    for module in (linalg, solver):
+        monkeypatch.setattr(module, "subtract_scaled", watch_rows(module.subtract_scaled))
+        monkeypatch.setattr(module, "exact_div", watch_rows(module.exact_div))
+    got = run_case(CASES[name], files, tmp_path / "report.json")
+    assert got["exit"] in (0, 1), got["stderr"]
+    assert bad_terms == []
+    assert bad_rows == []
