@@ -236,13 +236,9 @@ class Poly:
         """Componentwise minimum exponent over all terms (zero tuple when empty)."""
         if self.is_zero():
             return (0,) * len(self.table)
-        its = iter(self.terms)
-        lo = list(next(its))
-        for e in its:
-            for i, x in enumerate(e):
-                if x < lo[i]:
-                    lo[i] = x
-        return tuple(lo)
+        if len(self.terms) == 1:  # a monomial, as most denominators are
+            return next(iter(self.terms))
+        return tuple(map(min, zip(*self.terms)))
 
     def shift(self, shift: tuple[int, ...]) -> "Poly":
         """Multiply by a monomial with possibly negative exponents; must stay polynomial."""
@@ -333,18 +329,26 @@ class Poly:
             raise ExprError("polynomials over different tables")
         if d.is_zero():
             raise ExprError("division by zero polynomial")
-        rem = self
+        table = self.table
+        rem = dict(self.terms)
         quot: dict[tuple[int, ...], int | Fraction] = {}
         de, dc = d.leading()
-        while not rem.is_zero():
-            re, rc = rem.leading()
+        while rem:
+            re = max(rem, key=_grlex_key)
             qe = tuple(map(sub, re, de))
             if min(qe) < 0:
                 return None
-            qc = exact_div(rc, dc)
+            qc = exact_div(rem[re], dc)
             quot[qe] = quot.get(qe, 0) + qc
-            rem = rem - d.shift(qe).scale(qc)
-        return Poly.from_terms(self.table, quot.items())
+            # rem -= qc * x^qe * d, the shifted terms reduced as in `shift`.
+            shifted = {_exp_add(e, qe): c for e, c in d.terms.items()}
+            for e, c in _reduce_algebraic(table, shifted).items():
+                s = rem.get(e, 0) - normal_coeff(c * qc)
+                if s == 0:
+                    rem.pop(e, None)
+                else:
+                    rem[e] = normal_coeff(s)
+        return Poly.from_terms(table, quot.items())
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         """Exact value, always a Fraction, at a point given as one exact
@@ -353,7 +357,9 @@ class Poly:
         for e, c in self.terms.items():
             v = c
             for i, x in enumerate(e):
-                if x:
+                if x == 1:
+                    v *= values[i]
+                elif x:
                     v *= values[i] ** x
             total += v
         return total
@@ -500,7 +506,9 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den == Poly.one(self.table)
+        """Whether the denominator is one."""
+        den = self.den.terms
+        return len(den) == 1 and den.get((0,) * len(self.table)) == 1
 
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):
@@ -584,6 +592,8 @@ class RatFunc:
     __hash__ = None
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
+        if self.is_poly():
+            return self.num.evaluate(values)
         d = self.den.evaluate(values)
         if d == 0:
             raise ExprError("denominator vanishes at evaluation point")

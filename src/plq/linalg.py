@@ -5,11 +5,15 @@ pivot rule is deterministic everywhere: columns are scanned left to right and
 the first remaining row with a nonzero entry in the current column pivots.
 Entries only ever pass through ring operations and `expr.exact_div`, so
 results are exact for int and Fraction entries and for any element type
-supporting +, -, *, / and comparison with 0.
+supporting +, -, *, / and comparison with 0.  Ranks and pivot columns of
+numeric rows are taken in integers, by fraction-free elimination under the
+same pivot rule.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from .expr import (PARAMETER, Poly, RatFunc, VarTable, clear_denominators,
@@ -60,9 +64,57 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
     return placed, pivots
 
 
+def _primitive(row: Row) -> Row:
+    """The row divided by the gcd of its int entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _integer_pivots(rows: Sequence[Row], ncols: int) -> list[int]:
+    """Pivot columns of `rref` on int and Fraction rows, by fraction-free
+    elimination (cf. Bareiss 1968) over primitive integer rows.
+
+    Each row is scaled to coprime integers; eliminating a column replaces a
+    row by pv * row - f * pivot_row, made primitive.  Every row stays a
+    nonzero multiple of its counterpart in `rref`, so the same pivot rule
+    meets the same zero pattern and picks the same columns.
+    """
+    work = []
+    for row in rows:
+        if row:
+            scale = math.lcm(*(v.denominator for v in row.values()))
+            work.append(_primitive({c: v.numerator * (scale // v.denominator)
+                                    for c, v in row.items()}))
+    pivots: list[int] = []
+    for col in range(ncols):
+        hit = next((k for k, row in enumerate(work) if col in row), None)
+        if hit is None:
+            continue
+        piv = work.pop(hit)
+        pv = piv[col]
+        for k, row in enumerate(work):
+            f = row.get(col)
+            if f is not None:
+                g = math.gcd(pv, f)
+                new = {c: pv // g * v for c, v in row.items()}
+                subtract_scaled(new, f // g, piv)
+                work[k] = _primitive(new)
+        work = [r for r in work if r]
+        pivots.append(col)
+    return pivots
+
+
+def pivot_columns(rows: Sequence[Row], ncols: int) -> list[int]:
+    """Pivot columns of `rref(rows, ncols)`: in integers when every entry is
+    an int or a Fraction, else by `rref` itself."""
+    if all(type(v) in (int, Fraction) for row in rows for v in row.values()):
+        return _integer_pivots(rows, ncols)
+    return rref(rows, ncols)[1]
+
+
 def rank_of(rows: Sequence[Row], ncols: int) -> int:
     """Exact rank of a sparse matrix."""
-    return len(rref(rows, ncols)[1])
+    return len(pivot_columns(rows, ncols))
 
 
 def nullspace(rows: Sequence[Row], ncols: int, one,

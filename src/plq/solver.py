@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
                    generator_monomial, monomial_exponents, split_terms)
 from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
-                     rows_from_dense, rref, subtract_scaled)
+                     rref, subtract_scaled)
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, _evaluations,
                         generic_rank)
 
@@ -248,24 +248,31 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
                       witness: Mapping[str, Fraction] | None = None,
                       extra_points: int = 8) -> int:
     """Maximal exact rank of the Jacobian of the expressions over sampled
-    points; ExprError when every point is a pole."""
+    points, the witness first; sampling stops once a point reaches
+    min(#expressions, #generators).  ExprError when every point is a pole."""
     if not exprs:
         return 0
     table = btable.table
     gens = table.generator_indices
-    grads = [[diff(e, i).as_ratfunc() for i in gens] for e in exprs]
+    cells = {(k, c): g for k, e in enumerate(exprs) for c, i in enumerate(gens)
+             if not (g := diff(e, i).as_ratfunc()).is_zero()}
     given = []
     if witness is not None:
         vals = [Fraction(0)] * len(table)
         for name, v in witness.items():
             vals[table.index(name)] = v
         given.append(vals)
-    points = _evaluations(grads, table, random.Random(seed), extra_points, given)
-    ranks = [rank_of(rows_from_dense(m), len(gens)) for _, m in points]
-    if not ranks:
+    points = _evaluations(cells, len(exprs), table, random.Random(seed), extra_points,
+                          given)
+    best = -1
+    for _, rows in points:
+        best = max(best, rank_of(rows, len(gens)))
+        if best == min(len(exprs), len(gens)):
+            break
+    if best < 0:
         raise ExprError(f"independence rank: all {len(given) + extra_points} sample "
                         "points are poles of the invariants' gradients")
-    return max(ranks)
+    return best
 
 
 @dataclass

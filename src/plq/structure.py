@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
                    VarTable, clear_denominators, diff, substitute)
-from .linalg import nullspace, pfaffian, rank_of, rows_from_dense, rref
+from .linalg import nullspace, pfaffian, pivot_columns, rank_of
 
 DEFAULT_SEED = 20140
 
@@ -209,6 +209,9 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
     return JacobiReport(triples)
 
 
+_NUMERATORS = tuple(n for n in range(-9, 10) if n)
+
+
 def sample_point(table: VarTable, rng: random.Random) -> list[Fraction]:
     """Random rational values for generators and parameters; other variables zero.
 
@@ -217,7 +220,7 @@ def sample_point(table: VarTable, rng: random.Random) -> list[Fraction]:
     vals = [Fraction(0)] * len(table)
     for i, kind in enumerate(table.kinds):
         if kind in (GENERATOR, PARAMETER):
-            num = rng.choice([n for n in range(-9, 10) if n])
+            num = rng.choice(_NUMERATORS)
             den = rng.randint(1, 7)
             vals[i] = Fraction(num, den)
     return vals
@@ -241,19 +244,27 @@ class RankReport:
                 f"over {self.samples} points, seed {self.seed})")
 
 
-def _evaluations(matrix: Sequence[Sequence[RatFunc]], table: VarTable,
-                 rng: random.Random, attempts: int,
-                 given: Sequence[list[Fraction]] = ()
-                 ) -> Iterator[tuple[list[Fraction], list[list[Fraction]]]]:
+def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
+                 table: VarTable, rng: random.Random, attempts: int,
+                 given: Sequence[list[Fraction]] = (), skew: bool = False
+                 ) -> Iterator[tuple[list[Fraction], list[dict[int, Fraction]]]]:
     """The given points, then `attempts` random sample points, each with the
-    matrix evaluated there; poles are skipped."""
+    sparse rows of the matrix with nonzero cells {(i, j): f_ij} evaluated
+    there; a skew matrix also gets -f_ij at (j, i).  Each cell is evaluated
+    once, zero values are left out and poles are skipped."""
     draws = (sample_point(table, rng) for _ in range(attempts))
     for point in chain(given, draws):
+        rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
         try:
-            numeric = [[f.evaluate(point) for f in row] for row in matrix]
+            for (i, j), f in cells.items():
+                v = f.evaluate(point)
+                if v:
+                    rows[i][j] = v
+                    if skew:
+                        rows[j][i] = -v
         except ExprError:
             continue
-        yield point, numeric
+        yield point, rows
 
 
 def _certified_rank(matrix: Sequence[Sequence[RatFunc]], block: list[int],
@@ -295,14 +306,15 @@ def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
     else:
         degeneracy = RatFunc.zero(table)
         kind = "determinant"
-    points = _evaluations(matrix, table, random.Random(seed), 40 * samples)
-    ranked = [(rank_of(rows_from_dense(m), r), p, m) for p, m in islice(points, samples)]
+    points = _evaluations(btable.entries, r, table, random.Random(seed), 40 * samples,
+                          skew=True)
+    ranked = [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
     best = max(ranked, key=lambda t: t[0], default=None)
-    start = rref(rows_from_dense(best[2]), r)[1] if best else []
+    start = pivot_columns(best[2], r) if best else []
     rank = _certified_rank(matrix, start, degeneracy)
     while (0 < len(ranked) < 12 * samples and len(ranked) % samples == 0
            and max(k for k, _, _ in ranked) < rank):
-        ranked += [(rank_of(rows_from_dense(m), r), p, m) for p, m in islice(points, samples)]
+        ranked += [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
     witness = next(({table.names[i]: p[i] for i in range(len(table))
                      if table.kinds[i] in (GENERATOR, PARAMETER)}
                     for k, p, _ in ranked if k == rank), None)
