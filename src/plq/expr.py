@@ -109,6 +109,11 @@ class VarTable:
         return tuple(i for i, k in enumerate(self.kinds) if k == PARAMETER)
 
     @cached_property
+    def zero_exponent(self) -> tuple[int, ...]:
+        """The exponent of a constant: all zeros, one tuple per table."""
+        return (0,) * len(self.names)
+
+    @cached_property
     def alg_index(self) -> int | None:
         for i, k in enumerate(self.kinds):
             if k == ALGEBRAIC:
@@ -176,11 +181,11 @@ class Poly:
         c = _coefficient(c)
         if c == 0:
             return Poly(table, {})
-        return Poly(table, {(0,) * len(table): c})
+        return Poly(table, {table.zero_exponent: c})
 
     @staticmethod
     def one(table: VarTable) -> "Poly":
-        return Poly.const(table, 1)
+        return Poly(table, {table.zero_exponent: 1})
 
     @staticmethod
     def var(table: VarTable, name: str) -> "Poly":
@@ -206,6 +211,10 @@ class Poly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
+
+    def is_one(self) -> bool:
+        """Whether this is the constant one."""
+        return len(self.terms) == 1 and self.terms.get(self.table.zero_exponent) == 1
 
     def constant_value(self) -> int | Fraction:
         """The value of a constant polynomial."""
@@ -235,7 +244,7 @@ class Poly:
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero tuple when empty)."""
         if self.is_zero():
-            return (0,) * len(self.table)
+            return self.table.zero_exponent
         if len(self.terms) == 1:  # a monomial, as most denominators are
             return next(iter(self.terms))
         return tuple(map(min, zip(*self.terms)))
@@ -324,12 +333,24 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def divide_exact(self, d: "Poly") -> "Poly | None":
-        """Exact quotient self / d, or None when division leaves a remainder."""
+        """Exact quotient self / d, or None when division leaves a remainder.
+
+        Also None when d is a zero divisor: d * conj(d) vanishes, which a
+        table with one canonical pair allows (rho^2 = q1^2)."""
         if d.table is not self.table:
             raise ExprError("polynomials over different tables")
         if d.is_zero():
             raise ExprError("division by zero polynomial")
         table = self.table
+        ia = table.alg_index
+        if ia is not None and d.uses(ia):
+            # Reducing rho^2 can raise the leading term, so leading-term
+            # descent by d need not end.  Divide self * conj(d) by the
+            # rho-free norm instead; where the norm vanishes or has zero
+            # divisors the quotient is kept only if it multiplies back.
+            conj, norm = _conjugate(d)
+            q = None if norm.is_zero() else (self * conj).divide_exact(norm)
+            return q if q is not None and q * d == self else None
         rem = dict(self.terms)
         quot: dict[tuple[int, ...], int | Fraction] = {}
         de, dc = d.leading()
@@ -340,9 +361,10 @@ class Poly:
                 return None
             qc = exact_div(rem[re], dc)
             quot[qe] = quot.get(qe, 0) + qc
-            # rem -= qc * x^qe * d, the shifted terms reduced as in `shift`.
-            shifted = {_exp_add(e, qe): c for e, c in d.terms.items()}
-            for e, c in _reduce_algebraic(table, shifted).items():
+            # rem -= qc * x^qe * d; d is free of rho and qe has rho^0 or
+            # rho^1, so no shifted term needs reducing.
+            for e, c in d.terms.items():
+                e = _exp_add(e, qe)
                 s = rem.get(e, 0) - normal_coeff(c * qc)
                 if s == 0:
                     rem.pop(e, None)
@@ -372,12 +394,24 @@ class Poly:
 
 
 def _sigma_terms(table: VarTable) -> dict[tuple[int, ...], int]:
-    return {tuple(_exp_with((0,) * len(table), qi, 2)): 1 for qi in table.q_indices}
+    return {tuple(_exp_with(table.zero_exponent, qi, 2)): 1 for qi in table.q_indices}
 
 
 def sigma_poly(table: VarTable) -> Poly:
     """Sum of squared position variables: the square of the algebraic element."""
     return Poly(table, _sigma_terms(table))
+
+
+def _conjugate(p: Poly) -> tuple[Poly, Poly]:
+    """For p = a + b*rho with a and b free of the algebraic element rho, the
+    conjugate a - b*rho and the norm p * (a - b*rho) = a^2 - sigma*b^2, which
+    is free of rho."""
+    table = p.table
+    ia = table.alg_index
+    a = Poly(table, {e: c for e, c in p.terms.items() if e[ia] == 0})
+    b_rho = Poly(table, {e: c for e, c in p.terms.items() if e[ia] == 1})
+    b = Poly(table, {tuple(_exp_with(e, ia, 0)): c for e, c in b_rho.terms.items()})
+    return a - b_rho, a * a - sigma_poly(table) * b * b
 
 
 def _reduce_algebraic(table: VarTable, acc: dict[tuple[int, ...], int | Fraction]) -> dict:
@@ -387,7 +421,7 @@ def _reduce_algebraic(table: VarTable, acc: dict[tuple[int, ...], int | Fraction
     if ia is None or all(e[ia] <= 1 for e in acc):
         return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
     sigma = _sigma_terms(table)
-    powers: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * len(table): 1}}
+    powers: dict[int, dict[tuple[int, ...], int]] = {0: {table.zero_exponent: 1}}
 
     def sig_pow(k: int) -> dict[tuple[int, ...], int]:
         if k not in powers:
@@ -437,6 +471,8 @@ class RatFunc:
         """Normalize a quotient of polynomials."""
         if den.table is not num.table:
             raise ExprError("numerator and denominator over different tables")
+        if den.is_one():  # a polynomial is in normal form
+            return RatFunc(num, den, _normalized=True)
         table = num.table
         if den.is_zero():
             raise ExprError("division by zero")
@@ -444,19 +480,8 @@ class RatFunc:
             return RatFunc(Poly.zero(table), Poly.one(table), _normalized=True)
         ia = table.alg_index
         if ia is not None and den.uses(ia):
-            plain = {e: c for e, c in den.terms.items() if e[ia] == 0}
-            radical = {}
-            for e, c in den.terms.items():
-                if e[ia] == 1:
-                    drop = list(e)
-                    drop[ia] = 0
-                    radical[tuple(drop)] = c
-            a = Poly(table, plain)
-            b = Poly(table, radical)
-            conj = a - Poly.from_terms(table, ((tuple(_exp_with(e, ia, e[ia] + 1)), c)
-                                               for e, c in b.terms.items()))
+            conj, den = _conjugate(den)
             num = num * conj
-            den = a * a - sigma_poly(table) * b * b
             if den.is_zero():
                 raise ExprError("denominator annihilated by algebraic conjugation")
         if den.is_constant():
@@ -507,8 +532,7 @@ class RatFunc:
 
     def is_poly(self) -> bool:
         """Whether the denominator is one."""
-        den = self.den.terms
-        return len(den) == 1 and den.get((0,) * len(self.table)) == 1
+        return self.den.is_one()
 
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):
@@ -527,6 +551,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_poly() and o.is_poly():
+            return RatFunc(self.num + o.num, self.den, _normalized=True)
         if self.den == o.den:
             return RatFunc.make(self.num + o.num, self.den)
         q = self.den.divide_exact(o.den)
@@ -546,6 +572,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_poly() and o.is_poly():
+            return RatFunc(self.num - o.num, self.den, _normalized=True)
         return self + (-o)
 
     def __rsub__(self, other) -> "RatFunc":
@@ -558,6 +586,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_poly() and o.is_poly():
+            return RatFunc(self.num * o.num, self.den, _normalized=True)
         return RatFunc.make(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -768,6 +798,8 @@ def diff_poly(p: Poly, i: int) -> RatFunc:
 def diff_ratfunc(r: RatFunc, i: int) -> RatFunc:
     """Partial derivative of a rational function by the quotient rule."""
     dn = diff_poly(r.num, i)
+    if r.is_poly():
+        return dn
     dd = diff_poly(r.den, i)
     den = RatFunc.from_poly(r.den)
     return dn / den - RatFunc.from_poly(r.num) * dd / (den * den)

@@ -191,15 +191,6 @@ def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
     return pf(tuple(range(n)))
 
 
-def rows_from_dense(matrix: Sequence[Sequence[E]]) -> list[Row]:
-    """Sparse rows from a dense matrix, skipping zero entries."""
-    out = []
-    for r in matrix:
-        row = {c: v for c, v in enumerate(r) if v != 0}
-        out.append(row)
-    return out
-
-
 def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
     """Linear system rows asking a combination of expression columns to vanish.
 

@@ -11,7 +11,8 @@ from plq.cli import main
 from plq.corpus import corpus_problem
 from plq.expr import Poly, RatFunc, VarTable
 from plq.flow import FlowConfig, abstract_flow, canonical_flow
-from plq.linalg import nullspace, rows_from_dense
+from plq.linalg import nullspace
+from dense_rows import rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.solver import (AnsatzSpec, solve_casimirs, solve_with_escalation,
                         verify_invariant)

@@ -384,3 +384,16 @@ def test_clear_denominators_takes_a_repeated_denominator_once():
     assert all(RatFunc.from_poly(c) == f * RatFunc.from_poly(common)
                for f, c in zip(fs, cleared))
     assert clear_denominators(table, []) == (Poly.one(table), [])
+
+
+def test_divide_exact_terminates_on_a_radial_divisor():
+    """Reducing rho^2 to q1^2 + q2^2 can raise the leading term, so
+    leading-term descent by a divisor with rho need not end; this pair once
+    never returned."""
+    table = VarTable.make([], 2, [], algebraic="rho")
+    n = parse_ratfunc("-2*q1^4*q2*p1*p2^2 - 2*q1^2*q2^3*p1*p2^2"
+                      " - 1/3*q2^2*p2^2*rho", table).num
+    d = parse_ratfunc("-2*q1*q2 - q2*rho", table).num
+    assert n.divide_exact(d) is None
+    q = parse_ratfunc("q1^3*p1 - 1/3*q2*p2*rho + 2", table).num
+    assert (q * d).divide_exact(d) == q

@@ -118,6 +118,14 @@ def test_radial_divide_exact_is_sound():
     check()
 
 
+def test_radial_divide_exact_finds_every_exact_quotient():
+    @SETTINGS
+    @given(polys(RADIAL), nonzero_polys(RADIAL))
+    def check(a, b):
+        assert (a * b).divide_exact(b) == a
+    check()
+
+
 @pytest.mark.parametrize("table", TABLES, ids=["plain", "radial"])
 def test_ratfunc_make_and_equality_match_sympy(table):
     @SETTINGS

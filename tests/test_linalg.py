@@ -8,7 +8,8 @@ import pytest
 
 from plq.expr import Poly, RatFunc, VarTable
 from plq.linalg import (collect_rows, nullspace, pfaffian,
-                        presolve_forced_zero, rank_of, rows_from_dense, rref)
+                        presolve_forced_zero, rank_of, rref)
+from dense_rows import rows_from_dense
 
 
 def det(matrix, zero, one):

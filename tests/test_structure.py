@@ -10,7 +10,8 @@ from plq import structure
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
 from plq.flow import FlowConfig, _abstract_system
-from plq.linalg import rank_of, rows_from_dense
+from plq.linalg import rank_of
+from dense_rows import rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.solver import (AnsatzSpec, assemble_system, enumerate_basis,
                         graded_columns, verify_invariant)
