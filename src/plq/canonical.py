@@ -11,13 +11,11 @@ realized table entry.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .expr import (ALGEBRAIC, ExprError, LogExpr, RatFunc, VarTable, diff,
+from .expr import (ExprError, LogExpr, RatFunc, VarTable, diff,
                    generator_monomial, monomial_exponents, substitute)
 from .linalg import collect_rows, nullspace
 from .structure import BracketTable
@@ -82,29 +80,6 @@ class CanonicalRealization:
         if isinstance(out, LogExpr):
             return out.as_ratfunc()
         return out
-
-
-def canonical_point(table: VarTable, rng: random.Random) -> list[Fraction]:
-    """Random rational point where the algebraic element squares consistently.
-
-    The last position variable is chosen as (t^2 - s)/(2t) for a random t, so
-    that s + q_n^2 is the square of the rational (t^2 + s)/(2t).
-    """
-    vals = [Fraction(0)] * len(table)
-    def draw() -> Fraction:
-        num = rng.choice([n for n in range(-5, 6) if n])
-        return Fraction(num, rng.randint(1, 3))
-    for i, kind in enumerate(table.kinds):
-        if kind != ALGEBRAIC:
-            vals[i] = draw()
-    qs = table.q_indices
-    ia = table.alg_index
-    if ia is not None and qs:
-        partial = sum(vals[i] ** 2 for i in qs[:-1])
-        t = abs(draw()) + 1
-        vals[qs[-1]] = (t * t - partial) / (2 * t)
-        vals[ia] = (t * t + partial) / (2 * t)
-    return vals
 
 
 @dataclass

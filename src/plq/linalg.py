@@ -1,13 +1,13 @@
 """Exact linear algebra over a field of rational or RatFunc entries.
 
-Rows are sparse mappings from column index to a nonzero field element.  The
-pivot rule is deterministic everywhere: columns are scanned left to right and
-the first remaining row with a nonzero entry in the current column pivots.
-Entries only ever pass through ring operations and `expr.exact_div`, so
-results are exact for int and Fraction entries and for any element type
-supporting +, -, *, / and comparison with 0.  Ranks and pivot columns of
-numeric rows are taken in integers, by fraction-free elimination under the
-same pivot rule.
+Rows are sparse mappings from column index to a nonzero field element.  Rows
+of ints and Fractions go through one integer kernel, `_integer_echelon`:
+fraction-free elimination (cf. Bareiss 1968), the sparsest row holding a
+column pivoting (Markowitz 1957); `rref` divides by each pivot at the end, so
+integral results are ints.  Other rows (RatFunc entries) are eliminated over
+their field, the first remaining row holding the column pivoting.  The RREF is
+unique and its pivot columns are the column rank profile, so neither depends
+on the pivot rule.  Entries only meet ring operations and `expr.exact_div`.
 """
 
 from __future__ import annotations
@@ -37,25 +37,22 @@ def subtract_scaled(row: Row, factor, pivot_row: Row) -> None:
 
 def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns pivot rows (pivot scaled to one) and pivot columns."""
+    if _numeric(rows):
+        placed, pivots = _integer_echelon(rows, ncols, reduce=True)
+        return [{c: exact_div(v, row[p]) for c, v in row.items()}
+                for row, p in zip(placed, pivots)], pivots
     work = [dict(r) for r in rows if r]
     placed: list[Row] = []
     pivots: list[int] = []
     for col in range(ncols):
-        hit = None
-        for k, row in enumerate(work):
-            if col in row:
-                hit = k
-                break
+        hit = next((k for k, row in enumerate(work) if col in row), None)
         if hit is None:
             continue
         piv = work.pop(hit)
         pv = piv[col]
         if pv != 1:
             piv = {c: exact_div(v, pv) for c, v in piv.items()}
-        for row in work:
-            if col in row:
-                subtract_scaled(row, row[col], piv)
-        for row in placed:
+        for row in work + placed:
             if col in row:
                 subtract_scaled(row, row[col], piv)
         work = [r for r in work if r]
@@ -64,51 +61,70 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
     return placed, pivots
 
 
+def _numeric(rows: Sequence[Row]) -> bool:
+    return all(type(v) in (int, Fraction) for row in rows for v in row.values())
+
+
 def _primitive(row: Row) -> Row:
     """The row divided by the gcd of its int entries."""
     g = math.gcd(*row.values())
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _integer_pivots(rows: Sequence[Row], ncols: int) -> list[int]:
-    """Pivot columns of `rref` on int and Fraction rows, by fraction-free
-    elimination (cf. Bareiss 1968) over primitive integer rows.
+def _eliminate(row: Row, col: int, piv: Row) -> Row:
+    """The row with col eliminated: (pv * row - f * piv) / gcd(pv, f), made
+    primitive, where pv and f are the pivot row's and the row's entries."""
+    pv, f = piv[col], row[col]
+    g = math.gcd(pv, f)
+    new = {c: pv // g * v for c, v in row.items()}
+    subtract_scaled(new, f // g, piv)
+    return _primitive(new)
 
-    Each row is scaled to coprime integers; eliminating a column replaces a
-    row by pv * row - f * pivot_row, made primitive.  Every row stays a
-    nonzero multiple of its counterpart in `rref`, so the same pivot rule
-    meets the same zero pattern and picks the same columns.
+
+def _integer_echelon(rows: Sequence[Row], ncols: int,
+                     reduce: bool) -> tuple[list[Row], list[int]]:
+    """Primitive integer pivot rows and pivot columns of int and Fraction
+    rows, by fraction-free elimination (cf. Bareiss 1968).
+
+    Each row is scaled to coprime integers and waits in the bucket of its
+    leading column.  Every waiting row lies at or right of the current
+    column, so the rows that hold it are its bucket: the sparsest of them
+    pivots (Markowitz 1957), and each other one is eliminated, made primitive
+    and moved to the bucket of its new leading column.  With `reduce`, rows
+    already placed are eliminated too, so each pivot row is a multiple of its
+    `rref` row.  The pivot columns are the column rank profile and the RREF
+    is unique, so neither depends on which row pivots.
     """
-    work = []
-    for row in rows:
-        if row:
-            scale = math.lcm(*(v.denominator for v in row.values()))
-            work.append(_primitive({c: v.numerator * (scale // v.denominator)
-                                    for c, v in row.items()}))
+    buckets: dict[int, list[Row]] = {}
+    for row in filter(None, rows):
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        new = _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+        buckets.setdefault(min(new), []).append(new)
+    placed: list[Row] = []
     pivots: list[int] = []
     for col in range(ncols):
-        hit = next((k for k, row in enumerate(work) if col in row), None)
-        if hit is None:
+        bucket = buckets.pop(col, None)
+        if bucket is None:
             continue
-        piv = work.pop(hit)
-        pv = piv[col]
-        for k, row in enumerate(work):
-            f = row.get(col)
-            if f is not None:
-                g = math.gcd(pv, f)
-                new = {c: pv // g * v for c, v in row.items()}
-                subtract_scaled(new, f // g, piv)
-                work[k] = _primitive(new)
-        work = [r for r in work if r]
+        piv = min(bucket, key=len)
+        for row in bucket:
+            if row is not piv:
+                new = _eliminate(row, col, piv)
+                if new:  # a dense row mostly leads at the next column
+                    lead = col + 1 if col + 1 in new else min(new)
+                    buckets.setdefault(lead, []).append(new)
+        if reduce:
+            placed = [_eliminate(row, col, piv) if col in row else row for row in placed]
+        placed.append(piv)
         pivots.append(col)
-    return pivots
+    return placed, pivots
 
 
 def pivot_columns(rows: Sequence[Row], ncols: int) -> list[int]:
-    """Pivot columns of `rref(rows, ncols)`: in integers when every entry is
-    an int or a Fraction, else by `rref` itself."""
-    if all(type(v) in (int, Fraction) for row in rows for v in row.values()):
-        return _integer_pivots(rows, ncols)
+    """Pivot columns of `rref(rows, ncols)`, in integers when every entry is
+    an int or a Fraction."""
+    if _numeric(rows):
+        return _integer_echelon(rows, ncols, reduce=False)[1]
     return rref(rows, ncols)[1]
 
 

@@ -352,22 +352,31 @@ def _lowest_grade(expr: LogExpr, gens: Sequence[int]) -> int | None:
     return min(sum(key) for key in num)
 
 
-def _span_of_products(table: VarTable, items: Sequence[LogExpr],
-                      index: Mapping[BasisElem, int], max_factors: int,
-                      ncols: int) -> list[dict]:
-    """Reversed-echelon span of all expandable products of the given invariants.
+def _as_number(v: RatFunc):
+    """A constant coordinate as its int or Fraction; any other unchanged."""
+    if v.num.is_constant() and v.den.is_constant():
+        return exact_div(v.num.constant_value(), v.den.constant_value())
+    return v
 
-    Products that cannot lie in the basis are never expanded.  Over an
-    integral domain the lowest homogeneous part of a product is the product
-    of the lowest parts, so once the factors' lowest grades add up past the
-    basis's top grade, the product and every product below it in `rec` have a
-    term outside the basis.  An item with no lowest grade (inverse powers,
+
+def _span_of_products(table: VarTable, items: Sequence[LogExpr],
+                      index: Mapping[BasisElem, int], max_degree: int,
+                      ncols: int) -> list[dict]:
+    """Reversed-echelon span of all expandable products of up to max_degree
+    of the given invariants, with constant coordinates taken as numbers.
+
+    Products that cannot lie in the basis are never expanded.  The basis
+    holds every monomial of positive grade up to max_degree, its top grade.
+    Over an integral domain the lowest homogeneous part of a product is the
+    product of the lowest parts, so once the factors' lowest grades add up
+    past the top grade, the product and every product below it in `rec` have
+    a term outside the basis.  An item with no lowest grade (inverse powers,
     logs, generator denominators) can cancel degree that the others add, so
     one such item turns the bound off.
     """
     product_rows: list[dict[int, object]] = []
     grades = [_lowest_grade(e, table.generator_indices) for e in items]
-    top = max((_pos_grade(e.exps) for e in index if isinstance(e, Mono)), default=0)
+    top = max_degree
     if None in grades:
         grades, top = [0] * len(items), 0
 
@@ -381,8 +390,8 @@ def _span_of_products(table: VarTable, items: Sequence[LogExpr],
                 continue
             coords = map_to_coords(nxt, table, index)
             if coords:
-                product_rows.append({ncols - 1 - c: v for c, v in coords.items()})
-            if depth + 1 < max_factors:
+                product_rows.append({ncols - 1 - c: _as_number(v) for c, v in coords.items()})
+            if depth + 1 < max_degree:
                 rec(k, nxt, depth + 1, grade + grades[k])
 
     rec(0, None, 0, 0)

@@ -1,14 +1,16 @@
 """Coefficients are ints when integral and Fractions otherwise; no float
 ever reaches the exact kernel or the linear algebra over it."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from plq import linalg, solver
-from plq.expr import Poly, exact_div
+from plq.expr import Poly, exact_div, normal_coeff
 from plq.linalg import nullspace, rref
 from test_cli_golden import CASES, problem_files, run_case
+from test_solver import lie_problem
 
 # verify, rank, solve and check of every corpus problem (sklyanin bound and
 # unbound), gl(3) and so(4).
@@ -41,6 +43,43 @@ def test_linalg_on_int_rows_is_exact():
     (vec,) = nullspace([{0: 2, 1: 3}], 2, 1)
     assert vec == [1, Fraction(-2, 3)]
     assert all(normal(v) for v in vec)
+
+
+def test_numeric_rref_and_nullspace_hold_no_integral_fraction():
+    """Integral results are ints, also on rows where Fraction elimination
+    leaves Fraction(1, 1) and Fraction(2, 1) behind."""
+    half = Fraction(1, 2)
+    rows = [{0: half, 1: half, 2: half}, {0: half, 1: 3 * half, 2: 5 * half}]
+    placed, _ = rref(rows, 3)
+    assert placed == [{0: 1, 2: -1}, {1: 1, 2: 2}]
+    assert all(normal(v) for row in placed for v in row.values())
+    (vec,) = nullspace(rows, 3, 1)
+    assert vec == [1, -2, 1]
+    assert all(normal(v) for v in vec)
+
+
+def test_random_numeric_rref_and_nullspace_hold_no_integral_fraction():
+    rng = random.Random(23)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        rows = [{c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(ncols)}
+                for _ in range(rng.randint(1, 7))]
+        rows = [{c: normal_coeff(v) for c, v in row.items() if v} for row in rows]
+        placed, _ = rref(rows, ncols)
+        assert all(normal(v) for row in placed for v in row.values())
+        assert all(normal(v) for vec in nullspace(rows, ncols, 1) for v in vec)
+
+
+def test_solver_blocks_hold_no_integral_fraction():
+    """The nullspace vectors of gl(3) at degree 4, block by block."""
+    problem = lie_problem("gl3")
+    btable = problem.brackets
+    basis = solver.enumerate_basis(btable.r, solver.AnsatzSpec(4), problem.invertible)
+    kept, keys = solver.graded_columns(btable, basis)
+    rows = solver.assemble_system(btable, [basis[c] for c in kept])
+    vectors = solver._block_nullspace(rows, kept, keys, 1)
+    assert vectors
+    assert all(normal(v) for vec in vectors for v in vec.values())
 
 
 @pytest.fixture(scope="module")

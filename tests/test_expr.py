@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from plq.canonical import canonical_point
 from plq.expr import (ExprError, LogExpr, Poly, RatFunc, VarTable,
                       clear_denominators, diff, monomial_exponents, sigma_poly,
                       split_terms, substitute)
 from plq.parsing import ParseError, parse_expression, parse_ratfunc, to_string
 from plq.solver import Mono, map_to_coords
+from radial_points import canonical_point
 
 
 def table_uv():

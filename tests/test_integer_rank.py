@@ -14,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from plq.expr import RatFunc, VarTable  # noqa: E402
-from plq.linalg import pivot_columns, rank_of, rref  # noqa: E402
+from plq.linalg import pivot_columns, rank_of  # noqa: E402
+from reference_rref import rref  # noqa: E402
 from dense_rows import rows_from_dense  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)

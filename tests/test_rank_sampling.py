@@ -15,7 +15,8 @@ import pytest
 from plq import structure
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import GENERATOR, PARAMETER, ExprError, LogExpr, RatFunc, diff
-from plq.linalg import pfaffian, rref
+from plq.linalg import pfaffian
+from reference_rref import rref
 from dense_rows import rows_from_dense
 from plq.solver import AnsatzSpec, independence_rank, solve_casimirs
 from test_solver import bound_quadratic, lie_problem
