@@ -82,7 +82,8 @@ def _rank_json(rank_report) -> dict:
             "samples": rank_report.samples, "seed": rank_report.seed,
             "kind": rank_report.kind,
             "degeneracy": to_string(rank_report.degeneracy),
-            "note": _degeneracy_note(rank_report), "witness": witness}
+            "note": _degeneracy_note(rank_report), "witness": witness,
+            "certificate": rank_report.certificate}
 
 
 def _solve_json(basis: CasimirBasis) -> dict:

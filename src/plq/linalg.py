@@ -35,13 +35,23 @@ def subtract_scaled(row: Row, factor, pivot_row: Row) -> None:
             row[c] = nv
 
 
+def _within(rows: Sequence[Row], ncols: int):
+    """The nonempty rows; ValueError for an entry outside columns [0, ncols)."""
+    for row in rows:
+        if row:
+            if min(row) < 0 or max(row) >= ncols:
+                raise ValueError(f"row entry outside columns [0, {ncols})")
+            yield row
+
+
 def rref(rows: Sequence[Row], ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns pivot rows (pivot scaled to one) and pivot columns."""
+    """Reduced row echelon form; returns pivot rows (pivot scaled to one) and
+    pivot columns.  ValueError for an entry outside columns [0, ncols)."""
     if _numeric(rows):
         placed, pivots = _integer_echelon(rows, ncols, reduce=True)
         return [{c: exact_div(v, row[p]) for c, v in row.items()}
                 for row, p in zip(placed, pivots)], pivots
-    work = [dict(r) for r in rows if r]
+    work = [dict(r) for r in _within(rows, ncols)]
     placed: list[Row] = []
     pivots: list[int] = []
     for col in range(ncols):
@@ -96,7 +106,7 @@ def _integer_echelon(rows: Sequence[Row], ncols: int,
     is unique, so neither depends on which row pivots.
     """
     buckets: dict[int, list[Row]] = {}
-    for row in filter(None, rows):
+    for row in _within(rows, ncols):
         scale = math.lcm(*(v.denominator for v in row.values()))
         new = _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
         buckets.setdefault(min(new), []).append(new)

@@ -24,8 +24,8 @@ from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
                    generator_monomial, monomial_exponents, split_terms)
 from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
                      rref, subtract_scaled)
-from .structure import (DEFAULT_SEED, BracketTable, RankReport, _evaluations,
-                        generic_rank)
+from .structure import (DEFAULT_SEED, BracketTable, RankReport, RankSample,
+                        _evaluations, certify_by_kernel, generic_rank, sample_rank)
 
 
 ESCALATION_CEILING = 4  # the largest max_degree an escalating solve reaches
@@ -277,7 +277,11 @@ def independence_rank(exprs: Sequence[LogExpr], btable: BracketTable,
 
 @dataclass
 class CasimirBasis:
-    """Result of the invariant search over one ansatz."""
+    """Result of the invariant search over one ansatz.
+
+    `rank_report` is the rank the search was run against: a certified
+    `RankReport`, or the `RankSample` a caller passed in.
+    """
     solutions: list[LogExpr]
     vectors: list[dict[int, RatFunc]]
     basis: list[BasisElem]
@@ -285,7 +289,7 @@ class CasimirBasis:
     ansatz: AnsatzSpec
     corank: int
     independence: int
-    rank_report: RankReport
+    rank_report: RankReport | RankSample
     verified: bool
     system_rows: int
     escalations: list[str] = field(default_factory=list)
@@ -433,8 +437,11 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
 def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
                    invertible: Sequence[bool] | None = None,
                    seed: int = DEFAULT_SEED,
-                   rank_report: RankReport | None = None) -> CasimirBasis:
+                   rank_report: RankReport | RankSample | None = None) -> CasimirBasis:
     """Exact basis of ansatz invariants of a bracket table.
+
+    The corank and witness come from `rank_report`, which `generic_rank`
+    computes when it is not given.
 
     Central generators are reported separately as free solutions; nullspace
     vectors reducible to products of previously accepted invariants and
@@ -485,15 +492,11 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
                         system_rows=len(rows))
 
 
-def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None,
-                          invertible: Sequence[bool] | None = None,
-                          seed: int = DEFAULT_SEED,
-                          ceiling: int = ESCALATION_CEILING) -> CasimirBasis:
+def _escalate(btable: BracketTable, ansatz: AnsatzSpec,
+              invertible: Sequence[bool] | None, seed: int, ceiling: int,
+              rank_report: RankReport | RankSample) -> CasimirBasis:
     """Solve, raising max_degree one step at a time until the functional
-    independence rank reaches the corank or the ceiling is hit."""
-    if ansatz is None:
-        ansatz = AnsatzSpec()
-    rank_report = generic_rank(btable, seed=seed)
+    independence rank reaches the report's corank or the ceiling is hit."""
     log: list[str] = []
     current = ansatz
     while True:
@@ -507,3 +510,29 @@ def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None
         log.append(f"independence {result.independence} < corank {result.corank}: "
                    f"raising max_degree to {nxt.max_degree}")
         current = nxt
+
+
+def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None,
+                          invertible: Sequence[bool] | None = None,
+                          seed: int = DEFAULT_SEED,
+                          ceiling: int = ESCALATION_CEILING) -> CasimirBasis:
+    """Solve with escalation against the sampled corank, then certify the rank.
+
+    The verified solutions and free central generators bound the rank from
+    above (`certify_by_kernel`).  When that bound does not meet the sampled
+    rank, or a solution fails verification, `generic_rank` certifies it by
+    sub-Pfaffians instead, and a rank that differs from the sampled one is
+    escalated against again; the result is the same either way.
+    """
+    if ansatz is None:
+        ansatz = AnsatzSpec()
+    sample = sample_rank(btable, seed=seed)
+    result = _escalate(btable, ansatz, invertible, seed, ceiling, sample)
+    report = (certify_by_kernel(btable, sample, result.independence)
+              if result.verified else None)
+    if report is None:
+        report = generic_rank(btable, seed=seed)
+        if report.rank != sample.rank:
+            result = _escalate(btable, ansatz, invertible, seed, ceiling, report)
+    result.rank_report = report
+    return result

@@ -17,10 +17,11 @@ from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
 from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
-                   VarTable, clear_denominators, diff, substitute)
+                   VarTable, clear_denominators, diff, exact_div, substitute)
 from .linalg import nullspace, pfaffian, pivot_columns, rank_of
 
 DEFAULT_SEED = 20140
+SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
 
 
 class BracketTable:
@@ -228,6 +229,11 @@ def sample_point(table: VarTable, rng: random.Random) -> list[Fraction]:
 
 @dataclass
 class RankReport:
+    """Generic rank of a structure matrix and how it is known.
+
+    `certificate` is "pfaffian" when bordered sub-Pfaffians prove it and
+    "casimirs" when verified invariants bound it from above.
+    """
     rank: int
     corank: int
     sampled_rank: int
@@ -236,6 +242,7 @@ class RankReport:
     samples: int
     kind: str
     degeneracy: RatFunc
+    certificate: str
 
     def summary(self) -> str:
         deg = "0" if self.degeneracy.is_zero() else str(self.degeneracy)
@@ -244,27 +251,65 @@ class RankReport:
                 f"over {self.samples} points, seed {self.seed})")
 
 
+def _degree(p: Poly) -> int:
+    return max(map(sum, p.terms), default=0)
+
+
+def _integer_terms(p: Poly, degree: int) -> tuple[int, list]:
+    """(s, terms) with s * p = sum of the terms: s is the lcm of p's
+    coefficient denominators and each term (c, ((i, e_i), ...), degree - |e|)
+    carries an integer c and the power of D that lifts it to `degree`."""
+    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    return s, [(c.numerator * (s // c.denominator),
+                tuple((i, x) for i, x in enumerate(e) if x), degree - sum(e))
+               for e, c in p.terms.items()]
+
+
+def _lifted_value(terms: list, a: Sequence[int], powers: Sequence[int]) -> int:
+    """D^degree * s * p(a / D), from the integer terms of p."""
+    total = 0
+    for c, factors, k in terms:
+        for i, x in factors:
+            c *= a[i] if x == 1 else a[i] ** x
+        total += c * powers[k]
+    return total
+
+
 def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
                  table: VarTable, rng: random.Random, attempts: int,
                  given: Sequence[list[Fraction]] = (), skew: bool = False
-                 ) -> Iterator[tuple[list[Fraction], list[dict[int, Fraction]]]]:
+                 ) -> Iterator[tuple[list[Fraction], list[dict[int, int | Fraction]]]]:
     """The given points, then `attempts` random sample points, each with the
     sparse rows of the matrix with nonzero cells {(i, j): f_ij} evaluated
-    there; a skew matrix also gets -f_ij at (j, i).  Each cell is evaluated
-    once, zero values are left out and poles are skipped."""
+    there, times one nonzero scalar; a skew matrix also gets -f_ij at (j, i).
+
+    A point x is a / D in integers, D the lcm of its denominators; each cell
+    N/M is evaluated once, in integers, as D^K * f_ij(x) with K the largest
+    numerator degree, from term lists of N and M with integer coefficients
+    built once per call.  So each row is D^K times the row of values, and
+    ranks and pivot columns are those of the values.  A cell builds at most
+    one Fraction.  Zero values are left out and poles are skipped."""
+    degree = max((_degree(f.num) for f in cells.values()), default=0)
+    lifted = [(key, *_integer_terms(f.num, degree), kd, *_integer_terms(f.den, kd))
+              for key, f in cells.items() for kd in [_degree(f.den)]]
+    top = max([degree, *(cell[3] for cell in lifted)])
     draws = (sample_point(table, rng) for _ in range(attempts))
     for point in chain(given, draws):
-        rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
-        try:
-            for (i, j), f in cells.items():
-                v = f.evaluate(point)
-                if v:
-                    rows[i][j] = v
-                    if skew:
-                        rows[j][i] = -v
-        except ExprError:
-            continue
-        yield point, rows
+        d = math.lcm(*(x.denominator for x in point))
+        a = [x.numerator * (d // x.denominator) for x in point]
+        powers = [d ** k for k in range(top + 1)]
+        rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
+        for (i, j), sn, num, kd, sd, den in lifted:
+            m = sn * _lifted_value(den, a, powers)
+            if not m:
+                break
+            v = exact_div(sd * powers[kd] * _lifted_value(num, a, powers), m)
+            if v:
+                rows[i][j] = v
+                if skew:
+                    rows[j][i] = -v
+        else:
+            yield point, rows
 
 
 def _certified_rank(matrix: Sequence[Sequence[RatFunc]], block: list[int],
@@ -287,8 +332,83 @@ def _certified_rank(matrix: Sequence[Sequence[RatFunc]], block: list[int],
     return len(block)
 
 
+def _sample_points(btable: BracketTable, seed: int, samples: int) -> Iterator:
+    return _evaluations(btable.entries, btable.r, btable.table, random.Random(seed),
+                        40 * samples, skew=True)
+
+
+def _ranked(points: Iterator, r: int, samples: int) -> list:
+    """(rank, point, rows) for the next block of sample points."""
+    return [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
+
+
+def _witness(table: VarTable, ranked: list, rank: int) -> dict[str, Fraction] | None:
+    """The first sample point attaining the rank, by name."""
+    return next(({table.names[i]: p[i] for i in range(len(table))
+                  if table.kinds[i] in (GENERATOR, PARAMETER)}
+                 for k, p, *_ in ranked if k == rank), None)
+
+
+def _rank_report(btable: BracketTable, ranked: list, rank: int, seed: int,
+                 degeneracy: RatFunc, certificate: str) -> RankReport:
+    """The report of a rank over ranked sample points, (rank, point, ...) each."""
+    r = btable.r
+    return RankReport(rank=rank, corank=r - rank,
+                      sampled_rank=max((k for k, *_ in ranked), default=0),
+                      witness=_witness(btable.table, ranked, rank), seed=seed,
+                      samples=len(ranked),
+                      kind="pfaffian" if r % 2 == 0 else "determinant",
+                      degeneracy=degeneracy, certificate=certificate)
+
+
+@dataclass
+class RankSample:
+    """A lower bound on the generic rank, not yet certified: the highest rank
+    over the first block of sample points, attained at its witness.
+    `ranked` holds (rank, point) for each point of the block."""
+    rank: int
+    corank: int
+    witness: dict[str, Fraction] | None
+    seed: int
+    ranked: list = field(repr=False)
+
+
+def sample_rank(btable: BracketTable, seed: int = DEFAULT_SEED) -> RankSample:
+    """The sampled lower bound over the first block of `generic_rank`'s
+    sample points."""
+    r = btable.r
+    ranked = [(k, p) for k, p, _ in
+              _ranked(_sample_points(btable, seed, SAMPLE_BLOCK), r, SAMPLE_BLOCK)]
+    rank = max((k for k, _ in ranked), default=0)
+    return RankSample(rank=rank, corank=r - rank, seed=seed, ranked=ranked,
+                      witness=_witness(btable.table, ranked, rank))
+
+
+def certify_by_kernel(btable: BracketTable, sample: RankSample,
+                      kernel_rank: int) -> RankReport | None:
+    """The sampled rank certified from above, or None when the bounds differ.
+
+    `kernel_rank` is the Jacobian rank, at some point, of verified
+    invariants: their gradients are independent over the rational functions
+    and lie in the kernel of the structure matrix, so rank <= r -
+    kernel_rank, rounded down to even since the matrix is skew (Weinstein
+    1983; Olver 1993, 6.2).  The sample's witness attains its rank, so when
+    the two bounds meet that is the rank.  Below r, Pf^2 = det vanishes, so
+    the full Pfaffian is formed only at rank r.
+    """
+    r = btable.r
+    if sample.witness is None or (r - kernel_rank) // 2 * 2 != sample.rank:
+        return None
+    table = btable.table
+    degeneracy = RatFunc.zero(table)
+    if sample.rank == r:
+        degeneracy = pfaffian(btable.structure_matrix(), degeneracy, RatFunc.one(table))
+    return _rank_report(btable, sample.ranked, sample.rank, sample.seed,
+                        degeneracy, "casimirs")
+
+
 def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
-                 samples: int = 16) -> RankReport:
+                 samples: int = SAMPLE_BLOCK) -> RankReport:
     """Generic rank of the structure matrix: random rational sampling bounded
     below, a sub-Pfaffian certificate as the authority.
 
@@ -300,28 +420,18 @@ def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
     table = btable.table
     matrix = btable.structure_matrix()
     r = btable.r
+    degeneracy = RatFunc.zero(table)
     if r % 2 == 0:
-        degeneracy = pfaffian(matrix, RatFunc.zero(table), RatFunc.one(table))
-        kind = "pfaffian"
-    else:
-        degeneracy = RatFunc.zero(table)
-        kind = "determinant"
-    points = _evaluations(btable.entries, r, table, random.Random(seed), 40 * samples,
-                          skew=True)
-    ranked = [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
+        degeneracy = pfaffian(matrix, degeneracy, RatFunc.one(table))
+    points = _sample_points(btable, seed, samples)
+    ranked = _ranked(points, r, samples)
     best = max(ranked, key=lambda t: t[0], default=None)
     start = pivot_columns(best[2], r) if best else []
     rank = _certified_rank(matrix, start, degeneracy)
     while (0 < len(ranked) < 12 * samples and len(ranked) % samples == 0
            and max(k for k, _, _ in ranked) < rank):
-        ranked += [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
-    witness = next(({table.names[i]: p[i] for i in range(len(table))
-                     if table.kinds[i] in (GENERATOR, PARAMETER)}
-                    for k, p, _ in ranked if k == rank), None)
-    return RankReport(rank=rank, corank=r - rank,
-                      sampled_rank=max((k for k, _, _ in ranked), default=0),
-                      witness=witness, seed=seed, samples=len(ranked), kind=kind,
-                      degeneracy=degeneracy)
+        ranked += _ranked(points, r, samples)
+    return _rank_report(btable, ranked, rank, seed, degeneracy, "pfaffian")
 
 
 def bind_parameters(btable: BracketTable, bindings: Mapping[str, RatFunc]) -> BracketTable:

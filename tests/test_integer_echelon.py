@@ -20,13 +20,6 @@ from test_integer_rank import SETTINGS, dense  # noqa: E402
 from test_solver import lie_problem  # noqa: E402
 
 
-def inside(rows, ncols):
-    """Rows cut to the matrix's ncols columns.  Past them a reduced row's
-    entries depend on which row pivoted (the reference takes the leftmost,
-    the kernel the sparsest); inside, the reduced form is unique."""
-    return [{c: v for c, v in row.items() if c < ncols} for row in rows]
-
-
 def printed_rows(rows):
     return [sorted((c, str(v)) for c, v in row.items()) for row in rows]
 
@@ -39,16 +32,21 @@ def printed_vectors(vectors):
 @given(dense(), st.integers(-1, 1))
 def test_rref_and_nullspace_match_gauss_jordan(matrix, extra):
     """Same reduced rows, pivot columns and nullspace vectors, by value and
-    as printed, also when ncols is narrower or wider than the rows (rows
-    compared inside the matrix); the input rows are left unchanged."""
+    as printed, also when ncols is narrower or wider than the rows; every
+    kernel raises ValueError when an entry lies past ncols.  The input rows
+    are left unchanged."""
     rows = rows_from_dense(matrix)
     ncols = max(0, len(matrix[0]) + extra)
     copies = [dict(r) for r in rows]
+    if any(c >= ncols for row in rows for c in row):
+        for kernel in (rref, pivot_columns, lambda rows, ncols: nullspace(rows, ncols, 1)):
+            with pytest.raises(ValueError):
+                kernel(rows, ncols)
+        assert rows == copies
+        return
     want_rows, want_pivots = reference_rref.rref(rows, ncols)
     got_rows, got_pivots = rref(rows, ncols)
     assert got_pivots == want_pivots == pivot_columns(rows, ncols)
-    if ncols < len(matrix[0]):
-        want_rows, got_rows = inside(want_rows, ncols), inside(got_rows, ncols)
     assert got_rows == want_rows
     assert printed_rows(got_rows) == printed_rows(want_rows)
     want = reference_rref.nullspace(rows, ncols)

@@ -56,13 +56,18 @@ def dense(draw):
 @given(dense(), st.integers(-1, 1))
 def test_integer_pivots_match_fraction_rref(matrix, extra):
     """Same rank and pivot columns as `rref`, also when ncols is narrower
-    or wider than the rows."""
+    or wider than the rows; ValueError when an entry lies past ncols."""
     rows = rows_from_dense(matrix)
     ncols = max(0, len(matrix[0]) + extra)
     copies = [dict(r) for r in rows]
-    want = rref(rows, ncols)[1]
-    assert pivot_columns(rows, ncols) == want
-    assert rank_of(rows, ncols) == len(want)
+    if any(c >= ncols for row in rows for c in row):
+        for kernel in (pivot_columns, rank_of):
+            with pytest.raises(ValueError):
+                kernel(rows, ncols)
+    else:
+        want = rref(rows, ncols)[1]
+        assert pivot_columns(rows, ncols) == want
+        assert rank_of(rows, ncols) == len(want)
     assert rows == copies
 
 

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from plq.expr import Poly, RatFunc, VarTable
-from plq.linalg import (collect_rows, nullspace, pfaffian,
+from plq.linalg import (collect_rows, nullspace, pfaffian, pivot_columns,
                         presolve_forced_zero, rank_of, rref)
 from dense_rows import rows_from_dense
 
@@ -80,6 +80,20 @@ def test_nullspace_worked_example():
                             [Fraction(0), Fraction(0), Fraction(1)]])
     basis = nullspace(rows, 3, Fraction(1))
     assert basis == [[Fraction(1), Fraction(-1), Fraction(0)]]
+
+
+@pytest.mark.parametrize("entry", ["int", "ratfunc"])
+def test_entries_outside_the_columns_are_rejected(entry):
+    """Past ncols a reduced row would depend on which row pivots: the
+    integer kernel gave [{3: 1}] here and the field loop {3: 1, 5: 1}.
+    Both kernels now refuse such rows, and negative columns too."""
+    one = 1 if entry == "int" else RatFunc.one(VarTable.make(["x"], 0, []))
+    for rows in ([{3: one, 5: one}, {3: one}], [{-1: one}]):
+        for kernel in (rref, pivot_columns, rank_of,
+                       lambda rows, ncols: nullspace(rows, ncols, one)):
+            with pytest.raises(ValueError, match="outside columns"):
+                kernel(rows, 5)
+    assert rank_of([{3: one, 4: one}, {3: one}], 5) == 2
 
 
 def test_nullspace_random_rectangular():
