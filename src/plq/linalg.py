@@ -237,7 +237,8 @@ def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
 
 def grouped_rows(table: VarTable,
                  grouped: dict[tuple[int, ...], dict[int, dict]]) -> list[Row]:
-    """Rows from {monomial key -> {column -> {parameter exponent -> coefficient}}}.
+    """Rows from {monomial key -> {column -> cell}}, a cell being a number or
+    {parameter exponent -> coefficient}.
 
     Rows come out in descending graded lexicographic order of the key; an
     entry is a number (int or Fraction) when constant, else a polynomial
@@ -248,6 +249,10 @@ def grouped_rows(table: VarTable,
     for key in sorted(grouped, key=lambda e: (sum(e), e), reverse=True):
         row = {}
         for cidx, cell in grouped[key].items():
+            if not isinstance(cell, dict):
+                if cell:
+                    row[cidx] = normal_coeff(cell)
+                continue
             p = Poly(table, {e: normal_coeff(c) for e, c in cell.items() if c})
             if p.is_zero():
                 continue

@@ -3,25 +3,27 @@
 An invariant F of a bracket table satisfies sum_i (dF/du_i) f_ij = 0 for every
 generator j.  The solver expands F over a graded monomial basis, optionally
 extended by inverses and logarithms of invertible generators, assembles the
-resulting linear system with entries in the parameter field, and reads off an
-exact nullspace basis.  The table's gradings split that system: only columns
-of inner weight zero are assembled, and each outer block is solved on its
-own.  Vectors are echelonized so the simplest monomials lead, reduced modulo
-products of already accepted solutions (powers and products of known
-invariants carry no new information), and normalized so the canonically
-leading coefficient is one and parameter denominators are cleared.
+resulting linear system with entries in the parameter field (numbers on a
+table without parameters), and reads off an exact nullspace basis.  The
+table's gradings shrink and split that system: only the monomials of inner
+weight zero and of sign +1 under every sign grading are enumerated, and each
+outer block is solved on its own.  Vectors are echelonized so the simplest
+monomials lead, reduced modulo products of already accepted solutions (powers
+and products of known invariants carry no new information), and normalized so
+the canonically leading coefficient is one and parameter denominators are
+cleared.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
-                   generator_monomial, monomial_exponents, split_terms)
+                   generator_monomial, split_terms)
 from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
                      rref, subtract_scaled)
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, RankSample,
@@ -60,21 +62,46 @@ class LogElem:
 BasisElem = Mono | LogElem
 
 
-def _pos_grade(e: tuple[int, ...]) -> int:
-    return sum(x for x in e if x > 0)
-
-
-def enumerate_basis(r: int, ansatz: AnsatzSpec,
-                    invertible: Sequence[bool]) -> list[BasisElem]:
+def enumerate_basis(r: int, ansatz: AnsatzSpec, invertible: Sequence[bool],
+                    inner: Sequence[Sequence[int]] = (),
+                    signs: Sequence[Sequence[int]] = ()) -> list[BasisElem]:
     """Ansatz basis in canonical order: monomials by descending positive grade
-    then descending lexicographic exponents, then log elements."""
-    exps = monomial_exponents(r, ansatz.max_degree, ansatz.inverse_degree,
-                              invertible, include_constant=False)
-    exps.sort(key=lambda e: (-_pos_grade(e), tuple(-x for x in e)))
-    basis: list[BasisElem] = [Mono(e) for e in exps]
+    then descending lexicographic exponents, then log elements.
+
+    Only monomials u^e of weight w.e = 0 under every inner weight w and sign
+    prod s_j^e_j = 1 under every sign grading s are enumerated, a sign being
+    the parity of the bitmasks {g: s_j = -1} of the odd e_j.  Without
+    inverses a branch ends once its degree left cannot cancel its weight.
+    """
+    lows = [-ansatz.inverse_degree if inv else 0 for inv in invertible]
+    prune = bool(inner) and not any(lows)
+    masks = [sum(1 << g for g, s in enumerate(signs) if s[j] < 0) for j in range(r)]
+    # Each weight's least and largest entry from position k on.
+    reach = [[(min(w[k:]), max(w[k:])) for w in inner] for k in range(r)]
+    negative = [any(lows[k:]) for k in range(r)] + [False]
+    out: list[BasisElem] = []
+    exps = [0] * r
+
+    def rec(k: int, left: int, weight: list[int], parity: int) -> None:
+        if not (left or negative[k]):  # every exponent from k on is zero
+            if not (parity or any(weight)) and any(exps):
+                out.append(Mono(tuple(exps)))
+            return
+        if prune and any(not lo * left <= -x <= hi * left
+                           for x, (lo, hi) in zip(weight, reach[k])):
+            return
+        last = left if k == r - 1 and left else lows[k]
+        for v in range(left, last - 1, -1):
+            exps[k] = v
+            rec(k + 1, left - max(v, 0), [x + v * w[k] for x, w in zip(weight, inner)],
+                parity ^ masks[k] if v % 2 else parity)
+        exps[k] = 0
+
+    for degree in range(ansatz.max_degree, -1, -1):
+        rec(0, degree, [0] * len(inner), 0)
     if ansatz.allow_log:
-        basis.extend(LogElem(k) for k in range(r) if invertible[k])
-    return basis
+        out.extend(LogElem(k) for k in range(r) if invertible[k])
+    return out
 
 
 def _delta(r: int, k: int) -> tuple[int, ...]:
@@ -98,10 +125,13 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
     f_ij shifted by e - delta_i, column log(u_k) split f_kj shifted by
     -delta_k.  Rows are keyed by the (possibly negative) generator exponent,
     in descending graded lexicographic order, with parameter-ring entries.
+    Without parameters a cell is a number, else {parameter exponent: number}.
     """
     table = btable.table
     r = btable.r
     gens = table.generator_indices
+    zero = table.zero_exponent
+    numeric = not table.parameter_indices
     # Per column: (generator i, factor, shift) for each term it takes from f_ij.
     terms = []
     for elem in basis:
@@ -113,13 +143,18 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
             k = elem.position
             terms.append([(k, 1, tuple(-x for x in _delta(r, k)))])
     rows: list[dict] = []
-    for j in range(r):
-        split = {i: split_terms(p, gens) for i, p in btable.cleared_rows[j][1].items()}
-        grouped: dict[tuple[int, ...], dict[int, dict]] = {}
+    for _, cleared in btable.cleared_rows:
+        split = {i: {key: cell[zero] if numeric else cell
+                     for key, cell in split_terms(p, gens).items()}
+                 for i, p in cleared.items()}
+        grouped: dict[tuple[int, ...], dict[int, object]] = {}
         for c, contributions in enumerate(terms):
             for i, scale, shift in contributions:
                 for key, cell in split.get(i, {}).items():
-                    at = grouped.setdefault(tuple(a + b for a, b in zip(key, shift)), {})
+                    at = grouped.setdefault(tuple(map(add, key, shift)), {})
+                    if numeric:
+                        at[c] = at.get(c, 0) + (cell if scale == 1 else scale * cell)
+                        continue
                     acc = at.setdefault(c, {})
                     for pk, v in cell.items():
                         v = v if scale == 1 else scale * v
@@ -132,39 +167,24 @@ def _dot(w: Sequence[int], e: Sequence[int]) -> int:
     return sum(map(mul, w, e))
 
 
-def graded_columns(btable: BracketTable, basis: Sequence[BasisElem]
-                   ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The basis columns that can carry an invariant, with their block keys.
-
-    For an inner weight w, {h, u^e} = (w.e) u^e and {h, log u_k} = w_k, a
-    constant outside the basis; every invariant F has {h, F} = 0, so its
-    coefficients vanish off inner weight 0.  Kept are log columns and the
-    monomials of inner weight 0.  A column's key is its weight w.e under
-    every outer grading w (zero for log columns): row j of column u^e has
-    weight w.e + w_j + c plus the weight of the row's cleared denominator, so
-    no assembled row spans two keys.
-    """
-    inner = btable.inner_gradings()
+def block_keys(btable: BracketTable, basis: Sequence[BasisElem]) -> list[tuple[int, ...]]:
+    """Each column's weight w.e under every outer grading w, zero for log
+    columns: row j of column u^e has weight w.e + w_j + c plus the weight of
+    the row's cleared denominator, so no assembled row spans two keys."""
     outer = btable.outer_gradings()
-    kept: list[int] = []
-    keys: list[tuple[int, ...]] = []
-    for c, elem in enumerate(basis):
-        e = elem.exps if isinstance(elem, Mono) else (0,) * btable.r
-        if not any(_dot(w, e) for w in inner):
-            kept.append(c)
-            keys.append(tuple(_dot(w, e) for w in outer))
-    return kept, keys
+    return [tuple(_dot(w, elem.exps) for w in outer) if isinstance(elem, Mono)
+            else (0,) * len(outer) for elem in basis]
 
 
 def _block_nullspace(rows: Sequence[dict], kept: Sequence[int],
                      keys: Sequence[tuple[int, ...]], one) -> list[dict[int, object]]:
-    """Nullspace of the system over the kept columns, block by block.
+    """Nullspace of the system, block by block.
 
     Rows and columns are indexed by position in `kept`.  The singleton
     presolve runs once, since its waves never cross a block; a remaining row
     belongs to the block of its columns' key, and each block's nullspace is
-    taken over its unforced columns alone.  Vectors come back sparse over
-    full-basis column indices.
+    taken over its unforced columns alone.  Vectors come back sparse over the
+    column labels in `kept`.
     """
     reduced, forced = presolve_forced_zero(rows)
     blocks: dict[tuple[int, ...], list[int]] = {}
@@ -370,7 +390,8 @@ def _span_of_products(table: VarTable, items: Sequence[LogExpr],
     of the given invariants, with constant coordinates taken as numbers.
 
     Products that cannot lie in the basis are never expanded.  The basis
-    holds every monomial of positive grade up to max_degree, its top grade.
+    holds every monomial of positive grade up to max_degree, its top grade,
+    that an invariant can carry, and a product of invariants is one.
     Over an integral domain the lowest homogeneous part of a product is the
     product of the lowest parts, so once the factors' lowest grades add up
     past the top grade, the product and every product below it in `rec` have
@@ -453,14 +474,14 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
         ansatz = AnsatzSpec()
     if invertible is None:
         invertible = [False] * r
-    basis = enumerate_basis(r, ansatz, invertible)
-    if not basis:
-        raise ExprError("ansatz basis is empty")
+    basis = enumerate_basis(r, ansatz, invertible, btable.inner_gradings(),
+                            btable.sign_gradings())
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
-    kept, keys = graded_columns(btable, basis)
-    rows = assemble_system(btable, [basis[c] for c in kept])
-    candidates = _reversed_echelon(_block_nullspace(rows, kept, keys, RatFunc.one(table)))
+    rows = assemble_system(btable, basis)
+    candidates = _reversed_echelon(_block_nullspace(rows, range(ncols),
+                                                    block_keys(btable, basis),
+                                                    RatFunc.one(table)))
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
@@ -22,6 +22,18 @@ from .linalg import nullspace, pfaffian, pivot_columns, rank_of
 
 DEFAULT_SEED = 20140
 SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
+
+
+def _once(method):
+    """A method without arguments, computed once per table: tables never change."""
+    key = "_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+    return cached
 
 
 class BracketTable:
@@ -89,6 +101,7 @@ class BracketTable:
             out.append((common, dict(zip(fs, cleared))))
         return out
 
+    @_once
     def outer_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer generator weights w that grade the table: with
         some shift c, every nonzero f_ij is homogeneous of weight
@@ -111,6 +124,7 @@ class BracketTable:
         rows = [{k: v for k, v in row.items() if v} for row in rows]
         return _integer_weights(v[:r] for v in nullspace(rows, r + 1, 1))
 
+    @_once
     def inner_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer weights w of the rational combinations
         h = sum_k a_k u_k that act diagonally, {h, u_j} = w_j u_j.
@@ -132,6 +146,39 @@ class BracketTable:
             rows.extend(grouped.values())
         return _integer_weights(v[r:] for v in nullspace(rows, 2 * r, 1))
 
+    @_once
+    def sign_gradings(self) -> list[tuple[int, ...]]:
+        """The distinct diagonals s != 1 of the time-pi maps sigma = I + 2A^2
+        of the generators' flows that are diagonal with entries +-1.
+
+        On a table of entries linear in the generators, with no parameter,
+        u_k's flow is du_j/dt = {u_j, u_k} = sum_m A_jm u_m.  When A^3 = -A,
+        exp(tA) = I + sin t A + (1 - cos t) A^2 (Rodrigues), so sigma is its
+        time-pi map, and every invariant F has F o sigma = F (Olver 1993,
+        6.2): no monomial u^e with prod s_j^e_j = -1.  Other tables get none.
+        """
+        r = self.r
+        position = {g: m for m, g in enumerate(self.table.generator_indices)}
+        # {u_i, u_j} = sum_m coeffs[i, j][m] u_m
+        coeffs: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        for (i, j), f in self.entries.items():
+            if not f.is_poly() or any(sum(e) != 1 or e.index(1) not in position
+                                      for e in f.num.terms):
+                return []
+            coeffs[i, j] = {position[e.index(1)]: c for e, c in f.num.terms.items()}
+            coeffs[j, i] = {m: -c for m, c in coeffs[i, j].items()}
+        out = []
+        for k in range(r):
+            a = [coeffs.get((j, k), {}) for j in range(r)]
+            a2 = _sparse_product(a, a)
+            if _sparse_product(a2, a) != [{m: -c for m, c in row.items()} for row in a]:
+                continue
+            if all(row.keys() <= {j} and row.get(j, 0) in (0, -1) for j, row in enumerate(a2)):
+                s = tuple(1 + 2 * row.get(j, 0) for j, row in enumerate(a2))
+                if -1 in s and s not in out:
+                    out.append(s)
+        return out
+
     def structure_matrix(self) -> list[list[RatFunc]]:
         """Dense r x r skew matrix of bracket entries."""
         return [[self.bracket(i, j) for j in range(self.r)] for i in range(self.r)]
@@ -143,6 +190,18 @@ class BracketTable:
             if all(self.bracket(i, j).is_zero() for j in range(self.r)):
                 out.append(self.table.names[i])
         return out
+
+
+def _sparse_product(x: list[dict], y: list[dict]) -> list[dict]:
+    """The product of two square matrices of sparse rows {column: entry}."""
+    out = []
+    for row in x:
+        acc: dict = {}
+        for m, v in row.items():
+            for c, w in y[m].items():
+                acc[c] = acc.get(c, 0) + v * w
+        out.append({c: v for c, v in acc.items() if v})
+    return out
 
 
 def _integer_weights(vectors) -> list[tuple[int, ...]]:

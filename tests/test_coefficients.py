@@ -9,6 +9,7 @@ import pytest
 from plq import linalg, solver
 from plq.expr import Poly, exact_div, normal_coeff
 from plq.linalg import nullspace, rref
+from reference_columns import graded_columns
 from test_cli_golden import CASES, problem_files, run_case
 from test_solver import lie_problem
 
@@ -75,7 +76,7 @@ def test_solver_blocks_hold_no_integral_fraction():
     problem = lie_problem("gl3")
     btable = problem.brackets
     basis = solver.enumerate_basis(btable.r, solver.AnsatzSpec(4), problem.invertible)
-    kept, keys = solver.graded_columns(btable, basis)
+    kept, keys = graded_columns(btable, basis)
     rows = solver.assemble_system(btable, [basis[c] for c in kept])
     vectors = solver._block_nullspace(rows, kept, keys, 1)
     assert vectors

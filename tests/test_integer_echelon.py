@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 import reference_rref  # noqa: E402
 from dense_rows import rows_from_dense  # noqa: E402
 from plq.linalg import nullspace, pivot_columns, presolve_forced_zero, rref  # noqa: E402
-from plq.solver import (AnsatzSpec, assemble_system, enumerate_basis,  # noqa: E402
-                        graded_columns)
+from plq.solver import AnsatzSpec, assemble_system, enumerate_basis  # noqa: E402
+from reference_columns import graded_columns  # noqa: E402
 from test_integer_rank import SETTINGS, dense  # noqa: E402
 from test_solver import lie_problem  # noqa: E402
 

@@ -14,10 +14,11 @@ from plq.parsing import parse_expression, parse_ratfunc, to_string
 from plq.problem import build_problem
 from plq.solver import (AnsatzSpec, _normalize_solution, _reversed_echelon,
                         _span_of_products, assemble_system,
-                        coords_to_expression, enumerate_basis, graded_columns,
+                        coords_to_expression, enumerate_basis,
                         independence_rank, map_to_coords, solve_casimirs,
                         solve_with_escalation, verify_invariant)
 from plq.structure import BracketTable, bind_parameters
+from reference_columns import graded_columns
 
 
 def so3_table():

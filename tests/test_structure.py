@@ -13,10 +13,10 @@ from plq.flow import FlowConfig, _abstract_system
 from plq.linalg import rank_of
 from dense_rows import rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
-from plq.solver import (AnsatzSpec, assemble_system, enumerate_basis,
-                        graded_columns, verify_invariant)
+from plq.solver import AnsatzSpec, assemble_system, enumerate_basis, verify_invariant
 from plq.structure import (BracketTable, bind_parameters, generic_rank,
                            jacobi_check, verify_parameter_constraint)
+from reference_columns import graded_columns
 from test_linalg import det
 from test_solver import lie_problem
 
