@@ -8,6 +8,8 @@ fractions.Fraction only when its denominator is not 1; every coefficient
 division goes through `exact_div`, which never applies `/` to two ints.  One
 distinguished algebraic element may square to the sum of the squared position
 variables, which models a radial coordinate without leaving exact arithmetic.
+A Poly keys each term by one packed int (see VarTable), so a monomial product
+is an int sum and term order is int order.
 """
 
 from __future__ import annotations
@@ -26,9 +28,18 @@ ALGEBRAIC = "algebraic"
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
+# The largest total degree of a term: a packed field is one byte whose top
+# bit stays clear, so the sum of two keys never carries into the next field.
+DEGREE_LIMIT = 127
+
 
 class ExprError(ValueError):
     """Raised for domain violations: zero division, bad substitution, misuse of log."""
+
+
+def _check_degree(d: int) -> None:
+    if d > DEGREE_LIMIT:
+        raise ExprError(f"total degree {d} exceeds the limit {DEGREE_LIMIT}")
 
 
 def _check_name(name: str) -> str:
@@ -43,7 +54,15 @@ class VarTable:
 
     Order is fixed at construction: generators, then canonical positions,
     then canonical momenta, then parameters, then the optional algebraic
-    element.  Exponent tuples in Poly align with this order.
+    element.  Exponent tuples align with this order.
+
+    A Poly term is keyed by its packed exponent: one byte per field, the
+    total degree in the top field, then one field per variable in table
+    order (`pack`, `unpack`).  Int order is then graded lexicographic order,
+    (sum(e), e); a monomial product is an int sum; a field reads with one
+    shift and mask; and e divides f exactly when
+    ((f | guard) - e) & guard == guard, `guard` holding each field's top bit.
+    Degrees stay at most DEGREE_LIMIT = 127, so no sum carries across fields.
     """
 
     names: tuple[str, ...]
@@ -114,6 +133,52 @@ class VarTable:
         return (0,) * len(self.names)
 
     @cached_property
+    def degree_shift(self) -> int:
+        """Bit offset of the total degree in a packed key."""
+        return 8 * len(self.names)
+
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        """Bit offset of each variable's field in a packed key."""
+        return tuple(range(self.degree_shift - 8, -1, -8))
+
+    @cached_property
+    def guard(self) -> int:
+        """The top bit of every field of a packed key."""
+        return int.from_bytes(b"\x80" * (len(self.names) + 1), "big")
+
+    def pack(self, e: Sequence[int]) -> int:
+        """The packed key of an exponent tuple."""
+        if len(e) != len(self.names):
+            raise ExprError("exponent length does not match the table")
+        if min(e, default=0) < 0:
+            raise ExprError("polynomial exponents must be nonnegative")
+        _check_degree(sum(e))
+        return int.from_bytes(bytes((sum(e), *e)), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed key."""
+        return tuple(key.to_bytes(len(self.names) + 1, "big")[1:])
+
+    def unit(self, i: int) -> int:
+        """The packed key of variable i to the first power."""
+        return (1 << self.degree_shift) | (1 << self.shifts[i])
+
+    def meet(self, keys: Iterable[int]) -> int:
+        """The packed componentwise minimum of packed keys (0 for none)."""
+        guard, low = self.guard, (1 << self.degree_shift) - 1
+        keys = iter(keys)
+        out = next(keys, 0)
+        for k in keys:
+            if not out & low:
+                return 0
+            # 0xFF in each field where out >= k, by the guard bits' borrows
+            m = ((((out | guard) - k) & guard) >> 7) * 0xFF
+            out = (k & m) | (out & ~m)
+        out &= low  # the degree field held the least degree, not the sum
+        return out and out | sum(out.to_bytes(len(self.names) + 1, "big")) << self.degree_shift
+
+    @cached_property
     def alg_index(self) -> int | None:
         for i, k in enumerate(self.kinds):
             if k == ALGEBRAIC:
@@ -150,27 +215,35 @@ def _coefficient(x) -> int | Fraction:
     raise ExprError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
-def _exp_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
-
-
 class Poly:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient,
-    an int when integral and a Fraction otherwise.
+    """Sparse multivariate polynomial: packed exponent key -> nonzero
+    coefficient, an int when integral and a Fraction otherwise.
 
-    The algebraic element's exponent is kept at 0 or 1; even powers are
+    `packed` holds the terms under the table's packed keys (see VarTable),
+    and every method works on them.  Exponent tuples are the boundary for
+    callers that read exponents: `Poly(table, {exponent tuple: c})`,
+    `from_terms` and the `terms` view keep tuple keys in term order.  The
+    algebraic element's exponent is kept at 0 or 1; even powers are
     rewritten into the sum of squared position variables at construction.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "packed")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int | Fraction]):
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...] | int, int | Fraction]):
+        """Terms keyed by exponent tuple, or a dict keyed by packed key,
+        which is kept, not copied."""
         self.table = table
-        self.terms = dict(terms)
+        self.packed = terms
+        for e in terms:
+            if type(e) is tuple:
+                self.packed = {table.pack(e): c for e, c in terms.items()}
+            break
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The terms keyed by exponent tuple, in term order."""
+        unpack = self.table.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     @staticmethod
     def zero(table: VarTable) -> "Poly":
@@ -181,40 +254,37 @@ class Poly:
         c = _coefficient(c)
         if c == 0:
             return Poly(table, {})
-        return Poly(table, {table.zero_exponent: c})
+        return Poly(table, {0: c})
 
     @staticmethod
     def one(table: VarTable) -> "Poly":
-        return Poly(table, {table.zero_exponent: 1})
+        return Poly(table, {0: 1})
 
     @staticmethod
     def var(table: VarTable, name: str) -> "Poly":
-        e = [0] * len(table)
-        e[table.index(name)] = 1
-        return Poly(table, {tuple(e): 1})
+        return Poly(table, {table.unit(table.index(name)): 1})
 
     @staticmethod
     def from_terms(table: VarTable,
                    raw: Iterable[tuple[tuple[int, ...], int | Fraction]]) -> "Poly":
         """Canonicalize raw (exponent, coefficient) pairs: merge, reduce, drop zeros."""
-        acc: dict[tuple[int, ...], int | Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for e, c in raw:
             if c == 0:
                 continue
-            if min(e) < 0:
-                raise ExprError("polynomial exponents must be nonnegative")
-            acc[e] = acc.get(e, 0) + c
+            k = table.pack(e)
+            acc[k] = acc.get(k, 0) + c
         return Poly(table, _reduce_algebraic(table, acc))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self.packed.keys() <= {0}
 
     def is_one(self) -> bool:
         """Whether this is the constant one."""
-        return len(self.terms) == 1 and self.terms.get(self.table.zero_exponent) == 1
+        return len(self.packed) == 1 and self.packed.get(0) == 1
 
     def constant_value(self) -> int | Fraction:
         """The value of a constant polynomial."""
@@ -222,42 +292,42 @@ class Poly:
             return 0
         if not self.is_constant():
             raise ExprError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.packed[0]
 
-    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
-        """Leading (exponent, coefficient) in descending graded lexicographic order."""
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max(self.packed, default=0) >> self.table.degree_shift
+
+    def leading(self) -> tuple[int, int | Fraction]:
+        """Leading (packed key, coefficient) in descending graded lexicographic order."""
         if self.is_zero():
             raise ExprError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.packed)
+        return e, self.packed[e]
 
     def uses(self, i: int) -> bool:
         """Whether variable i occurs with nonzero exponent."""
-        return any(e[i] for e in self.terms)
+        return any(map((0xFF << self.table.shifts[i]).__and__, self.packed))
 
     def used_indices(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.terms:
-            out.update(i for i, x in enumerate(e) if x)
-        return out
+        seen = 0
+        for k in self.packed:
+            seen |= k
+        return {i for i, x in enumerate(self.table.unpack(seen)) if x}
 
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms (zero tuple when empty)."""
-        if self.is_zero():
-            return self.table.zero_exponent
-        if len(self.terms) == 1:  # a monomial, as most denominators are
-            return next(iter(self.terms))
-        return tuple(map(min, zip(*self.terms)))
+    def monomial_content(self) -> int:
+        """Packed componentwise minimum exponent over all terms (0 when empty)."""
+        return self.table.meet(self.packed)
 
-    def shift(self, shift: tuple[int, ...]) -> "Poly":
-        """Multiply by a monomial with possibly negative exponents; must stay polynomial."""
-        return Poly.from_terms(self.table, ((_exp_add(e, shift), c) for e, c in self.terms.items()))
+    def shift(self, g: int) -> "Poly":
+        """Divide by the monomial of packed key g, which divides every term."""
+        return Poly(self.table, {k - g: normal_coeff(c) for k, c in self.packed.items()})
 
     def scale(self, c) -> "Poly":
         c = _coefficient(c)
         if c == 0:
             return Poly.zero(self.table)
-        return Poly(self.table, {e: normal_coeff(v * c) for e, v in self.terms.items()})
+        return Poly(self.table, {e: normal_coeff(v * c) for e, v in self.packed.items()})
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
@@ -272,8 +342,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in o.terms.items():
+        acc = dict(self.packed)
+        for e, c in o.packed.items():
             s = acc.get(e, 0) + c
             if s == 0:
                 acc.pop(e, None)
@@ -284,7 +354,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.table, {e: -c for e, c in self.terms.items()})
+        return Poly(self.table, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -302,18 +372,25 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return Poly(self.table, _reduce_algebraic(self.table, acc))
+        table = self.table
+        a, b = self.packed, o.packed
+        if a and b:
+            _check_degree((max(a) + max(b)) >> table.degree_shift)
+        acc: dict[int, int | Fraction] = {}
+        get = acc.get
+        right = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        return Poly(table, _reduce_algebraic(table, acc))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ExprError("polynomial powers must be nonnegative integers")
+        _check_degree(n * self.degree())
         out = Poly.one(self.table)
         for _ in range(n):
             out = out * self
@@ -323,14 +400,14 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.packed == o.packed
 
     def __hash__(self) -> int:
         """Structural, whatever the term order; a constant hashes like the
         number it equals."""
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.packed.items()))
 
     def divide_exact(self, d: "Poly") -> "Poly | None":
         """Exact quotient self / d, or None when division leaves a remainder.
@@ -351,26 +428,28 @@ class Poly:
             conj, norm = _conjugate(d)
             q = None if norm.is_zero() else (self * conj).divide_exact(norm)
             return q if q is not None and q * d == self else None
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], int | Fraction] = {}
+        rem = dict(self.packed)
+        quot: dict[int, int | Fraction] = {}
         de, dc = d.leading()
+        guard = table.guard
+        right = list(d.packed.items())
         while rem:
-            re = max(rem, key=_grlex_key)
-            qe = tuple(map(sub, re, de))
-            if min(qe) < 0:
+            re = max(rem)
+            if ((re | guard) - de) & guard != guard:
                 return None
+            qe = re - de
             qc = exact_div(rem[re], dc)
             quot[qe] = quot.get(qe, 0) + qc
             # rem -= qc * x^qe * d; d is free of rho and qe has rho^0 or
             # rho^1, so no shifted term needs reducing.
-            for e, c in d.terms.items():
-                e = _exp_add(e, qe)
+            for e, c in right:
+                e += qe
                 s = rem.get(e, 0) - normal_coeff(c * qc)
                 if s == 0:
                     rem.pop(e, None)
                 else:
                     rem[e] = normal_coeff(s)
-        return Poly.from_terms(table, quot.items())
+        return Poly(table, _reduce_algebraic(table, quot))
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         """Exact value, always a Fraction, at a point given as one exact
@@ -387,14 +466,14 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        return _terms_string(self.table, self.terms)
+        return _terms_string(self.table, _descending(self))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-def _sigma_terms(table: VarTable) -> dict[tuple[int, ...], int]:
-    return {tuple(_exp_with(table.zero_exponent, qi, 2)): 1 for qi in table.q_indices}
+def _sigma_terms(table: VarTable) -> dict[int, int]:
+    return {2 * table.unit(qi): 1 for qi in table.q_indices}
 
 
 def sigma_poly(table: VarTable) -> Poly:
@@ -407,44 +486,46 @@ def _conjugate(p: Poly) -> tuple[Poly, Poly]:
     conjugate a - b*rho and the norm p * (a - b*rho) = a^2 - sigma*b^2, which
     is free of rho."""
     table = p.table
-    ia = table.alg_index
-    a = Poly(table, {e: c for e, c in p.terms.items() if e[ia] == 0})
-    b_rho = Poly(table, {e: c for e, c in p.terms.items() if e[ia] == 1})
-    b = Poly(table, {tuple(_exp_with(e, ia, 0)): c for e, c in b_rho.terms.items()})
+    rho = table.unit(table.alg_index)
+    mask = 0xFF << table.shifts[table.alg_index]
+    a = Poly(table, {e: c for e, c in p.packed.items() if not e & mask})
+    b_rho = Poly(table, {e: c for e, c in p.packed.items() if e & mask})
+    b = Poly(table, {e - rho: c for e, c in b_rho.packed.items()})
     return a - b_rho, a * a - sigma_poly(table) * b * b
 
 
-def _reduce_algebraic(table: VarTable, acc: dict[tuple[int, ...], int | Fraction]) -> dict:
+def _reduce_algebraic(table: VarTable, acc: dict[int, int | Fraction]) -> dict:
     """Terms with even powers of the algebraic element rewritten, zeros
     dropped and integral Fractions made ints."""
     ia = table.alg_index
-    if ia is None or all(e[ia] <= 1 for e in acc):
+    at = 0 if ia is None else table.shifts[ia]
+    if ia is None or not any(map((0xFE << at).__and__, acc)):  # no rho^2 or higher
         return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
     sigma = _sigma_terms(table)
-    powers: dict[int, dict[tuple[int, ...], int]] = {0: {table.zero_exponent: 1}}
+    rho2 = 2 * table.unit(ia)
+    powers: dict[int, dict[int, int]] = {0: {0: 1}}
 
-    def sig_pow(k: int) -> dict[tuple[int, ...], int]:
+    def sig_pow(k: int) -> dict[int, int]:
         if k not in powers:
             prev = sig_pow(k - 1)
-            nxt: dict[tuple[int, ...], int] = {}
+            nxt: dict[int, int] = {}
             for e1, c1 in prev.items():
                 for e2, c2 in sigma.items():
-                    e = _exp_add(e1, e2)
+                    e = e1 + e2
                     nxt[e] = nxt.get(e, 0) + c1 * c2
             powers[k] = nxt
         return powers[k]
 
-    out: dict[tuple[int, ...], int | Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for e, c in acc.items():
-        k = e[ia]
+        k = (e >> at) & 0xFF
         if k <= 1:
             out[e] = out.get(e, 0) + c
             continue
-        half, rest = divmod(k, 2)
-        base = list(e)
-        base[ia] = rest
+        half = k // 2
+        base = e - half * rho2
         for es, cs in sig_pow(half).items():
-            key = _exp_add(tuple(base), es)
+            key = base + es
             out[key] = out.get(key, 0) + c * cs
     return {e: normal_coeff(c) for e, c in out.items() if c != 0}
 
@@ -491,11 +572,10 @@ class RatFunc:
             exact = num.divide_exact(den)
             if exact is not None:
                 return RatFunc(exact, Poly.one(table), _normalized=True)
-        g = tuple(min(a, b) for a, b in zip(num.monomial_content(), den.monomial_content()))
-        if any(g):
-            back = tuple(-x for x in g)
-            num = num.shift(back)
-            den = den.shift(back)
+        g = table.meet((*den.packed, *num.packed))
+        if g:
+            num = num.shift(g)
+            den = den.shift(g)
         _, lc = den.leading()
         if lc != 1:
             inv = exact_div(1, lc)
@@ -636,12 +716,6 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _exp_with(e: tuple[int, ...], i: int, v: int) -> list[int]:
-    out = list(e)
-    out[i] = v
-    return out
-
-
 class LogExpr:
     """Rational expression plus a finite sum of logarithm terms.
 
@@ -775,8 +849,9 @@ class LogExpr:
 
 def _poly_diff_parts(p: Poly, i: int) -> Poly:
     """Formal termwise derivative treating the algebraic element as inert."""
-    return Poly(p.table, {tuple(_exp_with(e, i, e[i] - 1)): normal_coeff(c * e[i])
-                          for e, c in p.terms.items() if e[i]})
+    at, unit = p.table.shifts[i], p.table.unit(i)
+    return Poly(p.table, {e - unit: normal_coeff(c * x) for e, c in p.packed.items()
+                          if (x := (e >> at) & 0xFF)})
 
 
 def diff_poly(p: Poly, i: int) -> RatFunc:
@@ -786,12 +861,13 @@ def diff_poly(p: Poly, i: int) -> RatFunc:
     ia = table.alg_index
     if ia is None or table.kind(i) != CANONICAL_Q or not p.uses(ia):
         return RatFunc.from_poly(formal)
-    radical = Poly(table, {e: c for e, c in p.terms.items() if e[ia] == 1})
+    mask = 0xFF << table.shifts[ia]
+    radical = Poly(table, {e: c for e, c in p.packed.items() if e & mask})
     if radical.is_zero():
         return RatFunc.from_poly(formal)
     qi = Poly.var(table, table.names[i])
     rho = Poly.var(table, table.names[ia])
-    chain = radical.shift(tuple(-x for x in rho.leading()[0])) * qi * rho
+    chain = radical.shift(table.unit(ia)) * qi * rho
     return RatFunc.from_poly(formal) + RatFunc.make(chain, sigma_poly(table))
 
 
@@ -846,9 +922,9 @@ def substitute(expr, bindings: Mapping[str, "RatFunc"], target: VarTable | None 
         return values[i]
     if isinstance(expr, Poly):
         total = RatFunc.zero(target)
-        for e, c in expr.terms.items():
+        for k, c in expr.packed.items():
             term = RatFunc.const(target, c)
-            for i, x in enumerate(e):
+            for i, x in enumerate(table.unpack(k)):
                 if x:
                     term = term * value_of(i) ** x
             total = total + term
@@ -919,8 +995,8 @@ def generator_monomial(table: VarTable, exps: Sequence[int]) -> RatFunc:
             num[gens[k]] = e
         elif e < 0:
             den[gens[k]] = -e
-    return RatFunc(Poly(table, {tuple(num): 1}),
-                   Poly(table, {tuple(den): 1}))
+    return RatFunc(Poly(table, {table.pack(num): 1}),
+                   Poly(table, {table.pack(den): 1}))
 
 
 def clear_denominators(table: VarTable, fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
@@ -952,15 +1028,18 @@ def split_terms(p: Poly, keys: Sequence[int],
     """Group p's terms as {exponents at `keys` plus shift -> {parameter
     exponent -> coefficient}}, parameter exponents as full-length tuples; None
     when a term uses a variable that is neither a key nor a parameter."""
-    is_param = [k == PARAMETER for k in p.table.kinds]
-    others = [i for i, m in enumerate(is_param) if not m and i not in keys]
+    table = p.table
+    fields = [0xFF << at for at in table.shifts]
+    params = sum(fields[i] for i in table.parameter_indices)
+    others = sum(f for i, f in enumerate(fields) if i not in keys) & ~params
     shift = shift or (0,) * len(keys)
+    unpack = table.unpack
     out: Split = {}
-    for e, c in p.terms.items():
-        if any(e[i] for i in others):
+    for k, c in p.packed.items():
+        if k & others:
             return None
-        pexp = tuple(x if m else 0 for x, m in zip(e, is_param))
-        out.setdefault(tuple(e[i] + s for i, s in zip(keys, shift)), {})[pexp] = c
+        key = tuple(map(add, map(unpack(k).__getitem__, keys), shift))
+        out.setdefault(key, {})[unpack(k & params)] = c
     return out
 
 
@@ -981,13 +1060,18 @@ def _term_body(table: VarTable, e: tuple[int, ...], coeff: int | Fraction) -> tu
     return f"{mag}*" + "*".join(factors), False
 
 
-def _terms_string(table: VarTable, terms: Mapping[tuple[int, ...], int | Fraction]) -> str:
+def _descending(p: Poly) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    """p's (exponent tuple, coefficient) terms, leading term first."""
+    unpack = p.table.unpack
+    return [(unpack(k), p.packed[k]) for k in sorted(p.packed, reverse=True)]
+
+
+def _terms_string(table: VarTable, terms: Sequence[tuple[tuple[int, ...], int | Fraction]]) -> str:
+    """Printed form of (exponent, coefficient) terms, given leading term first."""
     if not terms:
         return "0"
-    order = sorted(terms, key=_grlex_key, reverse=True)
     pieces: list[str] = []
-    for k, e in enumerate(order):
-        c = terms[e]
+    for k, (e, c) in enumerate(terms):
         body, bare_power = _term_body(table, e, c)
         if k == 0:
             if c < 0:
@@ -1005,11 +1089,12 @@ def _ratfunc_string(r: RatFunc) -> str:
     table = r.table
     if r.is_poly():
         return str(r.num)
-    if len(r.den.terms) == 1:
+    if len(r.den.packed) == 1:
         (de, dc), = r.den.terms.items()
         if dc == 1 and all(table.kind(i) == GENERATOR for i, x in enumerate(de) if x):
-            merged = {tuple(a - b for a, b in zip(e, de)): c for e, c in r.num.terms.items()}
-            return _terms_string(table, merged)
+            # Dividing by one monomial keeps the numerator's term order.
+            return _terms_string(table, [(tuple(map(sub, e, de)), c)
+                                         for e, c in _descending(r.num)])
     return f"({r.num})/({r.den})"
 
 

@@ -100,10 +100,10 @@ def _integer_echelon(rows: Sequence[Row], ncols: int,
     leading column.  Every waiting row lies at or right of the current
     column, so the rows that hold it are its bucket: the sparsest of them
     pivots (Markowitz 1957), and each other one is eliminated, made primitive
-    and moved to the bucket of its new leading column.  With `reduce`, rows
-    already placed are eliminated too, so each pivot row is a multiple of its
-    `rref` row.  The pivot columns are the column rank profile and the RREF
-    is unique, so neither depends on which row pivots.
+    and moved to the bucket of its new leading column.  With `reduce`, one
+    back-substitution from the last pivot up then makes each pivot row a
+    multiple of its `rref` row.  The pivot columns are the column rank
+    profile and the RREF is unique, so neither depends on which row pivots.
     """
     buckets: dict[int, list[Row]] = {}
     for row in _within(rows, ncols):
@@ -123,10 +123,21 @@ def _integer_echelon(rows: Sequence[Row], ncols: int,
                 if new:  # a dense row mostly leads at the next column
                     lead = col + 1 if col + 1 in new else min(new)
                     buckets.setdefault(lead, []).append(new)
-        if reduce:
-            placed = [_eliminate(row, col, piv) if col in row else row for row in placed]
         placed.append(piv)
         pivots.append(col)
+    if reduce:
+        # Row k, once reduced, holds no pivot column but its own, so
+        # eliminating it adds none: the rows above that hold pivot k are
+        # those that held it after the forward pass.
+        holders: dict[int, list[int]] = {p: [] for p in pivots}
+        for i, row in enumerate(placed):
+            for c in row:
+                if c in holders and c != pivots[i]:
+                    holders[c].append(i)
+        for k in range(len(placed) - 1, -1, -1):
+            col, piv = pivots[k], placed[k]
+            for i in holders[col]:
+                placed[i] = _eliminate(placed[i], col, piv)
     return placed, pivots
 
 

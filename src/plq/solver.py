@@ -220,7 +220,7 @@ def map_to_coords(expr: LogExpr, table: VarTable,
         return None
     shift = None
     if any(any(key) for key in den_split):
-        if len(den.terms) != 1:
+        if len(den.packed) != 1:
             return None
         (key, den_param), = den_split.items()
         shift, den = tuple(-x for x in key), Poly(table, den_param)

@@ -310,15 +310,11 @@ class RankReport:
                 f"over {self.samples} points, seed {self.seed})")
 
 
-def _degree(p: Poly) -> int:
-    return max(map(sum, p.terms), default=0)
-
-
 def _integer_terms(p: Poly, degree: int) -> tuple[int, list]:
     """(s, terms) with s * p = sum of the terms: s is the lcm of p's
     coefficient denominators and each term (c, ((i, e_i), ...), degree - |e|)
     carries an integer c and the power of D that lifts it to `degree`."""
-    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    s = math.lcm(*(c.denominator for c in p.packed.values()))
     return s, [(c.numerator * (s // c.denominator),
                 tuple((i, x) for i, x in enumerate(e) if x), degree - sum(e))
                for e, c in p.terms.items()]
@@ -348,9 +344,9 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
     built once per call.  So each row is D^K times the row of values, and
     ranks and pivot columns are those of the values.  A cell builds at most
     one Fraction.  Zero values are left out and poles are skipped."""
-    degree = max((_degree(f.num) for f in cells.values()), default=0)
+    degree = max((f.num.degree() for f in cells.values()), default=0)
     lifted = [(key, *_integer_terms(f.num, degree), kd, *_integer_terms(f.den, kd))
-              for key, f in cells.items() for kd in [_degree(f.den)]]
+              for key, f in cells.items() for kd in [f.den.degree()]]
     top = max([degree, *(cell[3] for cell in lifted)])
     draws = (sample_point(table, rng) for _ in range(attempts))
     for point in chain(given, draws):
