@@ -132,22 +132,18 @@ def express_in_generators(target: RatFunc, realization: CanonicalRealization,
     d_cols = [realization.realize(generator_monomial(table, e)) * target * -1
               for e in d_exps]
     rows = collect_rows(n_cols + d_cols)
-    basis = nullspace(rows, len(n_cols) + len(d_cols), RatFunc.one(table))
-    for vec in basis:
-        den_gen = RatFunc.zero(table)
-        den_real = RatFunc.zero(table)
-        for k, e in enumerate(d_exps):
-            c = vec[len(n_exps) + k]
-            if c != 0:
-                den_gen = den_gen + c * generator_monomial(table, e)
-                den_real = den_real + c * realization.realize(generator_monomial(table, e))
+    n = len(n_exps)
+    for vec in nullspace(rows, n + len(d_exps)):
+        num_gen = den_gen = den_real = RatFunc.zero(table)
+        for k, c in vec.items():
+            if k < n:
+                num_gen = num_gen + c * generator_monomial(table, n_exps[k])
+            else:
+                mono = generator_monomial(table, d_exps[k - n])
+                den_gen = den_gen + c * mono
+                den_real = den_real + c * realization.realize(mono)
         if den_real.is_zero():
             continue
-        num_gen = RatFunc.zero(table)
-        for k, e in enumerate(n_exps):
-            c = vec[k]
-            if c != 0:
-                num_gen = num_gen + c * generator_monomial(table, e)
         result = num_gen / den_gen
         if realization.realize(result) == target:
             return result

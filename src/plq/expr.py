@@ -315,10 +315,6 @@ class Poly:
             seen |= k
         return {i for i, x in enumerate(self.table.unpack(seen)) if x}
 
-    def monomial_content(self) -> int:
-        """Packed componentwise minimum exponent over all terms (0 when empty)."""
-        return self.table.meet(self.packed)
-
     def shift(self, g: int) -> "Poly":
         """Divide by the monomial of packed key g, which divides every term."""
         return Poly(self.table, {k - g: normal_coeff(c) for k, c in self.packed.items()})

@@ -7,7 +7,9 @@ column pivoting (Markowitz 1957); `rref` divides by each pivot at the end, so
 integral results are ints.  Other rows (RatFunc entries) are eliminated over
 their field, the first remaining row holding the column pivoting.  The RREF is
 unique and its pivot columns are the column rank profile, so neither depends
-on the pivot rule.  Entries only meet ring operations and `expr.exact_div`.
+on the pivot rule.  `nullspace` returns one sparse vector per free column,
+read off the RREF like its rows.  Entries only meet ring operations and
+`expr.exact_div`.
 """
 
 from __future__ import annotations
@@ -154,31 +156,20 @@ def rank_of(rows: Sequence[Row], ncols: int) -> int:
     return len(pivot_columns(rows, ncols))
 
 
-def nullspace(rows: Sequence[Row], ncols: int, one,
-              forced_zero: frozenset[int] | set[int] = frozenset()) -> list[list]:
-    """Basis of the right nullspace, one vector per free column.
+def nullspace(rows: Sequence[Row], ncols: int) -> list[Row]:
+    """Basis of the right nullspace, one sparse vector per free column f.
 
-    Each vector is scaled so that its first nonzero coordinate equals one.
-    Columns listed in forced_zero are constrained to zero rather than free,
-    which lets presolved systems keep their original column count.
+    The vector of f holds minus column f of each `rref` row at that row's
+    pivot, then 1 at f, keys ascending, scaled so that its first nonzero
+    coordinate equals one.
     """
     placed, pivots = rref(rows, ncols)
-    pivot_set = set(pivots) | set(forced_zero)
-    by_pivot = dict(zip(pivots, placed))
-    zero = one - one
-    basis: list[list] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        sparse = {p: -by_pivot[p][f] for p in pivots if f in by_pivot[p]}
-        sparse[f] = one
-        first = sparse[min(sparse)]
-        if first != 1:
-            sparse = {c: exact_div(v, first) for c, v in sparse.items()}
-        vec = [zero] * ncols
-        for c, v in sparse.items():
-            vec[c] = v
-        basis.append(vec)
+    basis: list[Row] = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = {p: -row[f] for p, row in zip(pivots, placed) if f in row}
+        vec[f] = 1
+        first = next(iter(vec.values()))
+        basis.append(vec if first == 1 else {c: exact_div(v, first) for c, v in vec.items()})
     return basis
 
 

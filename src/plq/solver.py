@@ -176,15 +176,13 @@ def block_keys(btable: BracketTable, basis: Sequence[BasisElem]) -> list[tuple[i
             else (0,) * len(outer) for elem in basis]
 
 
-def _block_nullspace(rows: Sequence[dict], kept: Sequence[int],
-                     keys: Sequence[tuple[int, ...]], one) -> list[dict[int, object]]:
+def _block_nullspace(rows: Sequence[dict], keys: Sequence[tuple[int, ...]]) -> list[dict]:
     """Nullspace of the system, block by block.
 
-    Rows and columns are indexed by position in `kept`.  The singleton
-    presolve runs once, since its waves never cross a block; a remaining row
-    belongs to the block of its columns' key, and each block's nullspace is
-    taken over its unforced columns alone.  Vectors come back sparse over the
-    column labels in `kept`.
+    The singleton presolve runs once, since its waves never cross a block; a
+    remaining row belongs to the block of its columns' key, and each block's
+    nullspace is taken over its unforced columns alone.  Vectors come back
+    sparse over the system's columns.
     """
     reduced, forced = presolve_forced_zero(rows)
     blocks: dict[tuple[int, ...], list[int]] = {}
@@ -198,8 +196,8 @@ def _block_nullspace(rows: Sequence[dict], kept: Sequence[int],
     for key, cols in blocks.items():
         local = {c: n for n, c in enumerate(cols)}
         for vec in nullspace([{local[c]: v for c, v in row.items()} for row in block_rows[key]],
-                             len(cols), one):
-            vectors.append({kept[cols[n]]: v for n, v in enumerate(vec) if v != 0})
+                             len(cols)):
+            vectors.append({cols[n]: v for n, v in vec.items()})
     return vectors
 
 
@@ -311,7 +309,6 @@ class CasimirBasis:
     independence: int
     rank_report: RankReport | RankSample
     verified: bool
-    system_rows: int
     escalations: list[str] = field(default_factory=list)
 
     @property
@@ -479,9 +476,7 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
     rows = assemble_system(btable, basis)
-    candidates = _reversed_echelon(_block_nullspace(rows, range(ncols),
-                                                    block_keys(btable, basis),
-                                                    RatFunc.one(table)))
+    candidates = _reversed_echelon(_block_nullspace(rows, block_keys(btable, basis)))
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()
@@ -509,8 +504,7 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
     return CasimirBasis(solutions=solutions, vectors=vectors, basis=basis,
                         free_central=central, ansatz=ansatz,
                         corank=rank_report.corank, independence=independence,
-                        rank_report=rank_report, verified=verified,
-                        system_rows=len(rows))
+                        rank_report=rank_report, verified=verified)
 
 
 def _escalate(btable: BracketTable, ansatz: AnsatzSpec,

@@ -122,7 +122,7 @@ class BracketTable:
                 rows.append(row)
             rows.extend({k: x - y for k, (x, y) in enumerate(zip(d, d0))} for d in rest)
         rows = [{k: v for k, v in row.items() if v} for row in rows]
-        return _integer_weights(v[:r] for v in nullspace(rows, r + 1, 1))
+        return _integer_weights(nullspace(rows, r + 1), range(r))
 
     @_once
     def inner_gradings(self) -> list[tuple[int, ...]]:
@@ -144,7 +144,7 @@ class BracketTable:
             for e, c in common.terms.items():
                 grouped.setdefault(e[:g] + (e[g] + 1,) + e[g + 1:], {})[r + j] = -c
             rows.extend(grouped.values())
-        return _integer_weights(v[r:] for v in nullspace(rows, 2 * r, 1))
+        return _integer_weights(nullspace(rows, 2 * r), range(r, 2 * r))
 
     @_once
     def sign_gradings(self) -> list[tuple[int, ...]]:
@@ -204,10 +204,12 @@ def _sparse_product(x: list[dict], y: list[dict]) -> list[dict]:
     return out
 
 
-def _integer_weights(vectors) -> list[tuple[int, ...]]:
-    """The nonzero rational vectors, each scaled to coprime integers."""
+def _integer_weights(vectors, columns: range) -> list[tuple[int, ...]]:
+    """The sparse rational vectors read over the columns, each scaled to
+    coprime integers; those zero there are skipped."""
     out = []
-    for w in vectors:
+    for vec in vectors:
+        w = [vec.get(c, 0) for c in columns]
         if any(w):
             scale = math.lcm(*(x.denominator for x in w))
             ints = [int(x * scale) for x in w]

@@ -11,8 +11,7 @@ from plq.cli import main
 from plq.corpus import corpus_problem
 from plq.expr import Poly, RatFunc, VarTable
 from plq.flow import FlowConfig, abstract_flow, canonical_flow
-from plq.linalg import nullspace
-from dense_rows import rows_from_dense
+from dense_rows import dense_nullspace, rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.solver import (AnsatzSpec, solve_casimirs, solve_with_escalation,
                         verify_invariant)
@@ -198,7 +197,7 @@ def test_property_suites(capsys):
     for _ in range(25):
         matrix = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(8)] for _ in range(5)]
-        basis = nullspace(rows_from_dense(matrix), 8, Fraction(1))
+        basis = dense_nullspace(rows_from_dense(matrix), 8)
         assert len(basis) == 8 - dense_rank(matrix)
         for vec in basis:
             assert all(sum(row[c] * vec[c] for c in range(8)) == 0

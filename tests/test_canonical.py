@@ -168,6 +168,21 @@ def test_express_in_generators_roundtrip():
     assert problem.realization.realize(found) == target
 
 
+@pytest.mark.parametrize("name,target,printed", [
+    ("hydrogen", "(q1*p2 - q2*p1)^2", "L3^2"),
+    ("sphere", "q1^2+q2^2+q3^2", "R^2 + phi"),
+    ("sphere", "(q1*p1+q2*p2+q3*p3)^2 - q1^2 - q2^2 - q3^2", "V^2 - R^2 - phi"),
+])
+def test_express_in_generators_prints_the_first_solution(name, target, printed):
+    """The expression found, as printed: the first nullspace vector whose
+    realization meets the target, its terms summed in column order."""
+    problem = corpus_problem(name)
+    target = parse_ratfunc(target, problem.table)
+    found = express_in_generators(target, problem.realization)
+    assert str(found) == printed
+    assert problem.realization.realize(found) == target
+
+
 def test_express_in_generators_failure():
     problem = corpus_problem("sphere")
     target = parse_ratfunc("q1*p2", problem.table)

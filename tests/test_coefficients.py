@@ -38,12 +38,12 @@ def test_linalg_on_int_rows_is_exact():
     placed, pivots = rref([{0: 2, 1: 4}, {1: 3}], 2)
     assert (placed, pivots) == ([{0: 1}, {1: 1}], [0, 1])
     assert all(type(v) is int for row in placed for v in row.values())
-    assert nullspace([{0: 2, 1: 4}, {1: 3}], 2, 1) == []
+    assert nullspace([{0: 2, 1: 4}, {1: 3}], 2) == []
     placed, _ = rref([{0: 3, 1: 1}], 2)
     assert placed == [{0: 1, 1: Fraction(1, 3)}]
-    (vec,) = nullspace([{0: 2, 1: 3}], 2, 1)
-    assert vec == [1, Fraction(-2, 3)]
-    assert all(normal(v) for v in vec)
+    (vec,) = nullspace([{0: 2, 1: 3}], 2)
+    assert vec == {0: 1, 1: Fraction(-2, 3)}
+    assert all(normal(v) for v in vec.values())
 
 
 def test_numeric_rref_and_nullspace_hold_no_integral_fraction():
@@ -54,9 +54,9 @@ def test_numeric_rref_and_nullspace_hold_no_integral_fraction():
     placed, _ = rref(rows, 3)
     assert placed == [{0: 1, 2: -1}, {1: 1, 2: 2}]
     assert all(normal(v) for row in placed for v in row.values())
-    (vec,) = nullspace(rows, 3, 1)
-    assert vec == [1, -2, 1]
-    assert all(normal(v) for v in vec)
+    (vec,) = nullspace(rows, 3)
+    assert vec == {0: 1, 1: -2, 2: 1}
+    assert all(normal(v) for v in vec.values())
 
 
 def test_random_numeric_rref_and_nullspace_hold_no_integral_fraction():
@@ -68,19 +68,31 @@ def test_random_numeric_rref_and_nullspace_hold_no_integral_fraction():
         rows = [{c: normal_coeff(v) for c, v in row.items() if v} for row in rows]
         placed, _ = rref(rows, ncols)
         assert all(normal(v) for row in placed for v in row.values())
-        assert all(normal(v) for vec in nullspace(rows, ncols, 1) for v in vec)
+        assert all(normal(v) for vec in nullspace(rows, ncols) for v in vec.values())
 
 
-def test_solver_blocks_hold_no_integral_fraction():
-    """The nullspace vectors of gl(3) at degree 4, block by block."""
+def test_solver_blocks_hold_no_integral_fraction(monkeypatch):
+    """The nullspace vectors of gl(3) at degree 4, block by block, and those
+    that `solve_casimirs` builds its candidates from."""
     problem = lie_problem("gl3")
     btable = problem.brackets
     basis = solver.enumerate_basis(btable.r, solver.AnsatzSpec(4), problem.invertible)
     kept, keys = graded_columns(btable, basis)
     rows = solver.assemble_system(btable, [basis[c] for c in kept])
-    vectors = solver._block_nullspace(rows, kept, keys, 1)
+    vectors = solver._block_nullspace(rows, keys)
     assert vectors
     assert all(normal(v) for vec in vectors for v in vec.values())
+    captured = []
+    echelon = solver._reversed_echelon
+
+    def recorded(vectors):
+        captured.append(vectors)
+        return echelon(vectors)
+    monkeypatch.setattr(solver, "_reversed_echelon", recorded)
+    solver.solve_casimirs(btable, solver.AnsatzSpec(4), problem.invertible)
+    (solved,) = captured
+    assert solved
+    assert all(normal(v) for vec in solved for v in vec.values())
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from plq.corpus import corpus_names, corpus_problem
-from plq.expr import RatFunc, VarTable, diff, monomial_exponents, substitute
+from plq.expr import VarTable, diff, monomial_exponents, substitute
 from plq.parsing import parse_ratfunc, to_string
 from plq.problem import build_problem
 from plq.solver import (AnsatzSpec, Mono, _block_nullspace, _reversed_echelon,
@@ -201,9 +201,7 @@ def test_enumeration_matches_the_filtered_full_basis(name, ansatz):
 
     def printed_candidates(columns):
         rows = assemble_system(btable, columns)
-        vectors = _block_nullspace(rows, range(len(columns)),
-                                   block_keys(btable, columns),
-                                   RatFunc.one(btable.table))
+        vectors = _block_nullspace(rows, block_keys(btable, columns))
         return [to_string(coords_to_expression(btable.table, columns, cand))
                 for cand in _reversed_echelon(vectors)]
     assert printed_candidates(basis) == printed_candidates(full)

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import reference_rref  # noqa: E402
-from dense_rows import rows_from_dense  # noqa: E402
+from dense_rows import dense_nullspace, rows_from_dense  # noqa: E402
 from plq.linalg import nullspace, pivot_columns, presolve_forced_zero, rref  # noqa: E402
 from plq.solver import AnsatzSpec, assemble_system, enumerate_basis  # noqa: E402
 from reference_columns import graded_columns  # noqa: E402
@@ -39,7 +39,7 @@ def test_rref_and_nullspace_match_gauss_jordan(matrix, extra):
     ncols = max(0, len(matrix[0]) + extra)
     copies = [dict(r) for r in rows]
     if any(c >= ncols for row in rows for c in row):
-        for kernel in (rref, pivot_columns, lambda rows, ncols: nullspace(rows, ncols, 1)):
+        for kernel in (rref, pivot_columns, nullspace):
             with pytest.raises(ValueError):
                 kernel(rows, ncols)
         assert rows == copies
@@ -49,8 +49,11 @@ def test_rref_and_nullspace_match_gauss_jordan(matrix, extra):
     assert got_pivots == want_pivots == pivot_columns(rows, ncols)
     assert got_rows == want_rows
     assert printed_rows(got_rows) == printed_rows(want_rows)
+    for vec in nullspace(rows, ncols):
+        assert type(vec) is dict and 0 not in vec.values()
+        assert all(0 <= c < ncols for c in vec)
     want = reference_rref.nullspace(rows, ncols)
-    got = nullspace(rows, ncols, 1)
+    got = dense_nullspace(rows, ncols)
     assert got == want
     assert printed_vectors(got) == printed_vectors(want)
     assert rows == copies
@@ -66,7 +69,7 @@ def test_nullspace_matches_sympy(matrix):
                              for row in matrix]).nullspace():
         first = next(x for x in vec if x != 0)
         want.append([x / first for x in vec])
-    got = nullspace(rows_from_dense(matrix), len(matrix[0]), 1)
+    got = dense_nullspace(rows_from_dense(matrix), len(matrix[0]))
     assert [[sympy.Rational(v.numerator, v.denominator) for v in vec] for vec in got] == want
 
 
@@ -86,6 +89,6 @@ def test_solver_blocks_match_gauss_jordan(name, degree):
     for key, cols in blocks.items():
         local = {c: n for n, c in enumerate(cols)}
         block = [{local[c]: v for c, v in row.items()} for row in rows if keys[min(row)] == key]
-        got = nullspace(block, len(cols), 1)
+        got = dense_nullspace(block, len(cols))
         assert got == reference_rref.nullspace(block, len(cols))
         assert rref(block, len(cols)) == reference_rref.rref(block, len(cols))

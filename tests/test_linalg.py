@@ -9,7 +9,7 @@ import pytest
 from plq.expr import Poly, RatFunc, VarTable
 from plq.linalg import (collect_rows, nullspace, pfaffian, pivot_columns,
                         presolve_forced_zero, rank_of, rref)
-from dense_rows import rows_from_dense
+from dense_rows import dense_nullspace, rows_from_dense
 
 
 def det(matrix, zero, one):
@@ -78,7 +78,7 @@ def test_rref_worked_example():
 def test_nullspace_worked_example():
     rows = rows_from_dense([[Fraction(1), Fraction(1), Fraction(0)],
                             [Fraction(0), Fraction(0), Fraction(1)]])
-    basis = nullspace(rows, 3, Fraction(1))
+    basis = dense_nullspace(rows, 3)
     assert basis == [[Fraction(1), Fraction(-1), Fraction(0)]]
 
 
@@ -89,8 +89,7 @@ def test_entries_outside_the_columns_are_rejected(entry):
     Both kernels now refuse such rows, and negative columns too."""
     one = 1 if entry == "int" else RatFunc.one(VarTable.make(["x"], 0, []))
     for rows in ([{3: one, 5: one}, {3: one}], [{-1: one}]):
-        for kernel in (rref, pivot_columns, rank_of,
-                       lambda rows, ncols: nullspace(rows, ncols, one)):
+        for kernel in (rref, pivot_columns, rank_of, nullspace):
             with pytest.raises(ValueError, match="outside columns"):
                 kernel(rows, 5)
     assert rank_of([{3: one, 4: one}, {3: one}], 5) == 2
@@ -102,7 +101,7 @@ def test_nullspace_random_rectangular():
     for _ in range(25):
         matrix = random_matrix(rng, 5, 8)
         rows = rows_from_dense(matrix)
-        basis = nullspace(rows, 8, Fraction(1))
+        basis = dense_nullspace(rows, 8)
         assert len(basis) == 8 - dense_rank(matrix)
         for vec in basis:
             assert apply_matrix(matrix, vec) == [Fraction(0)] * 5
@@ -114,7 +113,7 @@ def test_nullspace_vectors_are_independent():
     rng = random.Random(103)
     for _ in range(10):
         matrix = random_matrix(rng, 4, 7, density=0.5)
-        basis = nullspace(rows_from_dense(matrix), 7, Fraction(1))
+        basis = dense_nullspace(rows_from_dense(matrix), 7)
         if basis:
             assert dense_rank(basis) == len(basis)
 
@@ -145,9 +144,9 @@ def test_presolve_preserves_nullspace():
     """Forcing singleton columns to zero leaves the solution set unchanged."""
     for matrix in presolve_inputs():
         rows = rows_from_dense(matrix)
-        plain = nullspace(rows, 6, Fraction(1))
+        plain = dense_nullspace(rows, 6)
         reduced, forced = presolve_forced_zero(rows)
-        fast = nullspace(reduced, 6, Fraction(1), forced)
+        fast = dense_nullspace(reduced + [{c: 1} for c in forced], 6)
         assert len(fast) == len(plain)
         for vec in fast:
             assert apply_matrix(matrix, vec) == [Fraction(0)] * 6

@@ -63,7 +63,7 @@ def test_ring_operations_match_the_reference(table):
         same(table, a + b, ref.plus(ta, tb))
         same(table, a - b, ref.minus(ta, tb))
         same(table, a * b, ref.times(table, ta, tb))
-        assert a.monomial_content() == table.pack(ref.monomial_content(table, ta))
+        assert table.meet(a.packed) == table.pack(ref.monomial_content(table, ta))
         if ta:
             key, c = a.leading()
             assert (table.unpack(key), c) == ref.leading(ta)
