@@ -128,11 +128,6 @@ class VarTable:
         return tuple(i for i, k in enumerate(self.kinds) if k == PARAMETER)
 
     @cached_property
-    def zero_exponent(self) -> tuple[int, ...]:
-        """The exponent of a constant: all zeros, one tuple per table."""
-        return (0,) * len(self.names)
-
-    @cached_property
     def degree_shift(self) -> int:
         """Bit offset of the total degree in a packed key."""
         return 8 * len(self.names)
@@ -221,23 +216,18 @@ class Poly:
 
     `packed` holds the terms under the table's packed keys (see VarTable),
     and every method works on them.  Exponent tuples are the boundary for
-    callers that read exponents: `Poly(table, {exponent tuple: c})`,
-    `from_terms` and the `terms` view keep tuple keys in term order.  The
-    algebraic element's exponent is kept at 0 or 1; even powers are
-    rewritten into the sum of squared position variables at construction.
+    callers that read exponents: `from_terms` builds from tuple keys and the
+    `terms` view reads them back in term order.  The algebraic element's
+    exponent is kept at 0 or 1; even powers are rewritten into the sum of
+    squared position variables at construction.
     """
 
     __slots__ = ("table", "packed")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...] | int, int | Fraction]):
-        """Terms keyed by exponent tuple, or a dict keyed by packed key,
-        which is kept, not copied."""
+    def __init__(self, table: VarTable, packed: dict[int, int | Fraction]):
+        """Terms in a dict keyed by packed key, which is kept, not copied."""
         self.table = table
-        self.packed = terms
-        for e in terms:
-            if type(e) is tuple:
-                self.packed = {table.pack(e): c for e, c in terms.items()}
-            break
+        self.packed = packed
 
     @property
     def terms(self) -> dict[tuple[int, ...], int | Fraction]:
@@ -1016,27 +1006,28 @@ def clear_denominators(table: VarTable, fs: Sequence[RatFunc]) -> tuple[Poly, li
     return common, cleared
 
 
-Split = dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]]
-
-
 def split_terms(p: Poly, keys: Sequence[int],
-                shift: Sequence[int] | None = None) -> Split | None:
-    """Group p's terms as {exponents at `keys` plus shift -> {parameter
-    exponent -> coefficient}}, parameter exponents as full-length tuples; None
-    when a term uses a variable that is neither a key nor a parameter."""
+                shift: Sequence[int] | None = None) -> dict | None:
+    """Group p's terms as {exponents at `keys` plus shift -> cell}; None when
+    a term uses a variable that is neither a key nor a parameter.  A cell is
+    the sum of its terms with the keys divided out: a number when they carry
+    no parameter, else a Poly in the parameters, whose packed keys are p's
+    masked to the parameter fields with the degree field recomputed."""
     table = p.table
     fields = [0xFF << at for at in table.shifts]
     params = sum(fields[i] for i in table.parameter_indices)
     others = sum(f for i, f in enumerate(fields) if i not in keys) & ~params
     shift = shift or (0,) * len(keys)
-    unpack = table.unpack
-    out: Split = {}
+    unpack, width, at = table.unpack, len(table) + 1, table.degree_shift
+    out: dict[tuple[int, ...], dict[int, int | Fraction]] = {}
     for k, c in p.packed.items():
         if k & others:
             return None
         key = tuple(map(add, map(unpack(k).__getitem__, keys), shift))
-        out.setdefault(key, {})[unpack(k & params)] = c
-    return out
+        pk = k & params
+        out.setdefault(key, {})[pk and pk | sum(pk.to_bytes(width, "big")) << at] = c
+    return {key: cell[0] if cell.keys() == {0} else Poly(table, cell)
+            for key, cell in out.items()}
 
 
 def _var_power_string(name: str, e: int) -> str:

@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .expr import (PARAMETER, Poly, RatFunc, VarTable, clear_denominators,
-                   exact_div, normal_coeff, split_terms)
+from .expr import (PARAMETER, Poly, RatFunc, clear_denominators, exact_div,
+                   normal_coeff, split_terms)
 
 E = TypeVar("E")
 
@@ -219,6 +219,17 @@ def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
     return pf(tuple(range(n)))
 
 
+def entry(v):
+    """A row entry from a split cell or a RatFunc: a constant as its number,
+    an int when integral and a Fraction otherwise, anything else as a
+    RatFunc.  A constant RatFunc has denominator one, by its normal form."""
+    if isinstance(v, RatFunc):
+        return v.num.constant_value() if v.is_poly() and v.num.is_constant() else v
+    if isinstance(v, Poly):
+        return v.constant_value() if v.is_constant() else RatFunc.from_poly(v)
+    return normal_coeff(v)
+
+
 def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
     """Linear system rows asking a combination of expression columns to vanish.
 
@@ -230,35 +241,23 @@ def collect_rows(columns: Sequence[RatFunc]) -> list[Row]:
         return []
     table = columns[0].table
     keys = [i for i, k in enumerate(table.kinds) if k != PARAMETER]
-    grouped: dict[tuple[int, ...], dict[int, dict]] = {}
+    grouped: dict[tuple[int, ...], dict[int, object]] = {}
     for cidx, cleared in enumerate(clear_denominators(table, columns)[1]):
         for key, cell in split_terms(cleared, keys).items():
             grouped.setdefault(key, {})[cidx] = cell
-    return grouped_rows(table, grouped)
+    return grouped_rows(grouped)
 
 
-def grouped_rows(table: VarTable,
-                 grouped: dict[tuple[int, ...], dict[int, dict]]) -> list[Row]:
+def grouped_rows(grouped: dict[tuple[int, ...], dict[int, object]]) -> list[Row]:
     """Rows from {monomial key -> {column -> cell}}, a cell being a number or
-    {parameter exponent -> coefficient}.
+    a Poly in the parameters, as `split_terms` gives them or sums of those.
 
-    Rows come out in descending graded lexicographic order of the key; an
-    entry is a number (int or Fraction) when constant, else a polynomial
-    rational function.
-    Zero entries and empty rows are dropped.
+    Rows come out in descending graded lexicographic order of the key, each
+    cell taken through `entry`.  Zero entries and empty rows are dropped.
     """
     out: list[Row] = []
     for key in sorted(grouped, key=lambda e: (sum(e), e), reverse=True):
-        row = {}
-        for cidx, cell in grouped[key].items():
-            if not isinstance(cell, dict):
-                if cell:
-                    row[cidx] = normal_coeff(cell)
-                continue
-            p = Poly(table, {e: normal_coeff(c) for e, c in cell.items() if c})
-            if p.is_zero():
-                continue
-            row[cidx] = p.constant_value() if p.is_constant() else RatFunc.from_poly(p)
+        row = {c: v for c, cell in grouped[key].items() if (v := entry(cell)) != 0}
         if row:
             out.append(row)
     return out

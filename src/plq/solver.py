@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
                    generator_monomial, split_terms)
-from .linalg import (grouped_rows, nullspace, presolve_forced_zero, rank_of,
-                     rref, subtract_scaled)
+from .linalg import (entry, grouped_rows, nullspace, presolve_forced_zero,
+                     rank_of, rref, subtract_scaled)
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, RankSample,
                         _evaluations, certify_by_kernel, generic_rank, sample_rank)
 
@@ -123,15 +123,14 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
     the product of the distinct f_ij denominators, and each cleared f_ij is
     split once by generator exponent.  Column u^e then takes e_i times split
     f_ij shifted by e - delta_i, column log(u_k) split f_kj shifted by
-    -delta_k.  Rows are keyed by the (possibly negative) generator exponent,
-    in descending graded lexicographic order, with parameter-ring entries.
-    Without parameters a cell is a number, else {parameter exponent: number}.
+    -delta_k.  A cell is a number or a Poly in the parameters, so one loop
+    adds them on every table.  Rows are keyed by the (possibly negative)
+    generator exponent, in descending graded lexicographic order, with
+    `linalg.entry` entries: numbers when constant, else parameter RatFuncs.
     """
     table = btable.table
     r = btable.r
     gens = table.generator_indices
-    zero = table.zero_exponent
-    numeric = not table.parameter_indices
     # Per column: (generator i, factor, shift) for each term it takes from f_ij.
     terms = []
     for elem in basis:
@@ -144,22 +143,15 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
             terms.append([(k, 1, tuple(-x for x in _delta(r, k)))])
     rows: list[dict] = []
     for _, cleared in btable.cleared_rows:
-        split = {i: {key: cell[zero] if numeric else cell
-                     for key, cell in split_terms(p, gens).items()}
-                 for i, p in cleared.items()}
+        split = {i: split_terms(p, gens) for i, p in cleared.items()}
         grouped: dict[tuple[int, ...], dict[int, object]] = {}
         for c, contributions in enumerate(terms):
             for i, scale, shift in contributions:
                 for key, cell in split.get(i, {}).items():
                     at = grouped.setdefault(tuple(map(add, key, shift)), {})
-                    if numeric:
-                        at[c] = at.get(c, 0) + (cell if scale == 1 else scale * cell)
-                        continue
-                    acc = at.setdefault(c, {})
-                    for pk, v in cell.items():
-                        v = v if scale == 1 else scale * v
-                        acc[pk] = acc[pk] + v if pk in acc else v
-        rows.extend(grouped_rows(table, grouped))
+                    v = cell if scale == 1 else scale * cell
+                    at[c] = at[c] + v if c in at else v
+        rows.extend(grouped_rows(grouped))
     return rows
 
 
@@ -208,32 +200,29 @@ def _as_ratfunc(table: VarTable, value) -> RatFunc:
 
 
 def map_to_coords(expr: LogExpr, table: VarTable,
-                  index: Mapping[BasisElem, int]) -> dict[int, RatFunc] | None:
-    """Coordinates of an expression over the ansatz basis, or None when any
-    part of it falls outside the basis."""
+                  index: Mapping[BasisElem, int]) -> dict[int, object] | None:
+    """Coordinates of an expression over the ansatz basis, as `linalg.entry`
+    entries, or None when any part of it falls outside the basis.  The
+    denominator must split to one generator key: zero, or its only term's."""
     gens = table.generator_indices
-    den = expr.rat.den
-    den_split = split_terms(den, gens)
-    if den_split is None:
+    den_split = split_terms(expr.rat.den, gens)
+    if den_split is None or len(den_split) != 1:
         return None
-    shift = None
-    if any(any(key) for key in den_split):
-        if len(den.packed) != 1:
-            return None
-        (key, den_param), = den_split.items()
-        shift, den = tuple(-x for x in key), Poly(table, den_param)
-    grouped = split_terms(expr.rat.num, gens, shift)
+    (key, den), = den_split.items()
+    if any(key) and len(expr.rat.den.packed) != 1:
+        return None
+    grouped = split_terms(expr.rat.num, gens, tuple(-x for x in key))
     if grouped is None or any(Mono(key) not in index for key in grouped):
         return None
-    coords = {index[Mono(key)]: RatFunc(Poly(table, cell), den)
+    coords = {index[Mono(key)]: entry(cell if den == 1 else exact_div(entry(cell), entry(den)))
               for key, cell in grouped.items()}
     params = set(table.parameter_indices)
     for g, c in expr.logs:
         elem = LogElem(gens.index(g))
         if elem not in index or not (c.num.used_indices() | c.den.used_indices()) <= params:
             return None
-        coords[index[elem]] = c
-    return {k: v for k, v in coords.items() if not v.is_zero()}
+        coords[index[elem]] = entry(c)
+    return coords
 
 
 def coords_to_expression(table: VarTable, basis: Sequence[BasisElem],
@@ -323,12 +312,12 @@ class CasimirBasis:
         target = map_to_coords(expr, table, index)
         if target is None:
             return False
-        span_rows = [dict(v) for v in self.vectors]
+        span_rows = [{c: entry(v) for c, v in vec.items()} for vec in self.vectors]
         for name in self.free_central:
             pos = btable.generator_names.index(name)
             elem = Mono(_delta(btable.r, pos))
             if elem in index:
-                span_rows.append({index[elem]: RatFunc.one(table)})
+                span_rows.append({index[elem]: 1})
         n = len(self.basis)
         base_rank = rank_of(span_rows, n)
         return rank_of(span_rows + [target], n) == base_rank
@@ -373,13 +362,6 @@ def _lowest_grade(expr: LogExpr, gens: Sequence[int]) -> int | None:
     return min(sum(key) for key in num)
 
 
-def _as_number(v: RatFunc):
-    """A constant coordinate as its int or Fraction; any other unchanged."""
-    if v.num.is_constant() and v.den.is_constant():
-        return exact_div(v.num.constant_value(), v.den.constant_value())
-    return v
-
-
 def _span_of_products(table: VarTable, items: Sequence[LogExpr],
                       index: Mapping[BasisElem, int], max_degree: int,
                       ncols: int) -> list[dict]:
@@ -412,7 +394,7 @@ def _span_of_products(table: VarTable, items: Sequence[LogExpr],
                 continue
             coords = map_to_coords(nxt, table, index)
             if coords:
-                product_rows.append({ncols - 1 - c: _as_number(v) for c, v in coords.items()})
+                product_rows.append({ncols - 1 - c: v for c, v in coords.items()})
             if depth + 1 < max_degree:
                 rec(k, nxt, depth + 1, grade + grades[k])
 

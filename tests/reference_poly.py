@@ -24,8 +24,13 @@ def _with(e, i, v):
     return tuple(out)
 
 
+def zero(table):
+    """The exponent tuple of a constant."""
+    return (0,) * len(table)
+
+
 def sigma_terms(table):
-    return {_with(table.zero_exponent, qi, 2): 1 for qi in table.q_indices}
+    return {_with(zero(table), qi, 2): 1 for qi in table.q_indices}
 
 
 def reduce_algebraic(table, acc):
@@ -35,7 +40,7 @@ def reduce_algebraic(table, acc):
     if ia is None or all(e[ia] <= 1 for e in acc):
         return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
     sigma = sigma_terms(table)
-    powers = {0: {table.zero_exponent: 1}}
+    powers = {0: {zero(table): 1}}
 
     def sig_pow(k):
         if k not in powers:
@@ -92,7 +97,7 @@ def leading(terms):
 
 def monomial_content(table, terms):
     if not terms:
-        return table.zero_exponent
+        return zero(table)
     return tuple(map(min, zip(*terms)))
 
 
@@ -135,7 +140,7 @@ def divide_exact(table, p, d):
 
 def make(table, num, den):
     """(numerator, denominator) terms of the normal form of num / den."""
-    one = {table.zero_exponent: 1}
+    one = {zero(table): 1}
     if den == one:
         return num, den
     if not num:

@@ -325,16 +325,18 @@ def test_variable_table_validation():
 
 
 def test_split_terms_mixed_generator_and_parameter_terms():
-    """Terms group by generator exponent; parameters stay in full-length cells."""
+    """Terms group by generator exponent; a parameter-free cell is a number,
+    any other a Poly in the parameters."""
     table = table_uv()
     p = parse_ratfunc("3*a*b*u1^2 - a*u1^2 + u1^2 + 2*u2 - b", table).num
     split = split_terms(p, table.generator_indices)
     assert split == {
-        (2, 0, 0): {(0, 0, 0, 1, 1): Fraction(3), (0, 0, 0, 1, 0): Fraction(-1),
-                    (0, 0, 0, 0, 0): Fraction(1)},
-        (0, 1, 0): {(0, 0, 0, 0, 0): Fraction(2)},
-        (0, 0, 0): {(0, 0, 0, 0, 1): Fraction(-1)},
+        (2, 0, 0): Poly.from_terms(table, [((0, 0, 0, 1, 1), 3), ((0, 0, 0, 1, 0), -1),
+                                           ((0, 0, 0, 0, 0), 1)]),
+        (0, 1, 0): 2,
+        (0, 0, 0): Poly.from_terms(table, [((0, 0, 0, 0, 1), -1)]),
     }
+    assert [type(cell) for cell in split.values()] == [Poly, int, Poly]
 
 
 def test_split_terms_negative_generator_exponents():
@@ -342,8 +344,9 @@ def test_split_terms_negative_generator_exponents():
     table = table_uv()
     p = parse_ratfunc("a*u1*u3 + u2^2", table).num
     split = split_terms(p, table.generator_indices, (-2, -1, 0))
-    assert split == {(-1, -1, 1): {(0, 0, 0, 1, 0): Fraction(1)},
-                     (-2, 1, 0): {(0, 0, 0, 0, 0): Fraction(1)}}
+    assert split == {(-1, -1, 1): Poly.from_terms(table, [((0, 0, 0, 1, 0), 1)]),
+                     (-2, 1, 0): 1}
+    assert type(split[(-2, 1, 0)]) is int
 
 
 def test_split_terms_rejects_canonical_variables():
@@ -356,11 +359,11 @@ def test_split_terms_rejects_canonical_variables():
         expr = parse_expression(text, table)
         assert split_terms(expr.rat.num, gens) is None
         assert map_to_coords(expr, table, index) is None
-    assert map_to_coords(parse_expression("kappa*H^2 - H", table), table, index) == {
-        1: RatFunc.var(table, "kappa"), 0: RatFunc.const(table, -1)}
+    coords = map_to_coords(parse_expression("kappa*H^2 - H", table), table, index)
+    assert coords == {1: RatFunc.var(table, "kappa"), 0: -1} and type(coords[0]) is int
     keys = [i for i, kind in enumerate(table.kinds) if kind != "parameter"]
     assert split_terms(parse_ratfunc("kappa*q1", table).num, keys) == {
-        (0, 1, 0, 0): {(0, 0, 0, 1, 0): Fraction(1)}}
+        (0, 1, 0, 0): Poly.from_terms(table, [((0, 0, 0, 1, 0), 1)])}
 
 
 def test_equal_polys_hash_equal_whatever_their_term_order():
@@ -369,7 +372,7 @@ def test_equal_polys_hash_equal_whatever_their_term_order():
     p, q = a * a + b, b + a * a
     assert list(p.terms) != list(q.terms)
     assert p == q and hash(p) == hash(q)
-    assert len({p, q, Poly(table, dict(reversed(list(p.terms.items()))))}) == 1
+    assert len({p, q, Poly(table, dict(reversed(list(p.packed.items()))))}) == 1
     assert len({Poly.const(table, Fraction(3, 2)), Fraction(3, 2)}) == 1
     assert len({Poly.zero(table), 0}) == 1
 

@@ -452,7 +452,7 @@ def test_simplified_polynomial_source_is_exact():
         for _ in range(rng.randint(1, 5)):
             e = tuple(rng.randint(0, 2) for _ in range(3))
             terms[e] = rng.choice(coefficients)
-        p = Poly(table, terms)
+        p = Poly.from_terms(table, terms.items())
         new, old = _poly_src(p, names), reference_poly_src(p, names)
         for _ in range(10):
             point = {f"x{i}": rng.choice(values) * rng.choice([1.0, 1.3])

@@ -1,8 +1,11 @@
-"""Assembly of the invariant system in numbers on tables without parameters.
+"""Assembly of the invariant system, numbers and parameter polynomials alike.
 
-`reference_rows` is the assembly that keeps every cell as a dictionary of
-parameter exponents and builds one `Poly` per cell; `assemble_system` must
-give the rows it gives, entry for entry, on every table.
+`reference_rows` is an assembly that shares no code with `assemble_system`:
+it splits each cleared entry by its exponent tuples, keeps every cell as a
+dictionary of parameter exponents and builds one `Poly` per cell with
+`Poly.from_terms`.  `assemble_system` must give the rows it gives, entry for
+entry, on every table.  Assembly and `map_to_coords` pack no exponent tuple,
+and constant coordinates and span entries are numbers.
 """
 
 from fractions import Fraction
@@ -11,9 +14,21 @@ import pytest
 
 from plq import solver
 from plq.corpus import corpus_names, corpus_problem
-from plq.expr import Poly, RatFunc, normal_coeff, split_terms
+from plq.expr import Poly, RatFunc, VarTable
+from plq.parsing import parse_expression
 from plq.solver import AnsatzSpec, Mono, _delta, assemble_system, enumerate_basis
 from test_solver import bound_quadratic, lie_problem
+
+
+def tuple_split(p, gens):
+    """{generator exponent -> {parameter exponent tuple -> coefficient}}, read
+    off p's exponent tuples; p uses generators and parameters only."""
+    params = p.table.parameter_indices
+    out = {}
+    for e, c in p.terms.items():
+        pe = tuple(x if i in params else 0 for i, x in enumerate(e))
+        out.setdefault(tuple(e[i] for i in gens), {})[pe] = c
+    return out
 
 
 def reference_rows(btable, basis):
@@ -22,7 +37,7 @@ def reference_rows(btable, basis):
     gens = table.generator_indices
     rows = []
     for _, cleared in btable.cleared_rows:
-        split = {i: split_terms(p, gens) for i, p in cleared.items()}
+        split = {i: tuple_split(p, gens) for i, p in cleared.items()}
         grouped = {}
         for c, elem in enumerate(basis):
             if isinstance(elem, Mono):
@@ -40,7 +55,7 @@ def reference_rows(btable, basis):
         for key in sorted(grouped, key=lambda e: (sum(e), e), reverse=True):
             row = {}
             for c, cell in grouped[key].items():
-                p = Poly(table, {e: normal_coeff(v) for e, v in cell.items() if v})
+                p = Poly.from_terms(table, cell.items())
                 if not p.is_zero():
                     row[c] = p.constant_value() if p.is_constant() else RatFunc.from_poly(p)
             if row:
@@ -106,3 +121,96 @@ def test_parameter_free_assembly_builds_no_polynomial(name, monkeypatch):
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                for row in rows for v in row.values())
     assert printed(rows) == printed(reference_rows(btable, basis))
+
+
+def count_packs(monkeypatch, call, *args):
+    """The result of call(*args) and the VarTable.pack calls it made."""
+    calls = []
+    pack = VarTable.pack
+
+    def counted(self, e):
+        calls.append(e)
+        return pack(self, e)
+    monkeypatch.setattr(VarTable, "pack", counted)
+    try:
+        return call(*args), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name,degree", [("hydrogen", 2), ("hydrogen", 4), ("sklyanin", 3)])
+def test_assembly_packs_no_exponent(name, degree, monkeypatch):
+    """Parameter cells keep the packed keys of the split polynomial: assembly
+    packs no exponent tuple, and still gives the reference rows."""
+    btable, invertible = case(name)
+    basis = enumerate_basis(btable.r, AnsatzSpec(degree), invertible)
+    btable.cleared_rows  # cached per table, before counting
+    rows, packs = count_packs(monkeypatch, solver.assemble_system, btable, basis)
+    assert packs == 0
+    assert printed(rows) == printed(reference_rows(btable, basis))
+
+
+def test_coordinates_of_a_product_pack_no_exponent(monkeypatch):
+    """map_to_coords on a hydrogen product with parameter coefficients packs
+    no exponent tuple; its constant coordinates are numbers."""
+    problem = corpus_problem("hydrogen")
+    table = problem.table
+    basis = enumerate_basis(problem.brackets.r, AnsatzSpec(4), problem.invertible)
+    index = {elem: k for k, elem in enumerate(basis)}
+    a, b = (parse_expression(t, table) for t in ("kappa*H + m*L1*M1 - L2*M2",
+                                                 "L3*M3/m - 2*H"))
+    coords, packs = count_packs(monkeypatch, solver.map_to_coords, a * b, table, index)
+    assert packs == 0
+    assert coords and coords == coords_oracle(a * b, index)
+    assert all(is_number(v) or not (v.num.is_constant() and v.den.is_constant())
+               for v in coords.values())
+    assert any(is_number(v) for v in coords.values())
+
+
+def is_number(v):
+    """An int, or a Fraction that is not integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def coords_oracle(expr, index):
+    """{column: coefficient} of a polynomial in the generators, read off its
+    exponent tuples and summed as RatFuncs."""
+    table = expr.table
+    gens, params = table.generator_indices, table.parameter_indices
+    out = {}
+    for e, c in expr.rat.num.terms.items():
+        pe = tuple(x if i in params else 0 for i, x in enumerate(e))
+        k = index[Mono(tuple(e[i] for i in gens))]
+        out[k] = out.get(k, 0) + RatFunc(Poly.from_terms(table, [(pe, c)]), expr.rat.den)
+    return out
+
+
+def test_span_and_membership_entries_are_numbers(monkeypatch):
+    """On gl(3) at degree 4 every coordinate that map_to_coords gives while a
+    span of products is built, and every entry that `contains` hands to
+    rank_of, is a number."""
+    problem = lie_problem("gl3")
+    btable = problem.brackets
+    solved = solver.solve_casimirs(btable, AnsatzSpec(4), problem.invertible)
+    table = problem.table
+    index = {elem: k for k, elem in enumerate(solved.basis)}
+    items = [parse_expression(n, table) for n in solved.free_central] + solved.solutions
+    coords, ranked = [], []
+    map_to_coords, rank_of = solver.map_to_coords, solver.rank_of
+
+    def counted_coords(*args):
+        coords.append(map_to_coords(*args))
+        return coords[-1]
+
+    def counted_rank(rows, ncols):
+        ranked.extend(rows)
+        return rank_of(rows, ncols)
+    monkeypatch.setattr(solver, "map_to_coords", counted_coords)
+    monkeypatch.setattr(solver, "rank_of", counted_rank)
+    solver._span_of_products(table, items, index, 4, len(index))
+    assert solved.contains(items[-1] - items[0] * 3, btable)
+    assert not solved.contains(parse_expression("x11*x22", table), btable)
+    monkeypatch.undo()
+    assert coords and ranked
+    assert all(is_number(v) for c in coords if c for v in c.values())
+    assert all(is_number(v) for row in ranked for v in row.values())
