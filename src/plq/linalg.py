@@ -18,10 +18,11 @@ import math
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .expr import (PARAMETER, Poly, RatFunc, clear_denominators, exact_div,
-                   normal_coeff, split_terms)
+from .expr import (PARAMETER, ExprError, Poly, RatFunc, clear_denominators,
+                   exact_div, normal_coeff, split_terms)
 
 E = TypeVar("E")
+PFAFFIAN_TERMS = 50_000  # the most numerator terms of a RatFunc sub-Pfaffian
 
 Row = dict
 
@@ -195,7 +196,9 @@ def presolve_forced_zero(rows: Sequence[Row]) -> tuple[list[Row], set[int]]:
 
 
 def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
-    """Pfaffian of a skew matrix of even size, by first-row expansion with memoization."""
+    """Pfaffian of a skew matrix of even size, by first-row expansion with
+    memoization; ExprError once a RatFunc sub-Pfaffian passes PFAFFIAN_TERMS
+    numerator terms, since the terms swell long before the memo grows."""
     n = len(matrix)
     if n % 2:
         raise ValueError("pfaffian requires an even-sized matrix")
@@ -213,6 +216,9 @@ def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
                 sub = tuple(x for x in rest if x != j)
                 term = a * pf(sub)
                 total = total + term if pos % 2 == 0 else total - term
+        if isinstance(total, RatFunc) and len(total.num.packed) > PFAFFIAN_TERMS:
+            raise ExprError(f"pfaffian of a {n} x {n} matrix: a sub-Pfaffian has "
+                            f"more than {PFAFFIAN_TERMS} terms")
         memo[active] = total
         return total
 

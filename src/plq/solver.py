@@ -22,12 +22,13 @@ from operator import add, mul
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff, exact_div,
-                   generator_monomial, split_terms)
+from .expr import (DEGREE_LIMIT, ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
+                   exact_div, generator_monomial, split_terms)
 from .linalg import (entry, grouped_rows, nullspace, presolve_forced_zero,
                      rank_of, rref, subtract_scaled)
 from .structure import (DEFAULT_SEED, BracketTable, RankReport, RankSample,
-                        _evaluations, certify_by_kernel, generic_rank, sample_rank)
+                        _evaluations, certify_by_kernel, certify_by_pfaffians,
+                        generic_rank, sample_rank)
 
 
 ESCALATION_CEILING = 4  # the largest max_degree an escalating solve reaches
@@ -45,6 +46,8 @@ class AnsatzSpec:
             raise ExprError("ansatz max_degree must be at least 1")
         if self.inverse_degree < 0:
             raise ExprError("ansatz inverse_degree must be nonnegative")
+        if max(self.max_degree, self.inverse_degree) > DEGREE_LIMIT:
+            raise ExprError(f"ansatz degrees must be at most {DEGREE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -424,8 +427,6 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
     while changed:
         changed = False
         for d in distinct:
-            if d.is_constant():
-                continue
             parts = {c: v.num.divide_exact(d) for c, v in out.items()}
             if all(p is not None for p in parts.values()) \
                     and all(v.is_poly() for v in out.values()):
@@ -516,10 +517,10 @@ def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None
     """Solve with escalation against the sampled corank, then certify the rank.
 
     The verified solutions and free central generators bound the rank from
-    above (`certify_by_kernel`).  When that bound does not meet the sampled
-    rank, or a solution fails verification, `generic_rank` certifies it by
-    sub-Pfaffians instead, and a rank that differs from the sampled one is
-    escalated against again; the result is the same either way.
+    above (`certify_by_kernel`).  When the bounds differ, or a solution fails
+    verification, `certify_by_pfaffians` certifies the same sample instead,
+    and a rank that differs from the sampled one is escalated against again;
+    the result is the same either way.
     """
     if ansatz is None:
         ansatz = AnsatzSpec()
@@ -528,7 +529,7 @@ def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None
     report = (certify_by_kernel(btable, sample, result.independence)
               if result.verified else None)
     if report is None:
-        report = generic_rank(btable, seed=seed)
+        report = certify_by_pfaffians(btable, sample)
         if report.rank != sample.rank:
             result = _escalate(btable, ansatz, invertible, seed, ceiling, report)
     result.rank_report = report

@@ -183,6 +183,12 @@ class BracketTable:
         """Dense r x r skew matrix of bracket entries."""
         return [[self.bracket(i, j) for j in range(self.r)] for i in range(self.r)]
 
+    @_once
+    def pfaffian(self) -> RatFunc:
+        """Pfaffian of the even-sized structure matrix, formed only here."""
+        return pfaffian(self.structure_matrix(), RatFunc.zero(self.table),
+                        RatFunc.one(self.table))
+
     def central_generators(self) -> list[str]:
         """Names of generators whose bracket with every generator vanishes."""
         out = []
@@ -369,76 +375,76 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
             yield point, rows
 
 
-def _certified_rank(matrix: Sequence[Sequence[RatFunc]], block: list[int],
-                    full: RatFunc) -> int:
-    """Rank of a skew matrix, given a principal block with nonzero Pfaffian.
+def _certified_rank(btable: BracketTable, block: list[int]) -> int:
+    """Rank of the structure matrix, given a principal block with nonzero Pfaffian.
 
     The block grows by two indices whose bordered sub-Pfaffian is not
     identically zero.  When none is left, the block's Schur complement
-    vanishes, so the rank is the block's size.  `full` is the Pfaffian of the
-    whole matrix, the last border.
+    vanishes, so the rank is the block's size.  The last border is the whole
+    matrix, whose Pfaffian is `BracketTable.pfaffian`.
     """
-    r = len(matrix)
-    zero, one = RatFunc.zero(full.table), RatFunc.one(full.table)
-    for a, b in combinations([i for i in range(r) if i not in block], 2):
-        grown = sorted([*block, a, b])
-        pf = full if len(grown) == r else pfaffian(
-            [[matrix[i][j] for j in grown] for i in grown], zero, one)
-        if not pf.is_zero():
-            return _certified_rank(matrix, grown, full)
-    return len(block)
+    matrix, r = btable.structure_matrix(), btable.r
+    zero, one = RatFunc.zero(btable.table), RatFunc.one(btable.table)
+    while True:
+        for a, b in combinations([i for i in range(r) if i not in block], 2):
+            grown = sorted([*block, a, b])
+            pf = btable.pfaffian() if len(grown) == r else pfaffian(
+                [[matrix[i][j] for j in grown] for i in grown], zero, one)
+            if not pf.is_zero():
+                block = grown
+                break
+        else:
+            return len(block)
 
 
-def _sample_points(btable: BracketTable, seed: int, samples: int) -> Iterator:
-    return _evaluations(btable.entries, btable.r, btable.table, random.Random(seed),
-                        40 * samples, skew=True)
-
-
-def _ranked(points: Iterator, r: int, samples: int) -> list:
+def _ranked(points: Iterator, r: int) -> list:
     """(rank, point, rows) for the next block of sample points."""
-    return [(rank_of(rows, r), p, rows) for p, rows in islice(points, samples)]
+    return [(rank_of(rows, r), p, rows) for p, rows in islice(points, SAMPLE_BLOCK)]
 
 
 def _witness(table: VarTable, ranked: list, rank: int) -> dict[str, Fraction] | None:
     """The first sample point attaining the rank, by name."""
     return next(({table.names[i]: p[i] for i in range(len(table))
                   if table.kinds[i] in (GENERATOR, PARAMETER)}
-                 for k, p, *_ in ranked if k == rank), None)
-
-
-def _rank_report(btable: BracketTable, ranked: list, rank: int, seed: int,
-                 degeneracy: RatFunc, certificate: str) -> RankReport:
-    """The report of a rank over ranked sample points, (rank, point, ...) each."""
-    r = btable.r
-    return RankReport(rank=rank, corank=r - rank,
-                      sampled_rank=max((k for k, *_ in ranked), default=0),
-                      witness=_witness(btable.table, ranked, rank), seed=seed,
-                      samples=len(ranked),
-                      kind="pfaffian" if r % 2 == 0 else "determinant",
-                      degeneracy=degeneracy, certificate=certificate)
+                 for k, p, _ in ranked if k == rank), None)
 
 
 @dataclass
 class RankSample:
     """A lower bound on the generic rank, not yet certified: the highest rank
-    over the first block of sample points, attained at its witness.
-    `ranked` holds (rank, point) for each point of the block."""
+    over the first block of sample points, attained at its witness.  `ranked`
+    holds (rank, point, rows) for each point drawn so far; further blocks come
+    from `points`, the rest of the same seeded stream."""
     rank: int
     corank: int
     witness: dict[str, Fraction] | None
     seed: int
     ranked: list = field(repr=False)
+    points: Iterator = field(repr=False, compare=False)
 
 
 def sample_rank(btable: BracketTable, seed: int = DEFAULT_SEED) -> RankSample:
-    """The sampled lower bound over the first block of `generic_rank`'s
-    sample points."""
+    """The sampled lower bound over the first block of seeded sample points."""
     r = btable.r
-    ranked = [(k, p) for k, p, _ in
-              _ranked(_sample_points(btable, seed, SAMPLE_BLOCK), r, SAMPLE_BLOCK)]
-    rank = max((k for k, _ in ranked), default=0)
+    points = _evaluations(btable.entries, r, btable.table, random.Random(seed),
+                          40 * SAMPLE_BLOCK, skew=True)
+    ranked = _ranked(points, r)
+    rank = max((k for k, *_ in ranked), default=0)
     return RankSample(rank=rank, corank=r - rank, seed=seed, ranked=ranked,
-                      witness=_witness(btable.table, ranked, rank))
+                      points=points, witness=_witness(btable.table, ranked, rank))
+
+
+def _rank_report(btable: BracketTable, sample: RankSample, rank: int,
+                 certificate: str) -> RankReport:
+    """The report of a certified rank over the sample's points; the degeneracy
+    is the full Pfaffian at rank r and zero below it, since Pf^2 = det."""
+    r, ranked = btable.r, sample.ranked
+    return RankReport(rank=rank, corank=r - rank,
+                      sampled_rank=max((k for k, *_ in ranked), default=0),
+                      witness=_witness(btable.table, ranked, rank), seed=sample.seed,
+                      samples=len(ranked), kind="pfaffian" if r % 2 == 0 else "determinant",
+                      degeneracy=btable.pfaffian() if rank == r else RatFunc.zero(btable.table),
+                      certificate=certificate)
 
 
 def certify_by_kernel(btable: BracketTable, sample: RankSample,
@@ -450,45 +456,32 @@ def certify_by_kernel(btable: BracketTable, sample: RankSample,
     and lie in the kernel of the structure matrix, so rank <= r -
     kernel_rank, rounded down to even since the matrix is skew (Weinstein
     1983; Olver 1993, 6.2).  The sample's witness attains its rank, so when
-    the two bounds meet that is the rank.  Below r, Pf^2 = det vanishes, so
-    the full Pfaffian is formed only at rank r.
+    the two bounds meet that is the rank.
     """
-    r = btable.r
-    if sample.witness is None or (r - kernel_rank) // 2 * 2 != sample.rank:
+    if sample.witness is None or (btable.r - kernel_rank) // 2 * 2 != sample.rank:
         return None
-    table = btable.table
-    degeneracy = RatFunc.zero(table)
-    if sample.rank == r:
-        degeneracy = pfaffian(btable.structure_matrix(), degeneracy, RatFunc.one(table))
-    return _rank_report(btable, sample.ranked, sample.rank, sample.seed,
-                        degeneracy, "casimirs")
+    return _rank_report(btable, sample, sample.rank, "casimirs")
 
 
-def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED,
-                 samples: int = SAMPLE_BLOCK) -> RankReport:
-    """Generic rank of the structure matrix: random rational sampling bounded
-    below, a sub-Pfaffian certificate as the authority.
-
-    The certificate starts from the pivot columns at the first point of
-    highest rank in the first block of samples: they index a principal block
-    that is nonsingular there.  Blocks are added, up to 12 in all, while no
-    point attains the certified rank; the first point that does is the witness.
-    """
-    table = btable.table
-    matrix = btable.structure_matrix()
-    r = btable.r
-    degeneracy = RatFunc.zero(table)
-    if r % 2 == 0:
-        degeneracy = pfaffian(matrix, degeneracy, RatFunc.one(table))
-    points = _sample_points(btable, seed, samples)
-    ranked = _ranked(points, r, samples)
+def certify_by_pfaffians(btable: BracketTable, sample: RankSample) -> RankReport:
+    """The generic rank, certified by sub-Pfaffians from the pivot columns at
+    the first point of highest rank in the sample, which index a principal
+    block nonsingular there.  Blocks from the sample's stream are added, up
+    to 12 in all, while no point attains the certified rank; the first point
+    that does is the witness."""
+    r, ranked = btable.r, sample.ranked
     best = max(ranked, key=lambda t: t[0], default=None)
-    start = pivot_columns(best[2], r) if best else []
-    rank = _certified_rank(matrix, start, degeneracy)
-    while (0 < len(ranked) < 12 * samples and len(ranked) % samples == 0
-           and max(k for k, _, _ in ranked) < rank):
-        ranked += _ranked(points, r, samples)
-    return _rank_report(btable, ranked, rank, seed, degeneracy, "pfaffian")
+    rank = _certified_rank(btable, pivot_columns(best[2], r) if best else [])
+    while (0 < len(ranked) < 12 * SAMPLE_BLOCK and len(ranked) % SAMPLE_BLOCK == 0
+           and max(k for k, *_ in ranked) < rank):
+        ranked += _ranked(sample.points, r)
+    return _rank_report(btable, sample, rank, "pfaffian")
+
+
+def generic_rank(btable: BracketTable, seed: int = DEFAULT_SEED) -> RankReport:
+    """Generic rank of the structure matrix: random rational sampling bounded
+    below, a sub-Pfaffian certificate as the authority."""
+    return certify_by_pfaffians(btable, sample_rank(btable, seed))
 
 
 def bind_parameters(btable: BracketTable, bindings: Mapping[str, RatFunc]) -> BracketTable:
@@ -498,10 +491,8 @@ def bind_parameters(btable: BracketTable, bindings: Mapping[str, RatFunc]) -> Br
         idx = table.index(name)
         if table.kind(idx) != PARAMETER:
             raise ExprError(f"binding target {name!r} is not a parameter")
-    entries = {}
-    for key, f in btable.entries.items():
-        entries[key] = substitute(f, bindings, table)
-    return BracketTable(table, entries)
+    return BracketTable(table, {key: substitute(f, bindings, table)
+                                for key, f in btable.entries.items()})
 
 
 @dataclass

@@ -4,7 +4,8 @@
 and certifies it from above with the verified solutions and free central
 generators (`certify_by_kernel`): rank <= r - k, rounded down to even.  When
 the bounds do not meet, or a solution fails verification, the sub-Pfaffian
-certificate (`generic_rank`) decides, and the output is the one it gives.
+certificate (`certify_by_pfaffians`) decides on the same sample, and the
+output is the one `generic_rank` gives.
 """
 
 import contextlib

@@ -15,7 +15,6 @@ import pytest
 from plq import structure
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import GENERATOR, PARAMETER, ExprError, LogExpr, RatFunc, diff
-from plq.linalg import pfaffian
 from reference_rref import rref
 from dense_rows import rows_from_dense
 from plq.solver import AnsatzSpec, independence_rank, solve_casimirs
@@ -61,8 +60,6 @@ def reference_rank(bt, seed, samples=16):
     """`generic_rank`'s sampling and certificate over dense Fraction rref."""
     table, r = bt.table, bt.r
     matrix = bt.structure_matrix()
-    zero, one = RatFunc.zero(table), RatFunc.one(table)
-    full = pfaffian(matrix, zero, one) if r % 2 == 0 else zero
     points = dense_values(matrix, draws(table, random.Random(seed), 40 * samples))
 
     def block():
@@ -71,7 +68,7 @@ def reference_rank(bt, seed, samples=16):
     ranked = block()
     best = max(ranked, key=lambda t: t[0], default=None)
     start = rref(rows_from_dense(best[2]), r)[1] if best else []
-    rank = structure._certified_rank(matrix, start, full)
+    rank = structure._certified_rank(bt, start)
     while (0 < len(ranked) < 12 * samples and len(ranked) % samples == 0
            and max(k for k, _, _ in ranked) < rank):
         ranked += block()

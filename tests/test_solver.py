@@ -1,17 +1,20 @@
 """Invariant solver: ansatz enumeration, nullspace solve, verification."""
 
 import importlib.util
+import time
+
 import pytest
 
 from fractions import Fraction
 from pathlib import Path
 
 from plq import solver
-from plq.corpus import corpus_names, corpus_problem
-from plq.expr import ExprError, RatFunc, VarTable, exact_div
+from plq.cli import main
+from plq.corpus import corpus_data, corpus_names, corpus_problem
+from plq.expr import DEGREE_LIMIT, ExprError, RatFunc, VarTable, exact_div
 from plq.linalg import nullspace, presolve_forced_zero, rank_of, rref
 from plq.parsing import parse_expression, parse_ratfunc, to_string
-from plq.problem import build_problem
+from plq.problem import ProblemError, build_problem
 from plq.solver import (AnsatzSpec, _normalize_solution, _reversed_echelon,
                         _span_of_products, assemble_system,
                         coords_to_expression, enumerate_basis,
@@ -41,6 +44,23 @@ def test_ansatz_validation():
         AnsatzSpec(max_degree=0)
     with pytest.raises(ExprError):
         AnsatzSpec(max_degree=2, inverse_degree=-1)
+
+
+def test_ansatz_degree_past_the_monomial_limit_exits_2(capsys):
+    """No monomial of degree 128 packs, so the ansatz refuses it at once,
+    from the command line and from a problem file."""
+    AnsatzSpec(max_degree=DEGREE_LIMIT, inverse_degree=DEGREE_LIMIT)
+    for spec in ({"max_degree": DEGREE_LIMIT + 1}, {"inverse_degree": DEGREE_LIMIT + 1}):
+        with pytest.raises(ExprError):
+            AnsatzSpec(**spec)
+    start = time.perf_counter()
+    assert main(["solve", "sphere", "--max-degree", "128"]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == "error: ansatz degrees must be at most 127\n"
+    doc = corpus_data("sphere")
+    doc["solver"] = {"max_degree": 300}
+    with pytest.raises(ProblemError, match="solver options: ansatz degrees"):
+        build_problem(doc)
 
 
 def test_enumerate_basis_is_graded():

@@ -1,24 +1,28 @@
 """Bracket tables: validation, Jacobi identity, rank, and degeneracy."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from plq import structure
+from plq import linalg, structure
+from plq.cli import main
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
 from plq.flow import FlowConfig, _abstract_system
 from plq.linalg import rank_of
 from dense_rows import rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
+from plq.problem import build_problem
 from plq.solver import AnsatzSpec, assemble_system, enumerate_basis, verify_invariant
-from plq.structure import (BracketTable, bind_parameters, generic_rank,
-                           jacobi_check, verify_parameter_constraint)
+from plq.structure import (DEFAULT_SEED, BracketTable, RankSample, bind_parameters,
+                           certify_by_pfaffians, generic_rank, jacobi_check,
+                           verify_parameter_constraint)
 from reference_columns import graded_columns
 from test_linalg import det
-from test_solver import lie_problem
+from test_solver import lie_module, lie_problem
 
 
 def so3_table():
@@ -188,11 +192,56 @@ def test_certified_rank_matches_elimination(bt):
     sampled = generic_rank(bt)
     assert (sampled.rank, sampled.corank) == (oracle, bt.r - oracle)
     assert sampled.sampled_rank <= oracle
-    unsampled = generic_rank(bt, samples=0)
+    empty = RankSample(0, bt.r, None, DEFAULT_SEED, ranked=[], points=iter(()))
+    unsampled = certify_by_pfaffians(bt, empty)
     assert (unsampled.rank, unsampled.corank) == (oracle, bt.r - oracle)
     assert unsampled.witness is None
     assert (unsampled.samples, unsampled.sampled_rank) == (0, 0)
     assert unsampled.degeneracy == sampled.degeneracy
+
+
+def test_full_pfaffian_only_at_the_last_border(monkeypatch):
+    """gl(4), 16 generators of rank 12: every bordered 14 x 14 sub-Pfaffian
+    vanishes, so the 16 x 16 Pfaffian is never formed, and the rank below r
+    reports degeneracy 0 (Pf^2 = det)."""
+    bt = build_problem(lie_module().gl_document(4)).brackets
+    sizes = []
+    pfaffian = structure.pfaffian
+
+    def recorded(matrix, zero, one):
+        sizes.append(len(matrix))
+        return pfaffian(matrix, zero, one)
+    monkeypatch.setattr(structure, "pfaffian", recorded)
+    report = generic_rank(bt)
+    assert (report.rank, report.kind, report.degeneracy.is_zero()) == (12, "pfaffian", True)
+    assert sizes and max(sizes) == 14
+
+
+def test_sparse_pairs_rank_past_the_term_guard(capsys, tmp_path):
+    """13 pairs {x_i, y_i} = 1: 26 generators, the full Pfaffian 1.  The term
+    guard bounds sub-Pfaffian size, not order, so this table still ranks."""
+    names = [f"{v}{i}" for i in range(1, 14) for v in "xy"]
+    doc = {"name": "pairs", "variables": {"pairs": 0, "parameters": []},
+           "generators": [{"name": n} for n in names],
+           "brackets": [{"i": x, "j": y, "expression": "1"}
+                        for x, y in zip(names[::2], names[1::2])]}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rank", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "rank: 26, corank: 0\npfaffian 1\n" in out
+
+
+def test_pfaffian_term_guard_exits_2(capsys, monkeypatch):
+    """A sub-Pfaffian numerator past PFAFFIAN_TERMS stops `rank` with exit 2
+    and the guard's message: unbound sklyanin's 4 x 4 Pfaffian has three
+    terms."""
+    monkeypatch.setattr(linalg, "PFAFFIAN_TERMS", 1)
+    assert main(["rank", "sklyanin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: pfaffian of a 4 x 4 matrix: a sub-Pfaffian "
+                            "has more than 1 terms\n")
 
 
 def reference_jacobi(bt):
