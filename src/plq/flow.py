@@ -8,11 +8,15 @@ the symbolic modules, and flows serve as numerical witnesses that monitors
 
 Each run is compiled once into one generated Python function that holds the
 whole step loop: the state, the four RK4 stages, the monitors and their drift
-live in scalar locals, and parameter values are constants.  The emitted
-source drops unit coefficients, writes negative coefficients as subtractions,
-computes each distinct denominator and each repeated power once per point,
-and those that use only parameters once per run; each of these is exact in
-IEEE round-to-nearest arithmetic, so the trajectory is the one a term-by-term
+live in scalar locals, and parameter values are constants.  Each state is
+evaluated once: stage 1 of a step reads what the monitors computed at the
+end of the step before.  The emitted source drops unit coefficients and
+parameters equal to 1.0 (a*1.0 and a/1.0 are a), writes negative
+coefficients as subtractions, computes each distinct denominator and each
+repeated power once per point, and those that use only parameters once per
+run, and moves a component whose right-hand side is zero by + 0.0 (what
+h/2*0.0 and h/6*0.0 add for a valid step); each of these is exact in IEEE
+round-to-nearest arithmetic, so the trajectory is the one a term-by-term
 evaluation gives.  Every denominator is guarded, so a trajectory that
 approaches a pole aborts with the step index, and so does one whose state or
 monitors leave the finite range.  A run keeps only its current state, so its
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,14 +166,16 @@ def _frac_src(c: int | Fraction) -> str:
 def _poly_src(p: Poly, names: Mapping[int, str],
               bound: Mapping[str, str] = {}) -> str:
     """Source of a polynomial: a unit coefficient is dropped and a negative
-    one becomes a subtraction, both exact in floating point.  A power with a
-    local in `bound` is read from that local."""
+    one becomes a subtraction, both exact in floating point.  A variable
+    missing from `names` is a parameter whose value is 1.0 and is dropped as
+    a factor, also exact.  A power with a local in `bound` is read from that
+    local."""
     if p.is_zero():
         return "0.0"
     src = ""
     for e, c in sorted(p.terms.items()):
         factors = [names[i] if x == 1 else f"{names[i]}**{x}"
-                   for i, x in enumerate(e) if x]
+                   for i, x in enumerate(e) if x and i in names]
         factors = [bound.get(f, f) for f in factors]
         if abs(c) != 1 or not factors:
             factors.insert(0, _frac_src(abs(c)))
@@ -200,51 +207,58 @@ def _used_indices(exprs: Sequence[LogExpr]) -> set[int]:
     return used
 
 
-def _emit(table: VarTable, exprs: Sequence[object],
+def _emit(table: VarTable, groups: Sequence[Sequence[object]],
           state_indices: Sequence[int], values: Mapping[str, float],
-          tag: str) -> tuple[list[str], list[str], list[str]]:
-    """Source that evaluates expressions at a point held in locals x{i}.
+          dens: dict[str, str] | None = None
+          ) -> list[tuple[list[str], list[str], list[str]]]:
+    """Source that evaluates groups of expressions at a point in locals x{i}.
 
-    Returns the lines run once (parameter values, then the powers and guarded
-    denominators that use only parameters), the lines run once per point (the
-    radial element, repeated powers, denominator and logarithm guards; guards
-    raise `_PoleSignal`), and one output expression per input expression.
-    `tag` keeps the denominator locals of separate emissions apart.
+    Returns, for each group, the lines run once (parameter values, then the
+    powers and guarded denominators that use only parameters), the lines run
+    once per point (the radial element, repeated powers, denominator and
+    logarithm guards; guards raise `_PoleSignal`), and one output expression
+    per input expression.  A group's lines are those it would have alone,
+    in the same order, less what an earlier group computes: its outputs read
+    those locals.  A parameter-only denominator whose value is 1.0 is dropped
+    with its guard, since `a/1.0` is `a`.  `dens` names the denominator
+    locals, so emissions that share it name a denominator alike.
     """
-    norm = [_as_logexpr(e) for e in exprs]
-    used = _used_indices(norm)
-    names = {i: f"x{i}" for i in range(len(table))}
-    constants: list[str] = []
-    point: list[str] = []
-    params: set[int] = set()
+    dens = {} if dens is None else dens
+    norms = [[_as_logexpr(e) for e in group] for group in groups]
+    used = _used_indices([le for norm in norms for le in norm])
+    params: dict[int, float] = {}
     state_set = set(state_indices)
     ia = table.alg_index
-    for i in sorted(used):
-        if i in state_set or i == ia:
-            continue
-        if table.kind(i) == PARAMETER:
-            name = table.names[i]
-            if name not in values:
-                raise ExprError(f"no value given for parameter {name!r}")
-            constants.append(f"x{i} = {float(values[name])!r}")
-            params.add(i)
-        else:
-            raise ExprError(f"variable {table.names[i]!r} is not part of "
-                            "the flow state")
-    if ia is not None and ia in used:
-        if not set(table.q_indices) <= state_set:
-            raise ExprError("the radial element needs the position variables "
-                            "in the flow state")
-        square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
-        point.append(f"x{ia} = sqrt({square})")
+    for i in sorted(used - state_set - {ia}):
+        name = table.names[i]
+        if table.kind(i) != PARAMETER:
+            raise ExprError(f"variable {name!r} is not part of the flow state")
+        if name not in values:
+            raise ExprError(f"no value given for parameter {name!r}")
+        params[i] = float(values[name])
+    if ia in used and not set(table.q_indices) <= state_set:
+        raise ExprError("the radial element needs the position variables "
+                        "in the flow state")
+    names = {i: f"x{i}" for i in range(len(table)) if params.get(i) != 1.0}
     # Count each power once per polynomial written, a shared denominator once.
-    rats = [rf for le in norm for rf in (le.rat, *(c for _, c in le.logs))]
-    dens = {_poly_src(rf.den, names): rf.den for rf in rats if not rf.is_poly()}
-    uses = Counter((i, x) for p in [rf.num for rf in rats] + list(dens.values())
-                   for e in p.terms for i, x in enumerate(e) if x > 1)
+    rats = [[rf for le in norm for rf in (le.rat, *(c for _, c in le.logs))]
+            for norm in norms]
+    den_polys = {_poly_src(rf.den, names): rf.den
+                 for group in rats for rf in group if not rf.is_poly()}
+    uses = Counter((i, x) for p in [rf.num for group in rats for rf in group]
+                   + list(den_polys.values()) for e in p.terms
+                   for i, x in enumerate(e) if x > 1 and i in names)
     bound = {f"x{i}**{x}": f"x{i}_{x}" for (i, x), count in uses.items()
              if count > 1 or i in params}
+    env = {names[i]: v for i, v in params.items() if i in names}
+    ones = set()
+    for den, p in den_polys.items():
+        with suppress(OverflowError):  # the run raises it where it occurs
+            if p.used_indices() <= params.keys() and eval(den, {}, env) == 1.0:
+                ones.add(den)
     unplaced = dict(bound)
+    placed: set[str] = set()
+    logged: set[int] = set()
 
     def place(p: Poly, lines: list[str]) -> None:
         # A bound power goes just before its first use, so the operations
@@ -256,37 +270,48 @@ def _emit(table: VarTable, exprs: Sequence[object],
                     (constants if i in params else lines).append(
                         f"{local} = x{i}**{x}")
 
-    denominators: dict[str, str] = {}
-    logged: set[int] = set()
-
     def guarded(rf: RatFunc) -> str:
         src = _poly_src(rf.num, names, bound)
         if rf.is_poly():
             return src
         den = _poly_src(rf.den, names)
-        dvar = denominators.get(den)
-        if dvar is None:
-            dvar = denominators[den] = f"d{tag}{len(denominators)}"
-            lines = constants if rf.den.used_indices() <= params else point
+        if den in ones:
+            return src
+        dvar = dens.setdefault(den, f"d{len(dens)}")
+        if den not in placed:
+            placed.add(den)
+            lines = (constants if rf.den.used_indices() <= params.keys()
+                     else point)
             place(rf.den, lines)
             lines.append(f"{dvar} = {_poly_src(rf.den, names, bound)}")
             lines.append(f"if abs({dvar}) < {POLE_TOLERANCE!r}: "
                          "raise _PoleSignal()")
         return f"({src} / {dvar})"
 
-    outputs = []
-    for le in norm:
-        src = guarded(le.rat)
-        for g, c in le.logs:
-            if g not in logged:
-                logged.add(g)
-                point.append(f"if x{g} <= {POLE_TOLERANCE!r}: "
-                             "raise _PoleSignal()")
-            src = f"({src} + {guarded(c)}*log(x{g}))"
-        outputs.append(src)
-    for rf in rats:
-        place(rf.num, point)
-    return constants, point, outputs
+    square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
+    emitted = []
+    seen: set[int] = set()
+    for norm, group_rats in zip(norms, rats):
+        # `place` and `guarded` append to this group's lines.
+        new = _used_indices(norm) - seen
+        seen |= new
+        constants = [f"x{i} = {params[i]!r}" for i in sorted(new)
+                     if i in params and i in names]
+        point = [f"x{ia} = sqrt({square})"] if ia in new else []
+        outputs = []
+        for le in norm:
+            src = guarded(le.rat)
+            for g, c in le.logs:
+                if g not in logged:
+                    logged.add(g)
+                    point.append(f"if x{g} <= {POLE_TOLERANCE!r}: "
+                                 "raise _PoleSignal()")
+                src = f"({src} + {guarded(c)}*log(x{g}))"
+            outputs.append(src)
+        for rf in group_rats:
+            place(rf.num, point)
+        emitted.append((constants, point, outputs))
+    return emitted
 
 
 _NAMESPACE = {"sqrt": math.sqrt, "log": math.log, "isfinite": math.isfinite,
@@ -309,7 +334,8 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
                       values: Mapping[str, float]) -> Callable[[tuple], tuple]:
     """Compile expressions into one function mapping a state tuple to a tuple
     of values, with parameters baked in and denominators guarded."""
-    constants, point, outputs = _emit(table, exprs, state_indices, values, "")
+    [(constants, point, outputs)] = _emit(table, [exprs], state_indices,
+                                          values)
     body = [f"x{i} = state[{k}]" for k, i in enumerate(state_indices)]
     body += constants + point + ["return " + _tuple_src(outputs)]
     return _define(["def _compiled(state):"] + ["    " + l for l in body],
@@ -326,13 +352,20 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     monitors' initial values, largest drifts and final values; given
     `append`, it also passes it the state after each step.  A guard that
     trips raises `FlowPoleError` with the step (0 for the start point); so
-    does an infinite or NaN state or monitor value.  Parameter-only work runs before
-    step 0 for the monitors and before step 1 for the right-hand sides.
+    does an infinite or NaN state or monitor value.  Stage 1 of step n + 1,
+    at the top of the loop, computes only what the monitors did not at the
+    end of step n, so its guards report step n + 1 and the final state never
+    evaluates the right-hand sides.  Parameter-only work runs before step 0
+    for the monitors and before step 1 for the right-hand sides.
     """
-    rconst, rpoint, rout = _emit(table, rhs_exprs, state_indices, values, "r")
-    mconst, mpoint, mout = _emit(table, monitors, state_indices, values, "m")
+    dens: dict[str, str] = {}
+    (mconst, mpoint, mout), (rconst, rfirst, rout1) = _emit(
+        table, [monitors, rhs_exprs], state_indices, values, dens)
+    [(_, rpoint, rout)] = _emit(table, [rhs_exprs], state_indices, values,
+                                dens)
     n = len(state_indices)
     ys = [f"y{k}" for k in range(n)]
+    zero = [src == "0.0" for src in rout]
     base = [f"b{j}" for j in range(len(mout))]
     current = [f"c{j}" for j in range(len(mout))]
     drift = [f"m{j}" for j in range(len(mout))]
@@ -340,8 +373,13 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     def at(offsets: Sequence[str]) -> list[str]:
         return [f"x{i} = {y}{o}" for i, y, o in zip(state_indices, ys, offsets)]
 
-    def stage(s: int) -> list[str]:
-        return rpoint + [f"k{s}_{k} = {src}" for k, src in enumerate(rout)]
+    def stage(s: int, point: list[str], outputs: list[str]) -> list[str]:
+        return point + [f"k{s}_{k} = {src}" for k, src in enumerate(outputs)
+                        if not zero[k]]
+
+    def moved(scale: str, s: int) -> list[str]:
+        return at([" + 0.0" if z else f" + {scale} * k{s}_{k}"
+                   for k, z in enumerate(zero)])
 
     def monitored(names: list[str]) -> list[str]:
         lines = mpoint + [f"{v} = {src}" for v, src in zip(names, mout)]
@@ -351,12 +389,13 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
                      f"{_tuple_src(checked)})): raise _NotFiniteSignal()")
         return lines
 
-    step = stage(1)
-    step += at([f" + half * k1_{k}" for k in range(n)]) + stage(2)
-    step += at([f" + half * k2_{k}" for k in range(n)]) + stage(3)
-    step += at([f" + h * k3_{k}" for k in range(n)]) + stage(4)
-    step += [f"{y} = {y} + sixth * (k1_{k} + 2.0 * (k2_{k} + k3_{k}) + k4_{k})"
-             for k, y in enumerate(ys)]
+    step = stage(1, rfirst, rout1)
+    step += moved("half", 1) + stage(2, rpoint, rout)
+    step += moved("half", 2) + stage(3, rpoint, rout)
+    step += moved("h", 3) + stage(4, rpoint, rout)
+    step += [f"{y} = {y} + 0.0" if z else
+             f"{y} = {y} + sixth * (k1_{k} + 2.0 * (k2_{k} + k3_{k}) + k4_{k})"
+             for k, (y, z) in enumerate(zip(ys, zero))]
     step += at([""] * n) + monitored(current)
     step.append(f"if append is not None: append({_tuple_src(ys)})")
     for b, c, m in zip(base, current, drift):

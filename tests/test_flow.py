@@ -319,14 +319,25 @@ def oracle_case(name):
                          {"H": 1.0, "phi": 2.0, "V": 3.0, "R": 1.0},
                          1e-2, 1000, monitors)
         return problem.brackets, cfg, "abstract"
-    if name == "hydrogen-abstract":
+    # The benchmark's flows: "sphere-of-V", "hydrogen-unit" and
+    # "hydrogen-kepler" run at the unit parameters R = 1 and m = kappa = 1.
+    if name == "sphere-of-V":
+        problem = sphere()
+        cfg = FlowConfig(parse_expression("V", problem.table),
+                         {"H": 1.0, "phi": 0.0, "V": 0.0, "R": 1.0}, 1e-3,
+                         2000, [sphere_invariant(problem.table)])
+        return problem.brackets, cfg, "abstract"
+    if name in ("hydrogen-abstract", "hydrogen-unit"):
         problem = corpus_problem("hydrogen")
         table = problem.table
+        unit = name == "hydrogen-unit"
+        observable = ("L1*M2 + 1/2*L3^2 + M1^2 - 1/3*H*L2" if unit else
+                      "1/2*L1^2 - 1/3*L2*M3 + 1/4*M1^2 + H*L3 - 1/5*M2")
         cfg = FlowConfig(
-            parse_expression("1/2*L1^2 - 1/3*L2*M3 + 1/4*M1^2 + H*L3 - 1/5*M2",
-                             table),
+            parse_expression(observable, table),
             {"H": -0.5, "L1": 0.3, "L2": -0.2, "L3": 0.4, "M1": 0.1,
-             "M2": 0.25, "M3": -0.15, "m": 1.5, "kappa": 0.75},
+             "M2": 0.25, "M3": -0.15, "m": 1.0 if unit else 1.5,
+             "kappa": 1.0 if unit else 0.75},
             1e-3, 2000,
             [parse_expression(m, table) for m in (
                 "H", "L1*M1 + L2*M2 + L3*M3",
@@ -382,6 +393,12 @@ def oracle_case(name):
         cfg = FlowConfig(parse_expression("u1", bt.table),
                          {"u1": 1.0, "u2": 0.5}, 1e-3, 2000,
                          [parse_expression("log(u2)", bt.table)])
+    elif name == "rhs-log-pole":
+        # du2/dt = log(u2): a logarithm that only the right-hand sides take
+        # of a variable that the monitor reads.
+        cfg = FlowConfig(parse_expression("-u1*log(u2)", bt.table),
+                         {"u1": 1.0, "u2": 0.6}, 1e-3, 2000,
+                         [parse_expression("u2", bt.table)])
     else:
         cfg = FlowConfig(parse_expression("1/2*u2^2", bt.table),
                          {"u1": 1.0, "u2": -1.0}, 1e-3, 2000,
@@ -401,15 +418,10 @@ def outcome(run):
 EARLY_POLES = {"rhs-parameter-pole": 1, "monitor-parameter-pole": 0}
 
 
-@pytest.mark.parametrize("name", [
-    "sphere", "hydrogen-abstract", "hydrogen-kepler", "nappi-witten",
-    "no-monitors", "log-monitor", "log-pole", "pole", "parameter-power-log",
-    *EARLY_POLES])
-def test_generated_run_matches_reference_loop(name):
-    """The one generated run reproduces the per-step loop over term-by-term
-    evaluators bit for bit: every state and time, the monitor values and
-    drifts, and pole steps."""
-    source, cfg, mode = oracle_case(name)
+def generated_and_reference(source, cfg, mode):
+    """Outcomes of the generated run and of the per-step loop over
+    term-by-term evaluators: times, states, monitor values and drifts, or
+    the pole step."""
     if mode == "abstract":
         system = _abstract_system(source, cfg)
         flow = lambda: abstract_flow(source, cfg)
@@ -428,7 +440,19 @@ def test_generated_run_matches_reference_loop(name):
         m = result.drift.monitors
         return (result.times, result.states, [d.initial for d in m],
                 [d.max_drift for d in m], [d.final_drift for d in m])
-    got = outcome(got_run)
+    return outcome(got_run), want
+
+
+@pytest.mark.parametrize("name", [
+    "sphere", "sphere-of-V", "hydrogen-abstract", "hydrogen-unit",
+    "hydrogen-kepler", "nappi-witten", "no-monitors", "log-monitor",
+    "log-pole", "rhs-log-pole", "pole", "parameter-power-log", *EARLY_POLES])
+def test_generated_run_matches_reference_loop(name):
+    """The one generated run reproduces the per-step loop over term-by-term
+    evaluators bit for bit: every state and time, the monitor values and
+    drifts, and pole steps."""
+    source, cfg, mode = oracle_case(name)
+    got, want = generated_and_reference(source, cfg, mode)
     assert got == want
     if name in EARLY_POLES:
         assert got[:2] == ("pole", EARLY_POLES[name])
@@ -436,6 +460,45 @@ def test_generated_run_matches_reference_loop(name):
         assert 400 <= got[1] <= 600
     else:
         assert len(got[1]) == cfg.steps + 1
+
+
+def test_zero_right_hand_side_moves_by_adding_zero():
+    """V has the zero right-hand side in the flow of V: its stages and
+    update add 0.0, as half * 0.0 and sixth * 0.0 do, so a start at -0.0
+    moves to +0.0 as in the per-step loop."""
+    problem = sphere()
+    cfg = FlowConfig(parse_expression("V", problem.table),
+                     {"H": 1.0, "phi": 0.0, "V": -0.0, "R": 1.0}, 1e-3, 3,
+                     [sphere_invariant(problem.table)])
+    got, want = generated_and_reference(problem.brackets, cfg, "abstract")
+    assert repr([list(x) for x in got]) == repr([list(x) for x in want])
+    assert [repr(state[2]) for state in got[1]] == ["-0.0"] + ["0.0"] * 3
+
+
+def test_right_hand_side_pole_at_the_final_state_is_the_next_step():
+    """u1 grows as exp(t) whatever c is, and c enters only denominators of
+    the right-hand sides, which vanish at u1 = c.  With c the value u1
+    reaches after N steps, an N-step run finishes, as the per-step loop
+    does, since the right-hand sides are never evaluated at the final state;
+    one step more aborts at step N + 1, where stage 1 evaluates them."""
+    table = VarTable.make(["u1", "u2", "u3", "u4"], 0, ["c"])
+    bt = BracketTable(table, {(0, 1): parse_ratfunc("u1", table),
+                              (2, 3): parse_ratfunc("1", table)})
+
+    def config(c, steps):
+        return FlowConfig(parse_expression("u2 + u4/(u1 - c)", table),
+                          {"u1": 1.0, "u2": 0.5, "u3": 0.0, "u4": 1.0,
+                           "c": c}, 0.1, steps,
+                          [parse_expression(m, table) for m in ("u1^2", "u4")])
+    steps = 10
+    far = abstract_flow(bt, config(100.0, steps)).final_map()["u1"]
+    assert abs(far - math.exp(1.0)) < 1e-5
+    got, want = generated_and_reference(bt, config(far, steps), "abstract")
+    assert got == want
+    assert len(got[1]) == steps + 1 and got[1][-1][0] == far
+    got, want = generated_and_reference(bt, config(far, steps + 1), "abstract")
+    assert got == want
+    assert got[:2] == ("pole", steps + 1)
 
 
 def test_simplified_polynomial_source_is_exact():
@@ -468,11 +531,15 @@ def flow_system(source, cfg, mode):
     return _canonical_system(source, cfg.observable, cfg)
 
 
-@pytest.mark.parametrize("name", ["hydrogen-kepler", "hydrogen-abstract"])
+@pytest.mark.parametrize("name", [
+    "hydrogen-kepler", "hydrogen-abstract", "hydrogen-unit", "sphere-of-V",
+    "log-monitor", "rhs-log-pole"])
 def test_run_computes_powers_once_per_point_and_parameter_work_once(
         name, monkeypatch):
-    """Inside the step loop, no power is computed twice at one point, and
-    nothing that uses only parameters is computed at all."""
+    """Inside the step loop, no radial element, power or denominator is
+    computed twice at one state and every logarithm is guarded there,
+    nothing that uses only parameters is computed at all, no unit parameter
+    is read and no zero stage is stored."""
     source, cfg, mode = oracle_case(name)
     table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
     lines = []
@@ -494,15 +561,28 @@ def test_run_computes_powers_once_per_point_and_parameter_work_once(
         else:
             points[-1].append(line)
     assert len(points) >= 5
+    # Stage 1 at the top of the loop evaluates the state that the monitors
+    # at its end evaluated one step before.
+    points[0] += points.pop()
     for point in points:
-        powers = re.findall(r"x\d+\*\*\d+", "\n".join(point))
+        text = "\n".join(point)
+        powers = re.findall(r"x\d+\*\*\d+", text)
         assert len(powers) == len(set(powers)), point
+        assert text.count("sqrt(") <= 1, point
+        dens = [l.partition(" = ")[2] for l in point if re.match(r"d\d+ = ", l)]
+        assert len(dens) == len(set(dens)), point
+        for g in re.findall(r"log\((x\d+)\)", text):
+            assert f"if {g} <= 1e-12" in text, point
     params = {str(i) for i in table.parameter_indices}
+    units = {str(i) for i in table.parameter_indices
+             if cfg.initial_state[table.names[i]] == 1.0}
     for line in loop:
         assert not any(f"x{i}**" in line for i in params), line
         value = line.partition(" = ")[2]
         used = set(re.findall(r"\bx(\d+)", value))
         assert not used or not used <= params, line
+        assert not set(re.findall(r"\bx(\d+)", line)) & units, line
+        assert not re.fullmatch(r"k\d+_\d+ = 0\.0", line), line
 
 
 def evaluated(fn, point):
