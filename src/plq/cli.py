@@ -12,13 +12,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
-from .canonical import verify_closure
+from .canonical import CanonicalRealization, verify_closure
 from .corpus import corpus_data, corpus_names, corpus_problem
 from .expr import (CANONICAL_P, CANONICAL_Q, GENERATOR, PARAMETER, ExprError,
-                   RatFunc, substitute)
+                   LogExpr, RatFunc, substitute)
 from .flow import (FlowConfig, FlowPoleError, abstract_flow, canonical_flow)
 from .parsing import ParseError, parse_expression, parse_ratfunc, to_string
 from .problem import (Problem, ProblemError, build_problem, load_problem,
@@ -55,15 +57,33 @@ def _parse_bindings(problem: Problem, pairs: list[str]) -> dict[str, RatFunc]:
 
 
 def _start(args, command: str
-           ) -> tuple[Problem, dict[str, RatFunc], BracketTable, dict]:
-    """The problem, its `--bind` bindings, the bound bracket table and the
-    report header."""
+           ) -> tuple[Problem, Callable[[str], LogExpr], dict]:
+    """The problem with its `--bind` bindings applied, a parser that applies
+    them to the command's own expressions, and the report header.
+
+    The bindings go into the bracket table and into each expression of the
+    realization; a binding that uses a generator leaves the problem without
+    a realization, since a canonical realization cannot name generators."""
     problem = _load(args.file)
+    table = problem.table
     bindings = _parse_bindings(problem, args.bind)
-    btable = bind_parameters(problem.brackets, bindings) if bindings else problem.brackets
     report = {"problem": problem.name, "command": command, "seed": args.seed,
               "bindings": {k: to_string(v) for k, v in bindings.items()}}
-    return problem, bindings, btable, report
+    if not bindings:
+        return problem, lambda text: parse_expression(text, table), report
+    btable = bind_parameters(problem.brackets, bindings)
+    generators = set(table.generator_indices)
+    realization = problem.realization
+    if realization is None or any(
+            generators & (f.num.used_indices() | f.den.used_indices())
+            for f in bindings.values()):
+        realization = None
+    else:
+        realization = CanonicalRealization(
+            table, [substitute(f, bindings, table) for f in realization.expressions])
+    bound = replace(problem, brackets=btable, realization=realization)
+    return (bound, lambda text: substitute(parse_expression(text, table),
+                                           bindings, table), report)
 
 
 def _degeneracy_note(rank_report) -> str:
@@ -137,17 +157,17 @@ def _check_brackets(btable: BracketTable, realization, report: dict) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    problem, _, btable, report = _start(args, "verify")
-    print(f"problem: {problem.name} ({btable.r} generators)")
-    ok = _check_brackets(btable, problem.realization, report)
+    problem, _, report = _start(args, "verify")
+    print(f"problem: {problem.name} ({problem.brackets.r} generators)")
+    ok = _check_brackets(problem.brackets, problem.realization, report)
     _write_json(args.json, report)
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_rank(args) -> int:
-    problem, _, btable, report = _start(args, "rank")
-    rank_report = generic_rank(btable, seed=args.seed)
-    print(f"problem: {problem.name} ({btable.r} generators)")
+    problem, _, report = _start(args, "rank")
+    rank_report = generic_rank(problem.brackets, seed=args.seed)
+    print(f"problem: {problem.name} ({problem.brackets.r} generators)")
     print(f"rank: {rank_report.rank}, corank: {rank_report.corank}")
     print(_degeneracy_note(rank_report))
     print(f"sampled max {rank_report.sampled_rank} over "
@@ -159,14 +179,15 @@ def _cmd_rank(args) -> int:
 
 def _cmd_solve(args) -> int:
     t0 = time.monotonic()
-    problem, bindings, btable, report = _start(args, "solve")
+    problem, _, report = _start(args, "solve")
+    btable = problem.brackets
     base = problem.ansatz
     ansatz = AnsatzSpec(
         base.max_degree if args.max_degree is None else args.max_degree,
         base.inverse_degree if args.inverse_degree is None else args.inverse_degree,
         base.allow_log or args.allow_log)
     print(f"problem: {problem.name} ({btable.r} generators)")
-    ok = _check_brackets(btable, None if bindings else problem.realization, report)
+    ok = _check_brackets(btable, problem.realization, report)
     # A pinned degree is also the ceiling, so the solve does not escalate.
     ceiling = ESCALATION_CEILING if args.max_degree is None else args.max_degree
     basis = solve_with_escalation(btable, ansatz, problem.invertible,
@@ -196,11 +217,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem, bindings, btable, report = _start(args, "check")
-    expr = parse_expression(args.invariant, problem.table)
-    if bindings:
-        expr = substitute(expr, bindings, problem.table)
-    result = verify_invariant(expr, btable)
+    problem, parse, report = _start(args, "check")
+    expr = parse(args.invariant)
+    result = verify_invariant(expr, problem.brackets)
     print(f"problem: {problem.name}")
     print(f"invariant: {to_string(expr)}")
     print(f"verified: {'true' if result.ok else 'false'}")
@@ -236,7 +255,7 @@ def _parse_init(text: str) -> dict[str, float]:
 
 
 def _cmd_flow(args) -> int:
-    problem, _, btable, report = _start(args, "flow")
+    problem, parse, report = _start(args, "flow")
     defaults = problem.flow_defaults or {}
     observable_text = args.observable or defaults.get("observable")
     if not observable_text:
@@ -255,8 +274,8 @@ def _cmd_flow(args) -> int:
         raise ProblemError("flow needs --dt and --steps (no defaults in "
                            "the problem file)")
     monitor_texts = list(args.monitor or defaults.get("monitors", []))
-    observable = parse_expression(observable_text, problem.table)
-    monitors = [parse_expression(m, problem.table) for m in monitor_texts]
+    observable = parse(observable_text)
+    monitors = [parse(m) for m in monitor_texts]
     cfg = FlowConfig(observable, init, float(dt), int(steps), monitors,
                      monitor_texts or None)
     table = problem.table
@@ -275,7 +294,7 @@ def _cmd_flow(args) -> int:
     if wants_canonical:
         result = canonical_flow(problem.realization, observable, cfg)
     else:
-        result = abstract_flow(btable, cfg)
+        result = abstract_flow(problem.brackets, cfg)
     print(f"problem: {problem.name}")
     print(f"flow ({mode}): observable {to_string(observable)}, "
           f"{steps} steps of {dt}")
@@ -325,10 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of finite-dimensional bracket algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", metavar="FILE",
-                           help="problem file path or built-in problem name")
+    def common(p):
+        p.add_argument("file", metavar="FILE",
+                       help="problem file path or built-in problem name")
         p.add_argument("--bind", action="append", default=[],
                        metavar="NAME=EXPR",
                        help="substitute a parameter before computing")
@@ -386,16 +404,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; an error it raises is printed and, with `--json`,
+    written as the report `{"command": ..., "error": ...}`."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FlowPoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
     except (ProblemError, ParseError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _write_json(getattr(args, "json", None),
+                    {"command": args.command, "error": str(exc)})
+        return EXIT_FAILED if isinstance(exc, FlowPoleError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

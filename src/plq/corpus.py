@@ -144,4 +144,4 @@ def corpus_data(name: str) -> dict:
 
 def corpus_problem(name: str) -> Problem:
     """Build and validate one corpus entry."""
-    return build_problem(corpus_data(name), source=f"corpus:{name}")
+    return build_problem(corpus_data(name))

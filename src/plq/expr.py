@@ -739,9 +739,6 @@ class LogExpr:
     def is_zero(self) -> bool:
         return self.rat.is_zero() and not self.logs
 
-    def has_logs(self) -> bool:
-        return bool(self.logs)
-
     def _coerce(self, other) -> "LogExpr | None":
         if isinstance(other, LogExpr):
             if other.table is not self.table:
@@ -849,8 +846,6 @@ def diff_poly(p: Poly, i: int) -> RatFunc:
         return RatFunc.from_poly(formal)
     mask = 0xFF << table.shifts[ia]
     radical = Poly(table, {e: c for e, c in p.packed.items() if e & mask})
-    if radical.is_zero():
-        return RatFunc.from_poly(formal)
     qi = Poly.var(table, table.names[i])
     rho = Poly.var(table, table.names[ia])
     chain = radical.shift(table.unit(ia)) * qi * rho
@@ -930,17 +925,6 @@ def substitute(expr, bindings: Mapping[str, "RatFunc"], target: VarTable | None 
             logs.append((target.index(name), substitute(c, bindings, target)))
         return LogExpr(rat, logs)
     raise ExprError(f"cannot substitute into {type(expr).__name__}")
-
-
-def evaluate(expr, values: Sequence[Fraction]) -> Fraction:
-    """Exact evaluation; expressions with log terms are rejected."""
-    if isinstance(expr, Poly):
-        return expr.evaluate(values)
-    if isinstance(expr, RatFunc):
-        return expr.evaluate(values)
-    if isinstance(expr, LogExpr):
-        return expr.as_ratfunc().evaluate(values)
-    raise ExprError(f"cannot evaluate {type(expr).__name__}")
 
 
 def monomial_exponents(r: int, max_degree: int, inverse_degree: int,

@@ -217,7 +217,7 @@ def parse_expression(text: str, table: VarTable) -> LogExpr:
 def parse_ratfunc(text: str, table: VarTable) -> RatFunc:
     """Parse a string that must denote a log-free rational expression."""
     value = parse_expression(text, table)
-    if value.has_logs():
+    if value.logs:
         raise ParseError("expression must not contain log terms", 0)
     return value.as_ratfunc()
 

@@ -34,7 +34,6 @@ class Problem:
     invertible: list[bool]
     ansatz: AnsatzSpec
     flow_defaults: dict | None = None
-    source: str | None = None
 
     @property
     def generator_names(self) -> list[str]:
@@ -64,7 +63,7 @@ def _parse(text: str, table: VarTable, context: str):
         raise ProblemError(f"{context}: {exc}") from None
 
 
-def build_problem(data: dict, source: str | None = None) -> Problem:
+def build_problem(data: dict) -> Problem:
     """Validate a problem document and construct its table and brackets."""
     if not isinstance(data, dict):
         raise ProblemError("problem document must be a JSON object")
@@ -161,7 +160,7 @@ def build_problem(data: dict, source: str | None = None) -> Problem:
         raise ProblemError("flow options must be an object")
     return Problem(name=name, table=table, brackets=btable,
                    realization=realization, invertible=invertible,
-                   ansatz=ansatz, flow_defaults=flow_defaults, source=source)
+                   ansatz=ansatz, flow_defaults=flow_defaults)
 
 
 def load_problem(path) -> Problem:
@@ -173,7 +172,7 @@ def load_problem(path) -> Problem:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{p}: not valid JSON ({exc})") from None
-    return build_problem(data, source=str(p))
+    return build_problem(data)
 
 
 def problem_to_data(problem: Problem) -> dict:

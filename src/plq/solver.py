@@ -243,9 +243,6 @@ class InvariantReport:
     ok: bool
     residuals: list[tuple[str, LogExpr]]
 
-    def failures(self) -> list[tuple[str, LogExpr]]:
-        return [(n, r) for n, r in self.residuals if not r.is_zero()]
-
 
 def verify_invariant(expr: LogExpr, btable: BracketTable) -> InvariantReport:
     """Check sum_i (dF/du_i) f_ij = 0 for every generator j, with residuals."""

@@ -493,22 +493,3 @@ def bind_parameters(btable: BracketTable, bindings: Mapping[str, RatFunc]) -> Br
             raise ExprError(f"binding target {name!r} is not a parameter")
     return BracketTable(table, {key: substitute(f, bindings, table)
                                 for key, f in btable.entries.items()})
-
-
-@dataclass
-class ConstraintReport:
-    bindings: dict[str, RatFunc]
-    degeneracy: RatFunc
-    vanishes: bool
-    rank: int = field(default=0)
-    corank: int = field(default=0)
-
-
-def verify_parameter_constraint(btable: BracketTable, bindings: Mapping[str, RatFunc],
-                                seed: int = DEFAULT_SEED) -> ConstraintReport:
-    """Substitute a parameter constraint and re-examine degeneracy and rank."""
-    bound = bind_parameters(btable, bindings)
-    report = generic_rank(bound, seed=seed)
-    return ConstraintReport(bindings=dict(bindings), degeneracy=report.degeneracy,
-                            vanishes=report.degeneracy.is_zero(),
-                            rank=report.rank, corank=report.corank)

@@ -413,6 +413,15 @@ def outcome(run):
         return ("pole", exc.step, exc.time)
 
 
+def materialized(result):
+    """An outcome with its times and states as lists, so that `repr` shows
+    every value."""
+    if result[0] == "pole":
+        return result
+    times, states, *monitors = result
+    return (list(times), [list(y) for y in states], *monitors)
+
+
 # Oracle cases whose only denominator uses only parameters, with the step at
 # which the per-step loop first evaluates it.
 EARLY_POLES = {"rhs-parameter-pole": 1, "monitor-parameter-pole": 0}
@@ -454,6 +463,8 @@ def test_generated_run_matches_reference_loop(name):
     source, cfg, mode = oracle_case(name)
     got, want = generated_and_reference(source, cfg, mode)
     assert got == want
+    # == takes -0.0 for 0.0 and fails on NaN; repr tells both apart.
+    assert repr(materialized(got)) == repr(materialized(want))
     if name in EARLY_POLES:
         assert got[:2] == ("pole", EARLY_POLES[name])
     elif name.endswith("pole"):

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from plq import linalg
 from plq.cli import main
 from plq.corpus import corpus_data, corpus_names, corpus_problem
 from plq.parsing import parse_expression
@@ -216,15 +217,16 @@ def test_cli_flow_pole_exit(capsys, tmp_path):
 
 
 def test_cli_flow_non_finite_exit(capsys, tmp_path):
-    """A trajectory that overflows fails with exit 1 and writes no report
-    (a report would hold Infinity, which is not JSON)."""
+    """A trajectory that overflows fails with exit 1, and its report is the
+    error record, not the states (which would hold Infinity, not JSON)."""
     report = tmp_path / "flow.json"
     assert main(["flow", "sphere", "--dt", "1", "--steps", "400",
                  "--json", str(report)]) == 1
     captured = capsys.readouterr()
     assert "not finite" in captured.err
     assert captured.out == ""
-    assert not report.exists()
+    assert json.loads(report.read_text()) == {
+        "command": "flow", "error": captured.err.removeprefix("error: ").rstrip("\n")}
 
 
 def test_cli_flow_overflowing_init_is_usage(capsys):
@@ -291,6 +293,11 @@ def test_cli_pinned_degree_does_not_escalate(tmp_path, capsys):
     assert "independence rank: 3 (corank 3)" in out
 
 
+def test_cli_examples_prints_the_document(capsys):
+    assert main(["examples", "hydrogen"]) == 0
+    assert json.loads(capsys.readouterr().out) == corpus_data("hydrogen")
+
+
 def test_cli_examples_listing_and_emit(tmp_path, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
@@ -315,6 +322,100 @@ def test_binding_applies_to_check_invariant(capsys):
                  "--invariant", "a3*u1^2 - b2*u2^2 + b1*u3^2"]) == 0
     out = capsys.readouterr().out
     assert "verified: true" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank", "sklyanin"], 2),
+    (["flow", "toy.json", "--observable", "1/2*u2^2", "--init", "u1=1,u2=-1",
+      "--steps", "2000", "--dt", "0.001", "--monitor", "1/(u1 - 1/2)"], 1),
+])
+def test_cli_error_writes_its_report(argv, code, capsys, tmp_path, monkeypatch):
+    """An error raised inside the computation, a sub-Pfaffian past its term
+    guard (exit 2) or a flow that reaches a pole (exit 1), still writes the
+    `--json` report: the command and the printed error."""
+    monkeypatch.setattr(linalg, "PFAFFIAN_TERMS", 0)
+    (tmp_path / "toy.json").write_text(json.dumps(minimal_data()))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--json", "report.json"]) == code
+    err = capsys.readouterr().err
+    assert json.loads((tmp_path / "report.json").read_text()) == {
+        "command": argv[0], "error": err.removeprefix("error: ").rstrip("\n")}
+
+
+# A binding reaches the bracket table, the realization and the command's own
+# expressions.
+SKLYANIN_BIND = ["--bind", "a3=(a2*b2 - a1*b1)/b3"]
+
+
+def flow_report(tmp_path, argv):
+    """Exit code and `--json` report of one flow."""
+    path = tmp_path / "flow.json"
+    code = main(["flow", *argv, "--json", str(path)])
+    return code, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["sphere", "--bind", "R=2"], 3),
+    (["hydrogen", "--bind", "m=1"], 21),
+])
+def test_binding_reaches_the_realization(argv, pairs, capsys):
+    """The realization is bound with the table, so closure holds."""
+    assert main(["verify", *argv]) == 0
+    assert f"closure: ok ({pairs} pairs)" in capsys.readouterr().out
+
+
+def test_bound_solve_checks_closure(capsys):
+    assert main(["solve", "sphere", "--bind", "R=2"]) == 0
+    assert "closure: ok (3 pairs)" in capsys.readouterr().out
+
+
+def test_binding_to_a_generator_drops_the_realization(capsys):
+    """R = H cannot bind a canonical realization: the problem has none, so
+    `verify` checks Jacobi alone."""
+    assert main(["rank", "sphere", "--bind", "R=H"]) == 0
+    assert main(["solve", "sphere", "--bind", "R=H"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "sphere", "--bind", "R=H"]) == 0
+    out = capsys.readouterr().out
+    assert "closure" not in out
+    assert "jacobi: ok (1 triple)" in out
+
+
+def test_bound_flow_monitors_the_bound_invariant(tmp_path, capsys):
+    """The default monitor reads R from the binding, not from --init, and
+    stays constant."""
+    code, report = flow_report(tmp_path, ["sphere", "--bind", "R=2"])
+    assert code == 0
+    (monitor,) = report["flow"]["monitors"]
+    assert monitor["initial"] == 4.0
+    assert monitor["max_drift"] < 1e-13
+
+
+def test_bound_flow_takes_bound_parameters_in_expressions(tmp_path, capsys):
+    """a3 is bound, so a monitor may use it with no value in --init."""
+    code, report = flow_report(tmp_path, [
+        "sklyanin", *SKLYANIN_BIND, "--observable", "u1*u2",
+        "--monitor", "a3*u1^2 - b2*u2^2 + b1*u3^2",
+        "--init", "u1=1,u2=0.5,u3=0.25,u4=2,a1=1,a2=2,b1=1,b2=1,b3=1",
+        "--dt", "0.001", "--steps", "200"])
+    assert code == 0
+    assert report["flow"]["monitors"][0]["max_drift"] < 1e-11
+
+
+def test_bound_canonical_flow(capsys):
+    """A canonical run realizes phi with R = 2, not with the R in --init."""
+    assert main(["flow", "sphere", "--bind", "R=2", "--observable", "H",
+                 "--init", "q1=1,q2=0,q3=0,p1=0,p2=1,p3=0,R=1", "--dt", "0.001",
+                 "--steps", "100", "--monitor", "phi"]) == 0
+    assert "monitor phi: initial -3," in capsys.readouterr().out
+
+
+def test_bound_flow_prints_the_bound_observable(tmp_path, capsys):
+    code, report = flow_report(tmp_path, ["sphere", "--bind", "R=2",
+                                          "--observable", "R^2*V", "--steps", "10"])
+    assert code == 0
+    assert "flow (abstract): observable 4*V, 10 steps" in capsys.readouterr().out
+    assert report["flow"]["observable"] == "4*V"
 
 
 def test_console_script_entry_point():
