@@ -9,6 +9,7 @@ codes: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -52,7 +53,10 @@ def _parse_bindings(problem: Problem, pairs: list[str]) -> dict[str, RatFunc]:
         name, sep, text = raw.partition("=")
         if not sep or not name or not text:
             raise ProblemError(f"--bind needs NAME=EXPR, got {raw!r}")
-        bindings[name.strip()] = parse_ratfunc(text, problem.table)
+        name = name.strip()
+        if name in bindings:
+            raise ProblemError(f"--bind gives {name!r} twice")
+        bindings[name] = parse_ratfunc(text, problem.table)
     return bindings
 
 
@@ -66,7 +70,7 @@ def _start(args, command: str
     a realization, since a canonical realization cannot name generators."""
     problem = _load(args.file)
     table = problem.table
-    bindings = _parse_bindings(problem, args.bind)
+    bindings = _parse_bindings(problem, args.bind or [])
     report = {"problem": problem.name, "command": command, "seed": args.seed,
               "bindings": {k: to_string(v) for k, v in bindings.items()}}
     if not bindings:
@@ -243,13 +247,16 @@ def _parse_init(text: str) -> dict[str, float]:
         name, sep, raw = item.partition("=")
         if not sep:
             raise ProblemError(f"--init entries need NAME=VALUE, got {item!r}")
+        name = name.strip()
+        if name in values:
+            raise ProblemError(f"--init gives {name!r} twice")
         try:
-            values[name.strip()] = float(Fraction(raw.strip()))
+            values[name] = float(Fraction(raw.strip()))
         except (ValueError, ZeroDivisionError):
-            raise ProblemError(f"--init value for {name.strip()!r} is not "
+            raise ProblemError(f"--init value for {name!r} is not "
                                f"a number: {raw.strip()!r}") from None
         except OverflowError:
-            raise ProblemError(f"--init value for {name.strip()!r} overflows "
+            raise ProblemError(f"--init value for {name!r} overflows "
                                f"a float: {raw.strip()!r}") from None
     return values
 
@@ -338,6 +345,9 @@ def _cmd_examples(args) -> int:
     return EXIT_OK
 
 
+# Built on the first call to `main` and reused by every later one. It owns no
+# mutable default (`--bind` defaults to None), so no call sees another's values.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plq",
@@ -347,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", metavar="FILE",
                        help="problem file path or built-in problem name")
-        p.add_argument("--bind", action="append", default=[],
+        p.add_argument("--bind", action="append", default=None,
                        metavar="NAME=EXPR",
                        help="substitute a parameter before computing")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -2,12 +2,15 @@
 
 Each case runs `plq.cli.main` in-process and compares its exit code, standard
 output, standard error and `--json` report (key order included, without the
-wall-clock `timings.total`) with `tests/golden/cli.json`.  After a deliberate
-output change, rewrite that file from the repository root with
+wall-clock `timings.total`) with `tests/golden/cli.json`.  All cases share the
+parser that `main` builds on its first call, so the tests at the end replay
+them in other orders and check that no call sees another's values.  After a
+deliberate output change, rewrite that file from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from plq import cli
 from plq.cli import main
 from test_solver import lie_module
 
@@ -113,14 +117,77 @@ def test_golden_covers_every_case(golden):
     assert list(golden) == list(CASES)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_cli_output_is_pinned(name, golden, files, tmp_path):
-    got = run_case(CASES[name], files, tmp_path / "report.json")
+def assert_pinned(name, golden, files, report):
+    got = run_case(CASES[name], files, report)
     want = golden[name]
     assert (got["exit"], got["stdout"], got["stderr"]) == \
-        (want["exit"], want["stdout"], want["stderr"])
+        (want["exit"], want["stdout"], want["stderr"]), name
     # Dumped text compares key order too.
-    assert json.dumps(got["report"]) == json.dumps(want["report"])
+    assert json.dumps(got["report"]) == json.dumps(want["report"]), name
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_is_pinned(name, golden, files, tmp_path):
+    assert_pinned(name, golden, files, tmp_path / "report.json")
+
+
+def test_calls_after_the_first_build_no_parser(golden, files, tmp_path,
+                                               monkeypatch):
+    """Every case after a warm-up call, with `ArgumentParser` construction
+    counted: the cached parser serves them all."""
+    report = tmp_path / "report.json"
+    run_case(CASES["verify-sphere"], files, report)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name in CASES:
+        assert_pinned(name, golden, files, report)
+    assert not built
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_usage_error_leaves_later_calls_pinned(golden, files, tmp_path):
+    """argparse's exit on a missing argument, then the corpus cases in
+    reverse order: each still gives its pinned output."""
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(CASES["error-missing-argument"])
+    assert exc.value.code == 2
+    corpus = [name for name, argv in CASES.items()
+              if not any(a.startswith("{") for a in argv)]
+    for name in reversed(corpus):
+        assert_pinned(name, golden, files, report)
+
+
+def test_a_call_without_bind_has_no_bindings(files, tmp_path):
+    """`--bind` appends to no list the parser keeps."""
+    report = tmp_path / "report.json"
+    bound = run_case(["verify", *SKLYANIN], files, report)["report"]
+    assert list(bound["bindings"]) == ["a3"]
+    assert run_case(["verify", "sphere"], files, report)["report"][
+        "bindings"] == {}
+
+
+@pytest.mark.parametrize("command", [
+    [], ["verify"], ["rank"], ["solve"], ["check"], ["flow"], ["examples"]])
+def test_help_exits_0_with_its_usage_line(command):
+    """`--help` twice in one process: exit 0 and the same text both times,
+    opening with this command's usage line."""
+    texts = []
+    for _ in range(2):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(" ".join(["usage: plq", *command, "[-h]"]))
 
 
 if __name__ == "__main__":

@@ -342,6 +342,25 @@ def test_cli_error_writes_its_report(argv, code, capsys, tmp_path, monkeypatch):
         "command": argv[0], "error": err.removeprefix("error: ").rstrip("\n")}
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["check", "sphere", "--bind", "R=2", "--bind", "R=3",
+      "--invariant", "(phi + R^2)*H - 1/2*V^2"], "--bind gives 'R' twice"),
+    (["verify", "sphere", "--bind", "R=2", "--bind", " R =2"],
+     "--bind gives 'R' twice"),
+    (["flow", "sphere", "--init", "H=1,H=2,phi=0,V=0,R=1", "--steps", "3"],
+     "--init gives 'H' twice"),
+])
+def test_cli_name_given_twice_is_usage(argv, err, capsys, tmp_path):
+    """A repeated `--bind` or `--init` name is an error (exit 2), not a value
+    that silently replaces the first; `--json` receives the error record."""
+    report = tmp_path / "report.json"
+    assert main([*argv, "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+    assert json.loads(report.read_text()) == {"command": argv[0], "error": err}
+
+
 # A binding reaches the bracket table, the realization and the command's own
 # expressions.
 SKLYANIN_BIND = ["--bind", "a3=(a2*b2 - a1*b1)/b3"]
