@@ -15,8 +15,7 @@ from .expr import (ExprError, LogExpr, Poly, RatFunc, VarTable, diff,
 from .flow import (DriftReport, FlowConfig, FlowPoleError, FlowResult,
                    abstract_flow, canonical_flow, generator_trajectory)
 from .parsing import ParseError, parse_expression, parse_ratfunc, to_string
-from .problem import (Problem, ProblemError, build_problem, load_problem,
-                      save_problem)
+from .problem import Problem, ProblemError, build_problem, load_problem
 from .solver import (AnsatzSpec, CasimirBasis, InvariantReport,
                      independence_rank, solve_casimirs, solve_with_escalation,
                      verify_invariant)
@@ -33,7 +32,7 @@ __all__ = [
     "corpus_data", "corpus_names", "corpus_problem", "diff",
     "express_in_generators", "generator_trajectory", "generic_rank",
     "independence_rank", "jacobi_check", "load_problem", "parse_expression",
-    "parse_ratfunc", "save_problem", "sigma_poly", "solve_casimirs",
+    "parse_ratfunc", "sigma_poly", "solve_casimirs",
     "solve_with_escalation", "substitute", "to_string", "verify_closure",
     "verify_invariant",
 ]

@@ -24,8 +24,7 @@ from .expr import (CANONICAL_P, CANONICAL_Q, GENERATOR, PARAMETER, ExprError,
                    LogExpr, RatFunc, substitute)
 from .flow import (FlowConfig, FlowPoleError, abstract_flow, canonical_flow)
 from .parsing import ParseError, parse_expression, parse_ratfunc, to_string
-from .problem import (Problem, ProblemError, build_problem, load_problem,
-                      save_problem)
+from .problem import Problem, ProblemError, load_problem
 # solve_casimirs is unused here but stays bound: bench/tracing.py wraps it.
 from .solver import (ESCALATION_CEILING, AnsatzSpec, CasimirBasis, solve_casimirs,
                      solve_with_escalation, verify_invariant)
@@ -295,6 +294,9 @@ def _cmd_flow(args) -> int:
     takes = ((CANONICAL_Q, CANONICAL_P, PARAMETER) if wants_canonical
              else (GENERATOR, PARAMETER))
     for name in given:
+        if name in report["bindings"]:
+            raise ProblemError(f"--init value for {name!r} is not used: "
+                               "--bind gives it")
         if kind[name] not in takes:
             raise ProblemError(f"--init value for {name!r} is not used by "
                                f"the {mode} flow")
@@ -335,13 +337,13 @@ def _cmd_examples(args) -> int:
             print(f"{name}: {problem.brackets.r} generators, {realized}"
                   + (f", parameters {', '.join(params)}" if params else ""))
         return EXIT_OK
+    # `--emit` writes the text that `examples NAME` prints.
     data = corpus_data(args.name)
     if args.emit:
-        problem = build_problem(data)
-        save_problem(problem, args.emit)
+        _write_json(args.emit, data)
         print(f"wrote {args.emit}")
-        return EXIT_OK
-    print(json.dumps(data, indent=2))
+    else:
+        print(json.dumps(data, indent=2))
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .canonical import CanonicalRealization
 from .expr import ExprError, VarTable
-from .parsing import ParseError, parse_ratfunc, to_string
+from .parsing import ParseError, parse_ratfunc
 from .solver import AnsatzSpec
 from .structure import BracketTable
 
@@ -50,6 +50,29 @@ def _require(data: dict, field: str, kind, context: str):
     return value
 
 
+_NUMBER = (int, float)
+# What `_optional` names each kind it checks for.
+_KINDS = {str: "a string", dict: "an object", int: "an integer",
+          bool: "true or false", _NUMBER: "a number"}
+
+
+def _optional(data: dict, field: str, kind, context: str, default=None):
+    """`data[field]`, which must be of `kind`, or `default` when it is absent.
+    A JSON true or false is not a number, though Python's bool is an int."""
+    if field not in data:
+        return default
+    value = data[field]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ProblemError(f"{context}.{field} must be {_KINDS[kind]}, "
+                           f"got {type(value).__name__}")
+    if kind is _NUMBER:
+        try:
+            float(value)
+        except OverflowError:
+            raise ProblemError(f"{context}.{field} overflows a float") from None
+    return value
+
+
 def _str_list(value, context: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ProblemError(f"{context} must be a list of strings")
@@ -70,7 +93,7 @@ def build_problem(data: dict) -> Problem:
     name = _require(data, "name", str, "problem")
     variables = _require(data, "variables", dict, f"problem {name!r}")
     pairs = variables.get("pairs", 0)
-    if not isinstance(pairs, int) or pairs < 0:
+    if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
         raise ProblemError("variables.pairs must be a nonnegative integer")
     parameters = _str_list(variables.get("parameters", []),
                            "variables.parameters")
@@ -150,14 +173,22 @@ def build_problem(data: dict) -> Problem:
     if not isinstance(solver, dict):
         raise ProblemError("solver options must be an object")
     try:
-        ansatz = AnsatzSpec(int(solver.get("max_degree", 2)),
-                            int(solver.get("inverse_degree", 0)),
-                            bool(solver.get("allow_log", False)))
-    except (ExprError, TypeError, ValueError) as exc:
+        ansatz = AnsatzSpec(_optional(solver, "max_degree", int, "solver", 2),
+                            _optional(solver, "inverse_degree", int, "solver", 0),
+                            _optional(solver, "allow_log", bool, "solver", False))
+    except ExprError as exc:
         raise ProblemError(f"solver options: {exc}") from None
     flow_defaults = data.get("flow")
-    if flow_defaults is not None and not isinstance(flow_defaults, dict):
-        raise ProblemError("flow options must be an object")
+    if flow_defaults is not None:
+        if not isinstance(flow_defaults, dict):
+            raise ProblemError("flow options must be an object")
+        _optional(flow_defaults, "observable", str, "flow")
+        for key in _optional(flow_defaults, "init", dict, "flow", {}):
+            _optional(flow_defaults["init"], key, _NUMBER, "flow.init")
+        _optional(flow_defaults, "dt", _NUMBER, "flow")
+        _optional(flow_defaults, "steps", int, "flow")
+        if "monitors" in flow_defaults:
+            _str_list(flow_defaults["monitors"], "flow.monitors")
     return Problem(name=name, table=table, brackets=btable,
                    realization=realization, invertible=invertible,
                    ansatz=ansatz, flow_defaults=flow_defaults)
@@ -174,39 +205,3 @@ def load_problem(path) -> Problem:
         raise ProblemError(f"{p}: not valid JSON ({exc})") from None
     return build_problem(data)
 
-
-def problem_to_data(problem: Problem) -> dict:
-    """Serialize a problem back to its document form."""
-    table = problem.table
-    gens = problem.generator_names
-    variables: dict = {"pairs": table.pairs,
-                       "parameters": [table.names[i]
-                                      for i in table.parameter_indices]}
-    inv = [g for g, flag in zip(gens, problem.invertible) if flag]
-    if inv:
-        variables["invertible"] = inv
-    if table.alg_index is not None:
-        variables["algebraic"] = table.names[table.alg_index]
-    generators = []
-    for k, g in enumerate(gens):
-        entry: dict = {"name": g}
-        if problem.realization is not None:
-            entry["canonical"] = to_string(problem.realization.expressions[k])
-        generators.append(entry)
-    brackets = []
-    for (i, j), value in sorted(problem.brackets.entries.items()):
-        brackets.append({"i": gens[i], "j": gens[j],
-                         "expression": to_string(value)})
-    data = {"name": problem.name, "variables": variables,
-            "generators": generators, "brackets": brackets,
-            "solver": {"max_degree": problem.ansatz.max_degree,
-                       "inverse_degree": problem.ansatz.inverse_degree,
-                       "allow_log": problem.ansatz.allow_log}}
-    if problem.flow_defaults is not None:
-        data["flow"] = problem.flow_defaults
-    return data
-
-
-def save_problem(problem: Problem, path) -> None:
-    """Write a problem document as indented JSON."""
-    Path(path).write_text(json.dumps(problem_to_data(problem), indent=2) + "\n")

@@ -10,8 +10,7 @@ from plq import linalg
 from plq.cli import main
 from plq.corpus import corpus_data, corpus_names, corpus_problem
 from plq.parsing import parse_expression
-from plq.problem import (ProblemError, build_problem, load_problem,
-                         problem_to_data, save_problem)
+from plq.problem import ProblemError, build_problem, load_problem
 from plq.solver import verify_invariant
 from plq.structure import bind_parameters
 from test_solver import lie_module
@@ -93,16 +92,42 @@ def test_load_invalid_json(tmp_path):
         load_problem(path)
 
 
-def test_save_load_roundtrip(tmp_path):
-    """Every corpus document survives a save and reload unchanged."""
+def same_expression(f, g):
+    """The same terms, over equal tables of two builds; `==` compares
+    expressions of one table only."""
+    return (f.table == g.table and f.num.packed == g.num.packed
+            and f.den.packed == g.den.packed)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_emit_writes_the_printed_document(name, tmp_path, capsys):
+    target = tmp_path / f"{name}.json"
+    assert main(["examples", name]) == 0
+    printed = capsys.readouterr().out
+    assert main(["examples", name, "--emit", str(target)]) == 0
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert target.read_bytes() == printed.encode()
+
+
+def test_emitted_document_loads_to_the_corpus_problem(tmp_path, capsys):
+    """A file written by `--emit` is the problem its corpus name is."""
     for name in corpus_names():
-        problem = corpus_problem(name)
-        path = tmp_path / f"{name}.json"
-        save_problem(problem, path)
-        again = load_problem(path)
+        target = tmp_path / f"{name}.json"
+        assert main(["examples", name, "--emit", str(target)]) == 0
+        again, problem = load_problem(target), corpus_problem(name)
+        assert again.name == problem.name
         assert again.generator_names == problem.generator_names
+        assert again.brackets.entries.keys() == problem.brackets.entries.keys()
+        for key, value in problem.brackets.entries.items():
+            assert same_expression(again.brackets.entries[key], value)
+        assert (again.realization is None) == (problem.realization is None)
+        if problem.realization is not None:
+            pairs = zip(again.realization.expressions,
+                        problem.realization.expressions, strict=True)
+            assert all(same_expression(f, g) for f, g in pairs)
+        assert again.invertible == problem.invertible
         assert again.ansatz == problem.ansatz
-        assert problem_to_data(again) == problem_to_data(problem)
+        assert again.flow_defaults == problem.flow_defaults
 
 
 def test_cli_verify_ok(capsys):
@@ -361,6 +386,60 @@ def test_cli_name_given_twice_is_usage(argv, err, capsys, tmp_path):
     assert json.loads(report.read_text()) == {"command": argv[0], "error": err}
 
 
+def malformed(command, block, field, value, err, label):
+    return pytest.param(command, block, field, value, err, id=label)
+
+
+@pytest.mark.parametrize("command, block, field, value, err", [
+    malformed("flow", "flow", "observable", 3,
+              "flow.observable must be a string, got int", "observable-int"),
+    malformed("flow", "flow", "init", "x",
+              "flow.init must be an object, got str", "init-str"),
+    malformed("flow", "flow", "init", {"H": "0.5"},
+              "flow.init.H must be a number, got str", "init-value-str"),
+    malformed("flow", "flow", "init", {"H": True},
+              "flow.init.H must be a number, got bool", "init-value-bool"),
+    malformed("flow", "flow", "init", {"H": 10**400},
+              "flow.init.H overflows a float", "init-value-huge"),
+    malformed("flow", "flow", "dt", "fast",
+              "flow.dt must be a number, got str", "dt-str"),
+    malformed("flow", "flow", "dt", "0.5",
+              "flow.dt must be a number, got str", "dt-numeric-str"),
+    malformed("flow", "flow", "dt", 10**400, "flow.dt overflows a float", "dt-huge"),
+    malformed("flow", "flow", "steps", [1],
+              "flow.steps must be an integer, got list", "steps-list"),
+    malformed("flow", "flow", "steps", True,
+              "flow.steps must be an integer, got bool", "steps-bool"),
+    malformed("flow", "flow", "monitors", 5,
+              "flow.monitors must be a list of strings", "monitors-int"),
+    malformed("flow", "flow", "monitors", ["H", 1],
+              "flow.monitors must be a list of strings", "monitors-item-int"),
+    malformed("solve", "solver", "max_degree", 2.9,
+              "solver.max_degree must be an integer, got float", "max_degree-float"),
+    malformed("solve", "solver", "max_degree", True,
+              "solver.max_degree must be an integer, got bool", "max_degree-bool"),
+    malformed("solve", "solver", "inverse_degree", False,
+              "solver.inverse_degree must be an integer, got bool",
+              "inverse_degree-bool"),
+    malformed("solve", "solver", "allow_log", "false",
+              "solver.allow_log must be true or false, got str", "allow_log-str"),
+    malformed("verify", "variables", "pairs", True,
+              "variables.pairs must be a nonnegative integer", "pairs-bool"),
+])
+def test_cli_malformed_document_field_is_usage(command, block, field, value, err,
+                                                capsys, tmp_path):
+    """A field of the wrong type is an error that names it (exit 2), not a
+    traceback or a value coerced into another: `bool("false")` is True."""
+    data = corpus_data("sphere")
+    data[block][field] = value
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    assert main([command, str(path), "--json", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert json.loads(report.read_text()) == {"command": command, "error": err}
+
+
 # A binding reaches the bracket table, the realization and the command's own
 # expressions.
 SKLYANIN_BIND = ["--bind", "a3=(a2*b2 - a1*b1)/b3"]
@@ -422,11 +501,27 @@ def test_bound_flow_takes_bound_parameters_in_expressions(tmp_path, capsys):
 
 
 def test_bound_canonical_flow(capsys):
-    """A canonical run realizes phi with R = 2, not with the R in --init."""
+    """A canonical run realizes phi with R = 2, not with the R = 1 of the
+    document's default state."""
     assert main(["flow", "sphere", "--bind", "R=2", "--observable", "H",
-                 "--init", "q1=1,q2=0,q3=0,p1=0,p2=1,p3=0,R=1", "--dt", "0.001",
+                 "--init", "q1=1,q2=0,q3=0,p1=0,p2=1,p3=0", "--dt", "0.001",
                  "--steps", "100", "--monitor", "phi"]) == 0
     assert "monitor phi: initial -3," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--observable", "H", "--init", "q1=1,q2=0,q3=0,p1=0,p2=1,p3=0,R=1",
+     "--dt", "0.001", "--steps", "100", "--monitor", "phi"],
+    ["--init", "R=1"],
+])
+def test_cli_flow_init_value_for_a_bound_parameter_is_usage(argv, capsys, tmp_path):
+    """`--bind R=2` fixes R, so an `--init` value for R would be dropped."""
+    report = tmp_path / "report.json"
+    assert main(["flow", "sphere", "--bind", "R=2", *argv,
+                 "--json", str(report)]) == 2
+    err = "--init value for 'R' is not used: --bind gives it"
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert json.loads(report.read_text()) == {"command": "flow", "error": err}
 
 
 def test_bound_flow_prints_the_bound_observable(tmp_path, capsys):
