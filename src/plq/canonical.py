@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .expr import (ExprError, LogExpr, RatFunc, VarTable, diff,
-                   generator_monomial, monomial_exponents, substitute)
+                   generator_monomial, monomial_exponents, substitute, sum_of_products)
 from .linalg import collect_rows, nullspace
 from .structure import BracketTable
 
@@ -39,7 +39,11 @@ def _partials(f: RatFunc) -> list[tuple[RatFunc, RatFunc]]:
 
 def _bracket_of_partials(df: list[tuple[RatFunc, RatFunc]],
                          dg: list[tuple[RatFunc, RatFunc]], zero: RatFunc) -> RatFunc:
-    return sum((fq * gp - fp * gq for (fq, fp), (gq, gp) in zip(df, dg)), zero)
+    """sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k), fused for polynomials."""
+    fused = sum_of_products(zero.table, [pair for (fq, fp), (gq, gp) in zip(df, dg)
+                                         for pair in ((fq, gp), (-fp, gq))])
+    return fused if fused is not None else sum(
+        (fq * gp - fp * gq for (fq, fp), (gq, gp) in zip(df, dg)), zero)
 
 
 def canonical_bracket(f: RatFunc, g: RatFunc) -> RatFunc:

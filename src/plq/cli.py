@@ -3,7 +3,8 @@
 Problems come from JSON files or from the built-in corpus (a corpus name may
 stand in for a file path).  Human-readable text goes to standard output;
 `--json PATH` additionally writes the full machine-readable report.  Exit
-codes: 0 success, 1 verification failure, 2 usage or input error.
+codes: 0 success, 1 verification failure, 2 usage or input error, and, for
+the `plq` process only, 141 when standard output is closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -326,6 +328,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    if args.name is None and args.emit:
+        raise ProblemError("--emit needs a problem NAME")
     if args.name is None:
         for name in corpus_names():
             problem = corpus_problem(name)
@@ -428,5 +432,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILED if isinstance(exc, FlowPoleError) else EXIT_USAGE
 
 
+def entry() -> int:
+    """`main` as the `plq` process; see "Note on SIGPIPE" in Python's `signal` docs."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the flush at exit goes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ends
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

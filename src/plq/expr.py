@@ -202,6 +202,17 @@ def exact_div(a, b):
     return normal_coeff(a / b)
 
 
+def add_terms(acc: dict[int, int | Fraction], terms: Mapping[int, int | Fraction]) -> dict:
+    """`acc` with `terms` added in place, zero sums dropped."""
+    for e, c in terms.items():
+        s = acc.get(e, 0) + c
+        if s == 0:
+            acc.pop(e, None)
+        else:
+            acc[e] = normal_coeff(s)
+    return acc
+
+
 def _coefficient(x) -> int | Fraction:
     if isinstance(x, Fraction):
         return normal_coeff(x)
@@ -328,14 +339,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.packed)
-        for e, c in o.packed.items():
-            s = acc.get(e, 0) + c
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = normal_coeff(s)
-        return Poly(self.table, acc)
+        return Poly(self.table, add_terms(dict(self.packed), o.packed))
 
     __radd__ = __add__
 
@@ -359,17 +363,8 @@ class Poly:
         if o is None:
             return NotImplemented
         table = self.table
-        a, b = self.packed, o.packed
-        if a and b:
-            _check_degree((max(a) + max(b)) >> table.degree_shift)
-        acc: dict[int, int | Fraction] = {}
-        get = acc.get
-        right = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-        return Poly(table, _reduce_algebraic(table, acc))
+        return Poly(table, _reduce_algebraic(table, _multiply_into({}, table, self.packed,
+                                                                   o.packed)))
 
     __rmul__ = __mul__
 
@@ -514,6 +509,31 @@ def _reduce_algebraic(table: VarTable, acc: dict[int, int | Fraction]) -> dict:
             key = base + es
             out[key] = out.get(key, 0) + c * cs
     return {e: normal_coeff(c) for e, c in out.items() if c != 0}
+
+
+def _multiply_into(acc: dict[int, int | Fraction], table: VarTable, a: dict, b: dict) -> dict:
+    """`acc` plus the product of the terms `a` and `b`, in place and unreduced."""
+    if a and b:
+        _check_degree((max(a) + max(b)) >> table.degree_shift)
+    get = acc.get
+    right = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def sum_of_products(table: VarTable, pairs: Sequence[tuple]) -> "RatFunc | None":
+    """Sum a * b over pairs of polynomial RatFuncs in one dict, reduced once
+    (Johnson 1974); None at an operand with a denominator, whose sum the
+    caller adds in order: reordering a rational sum can change its print."""
+    acc: dict[int, int | Fraction] = {}
+    for a, b in pairs:
+        if not (a.den.is_one() and b.den.is_one()):
+            return None
+        _multiply_into(acc, table, a.num.packed, b.num.packed)
+    return RatFunc(Poly(table, _reduce_algebraic(table, acc)), Poly.one(table), _normalized=True)
 
 
 class RatFunc:

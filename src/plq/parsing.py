@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import GENERATOR, ExprError, LogExpr, RatFunc, VarTable, exact_div
+from .expr import (GENERATOR, ExprError, LogExpr, Poly, RatFunc, VarTable, add_terms,
+                   exact_div)
 
 
 class ParseError(ValueError):
@@ -80,7 +81,16 @@ def tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _lift(value: Poly | LogExpr) -> LogExpr:
+    return LogExpr(RatFunc.from_poly(value)) if isinstance(value, Poly) else value
+
+
 class _Parser:
+    """Recursive descent, left to right.  A value stays a Poly until `/`, a
+    negative power, `log` or the end of the parse lifts it to a LogExpr.
+    Each Poly value is built here and owned by one node, so a sum adds its
+    terms into the left operand in place."""
+
     def __init__(self, text: str, table: VarTable):
         self.table = table
         self.toks = tokenize(text)
@@ -107,30 +117,34 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return value
+        return _lift(value)
 
-    def expr(self) -> LogExpr:
+    def expr(self) -> Poly | LogExpr:
         value = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            if isinstance(value, Poly) and isinstance(rhs, Poly):
+                add_terms(value.packed, (rhs if op == "+" else -rhs).packed)
+            else:
+                value = _lift(value) + _lift(rhs) if op == "+" else _lift(value) - _lift(rhs)
         return value
 
-    def term(self) -> LogExpr:
+    def term(self) -> Poly | LogExpr:
         value, _ = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next()
             rhs, _ = self.factor()
             if op.text == "*":
-                value = value * rhs
+                both = isinstance(value, Poly) and isinstance(rhs, Poly)
+                value = value * rhs if both else _lift(value) * _lift(rhs)
             else:
                 if rhs.is_zero():
                     raise ParseError("division by zero", op.pos)
-                value = value / rhs
+                value = _lift(value) / _lift(rhs)
         return value
 
-    def factor(self) -> tuple[LogExpr, bool]:
+    def factor(self) -> tuple[Poly | LogExpr, bool]:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.next()
             value, _ = self.factor()
@@ -143,7 +157,7 @@ class _Parser:
                 raise ParseError("negative exponents apply to generator variables only",
                                  caret.pos)
             try:
-                value = value ** e
+                value = (_lift(value) if e < 0 else value) ** e
             except (ExprError, ZeroDivisionError) as err:
                 raise ParseError(str(err), caret.pos) from None
             return value, False
@@ -171,7 +185,7 @@ class _Parser:
                              tok.pos)
         return int(digits or 0)
 
-    def atom(self) -> tuple[LogExpr, bool]:
+    def atom(self) -> tuple[Poly | LogExpr, bool]:
         tok = self.next()
         if tok.kind == "op" and tok.text == "(":
             value = self.expr()
@@ -186,8 +200,8 @@ class _Parser:
                 den = self.integer(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", den_tok.pos)
-                return LogExpr(RatFunc.const(self.table, exact_div(num, den))), False
-            return LogExpr(RatFunc.const(self.table, num)), False
+                return Poly.const(self.table, exact_div(num, den)), False
+            return Poly.const(self.table, num), False
         if tok.kind == "name":
             if tok.text == "log" and self.peek().kind == "op" and self.peek().text == "(":
                 self.next()
@@ -204,8 +218,7 @@ class _Parser:
             if not self.table.has(tok.text):
                 raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
             idx = self.table.index(tok.text)
-            value = LogExpr(RatFunc.var(self.table, tok.text))
-            return value, self.table.kind(idx) == GENERATOR
+            return Poly.var(self.table, tok.text), self.table.kind(idx) == GENERATOR
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
 

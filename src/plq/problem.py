@@ -73,6 +73,16 @@ def _optional(data: dict, field: str, kind, context: str, default=None):
     return value
 
 
+def _object(value, keys: str, path: str) -> dict:
+    """`value`, an object whose keys are among `keys`; `path` names it, "" the root."""
+    if not isinstance(value, dict):
+        raise ProblemError(f"{path or 'problem document'} must be an object")
+    if unknown := [k for k in value if k not in keys.split()]:
+        raise ProblemError(f"unknown key {(path and path + '.') + unknown[0]!r}; "
+                           f"expected one of: {', '.join(keys.split())}")
+    return value
+
+
 def _str_list(value, context: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ProblemError(f"{context} must be a list of strings")
@@ -88,10 +98,10 @@ def _parse(text: str, table: VarTable, context: str):
 
 def build_problem(data: dict) -> Problem:
     """Validate a problem document and construct its table and brackets."""
-    if not isinstance(data, dict):
-        raise ProblemError("problem document must be a JSON object")
+    _object(data, "name variables generators brackets solver flow", "")
     name = _require(data, "name", str, "problem")
     variables = _require(data, "variables", dict, f"problem {name!r}")
+    _object(variables, "pairs parameters invertible algebraic", "variables")
     pairs = variables.get("pairs", 0)
     if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
         raise ProblemError("variables.pairs must be a nonnegative integer")
@@ -108,8 +118,7 @@ def build_problem(data: dict) -> Problem:
     gen_names: list[str] = []
     canonicals: list[str | None] = []
     for k, entry in enumerate(raw_gens):
-        if not isinstance(entry, dict):
-            raise ProblemError(f"generators[{k}] must be an object")
+        _object(entry, "name canonical", f"generators[{k}]")
         gen_names.append(_require(entry, "name", str, f"generators[{k}]"))
         canonical = entry.get("canonical")
         if canonical is not None and not isinstance(canonical, str):
@@ -134,8 +143,7 @@ def build_problem(data: dict) -> Problem:
     entries = {}
     seen: set[tuple[int, int]] = set()
     for k, entry in enumerate(raw_brackets):
-        if not isinstance(entry, dict):
-            raise ProblemError(f"brackets[{k}] must be an object")
+        _object(entry, "i j expression", f"brackets[{k}]")
         iname = _require(entry, "i", str, f"brackets[{k}]")
         jname = _require(entry, "j", str, f"brackets[{k}]")
         text = _require(entry, "expression", str, f"brackets[{k}]")
@@ -169,9 +177,7 @@ def build_problem(data: dict) -> Problem:
             realization = CanonicalRealization(table, exprs)
         except ExprError as exc:
             raise ProblemError(f"problem {name!r}: {exc}") from None
-    solver = data.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ProblemError("solver options must be an object")
+    solver = _object(data.get("solver", {}), "max_degree inverse_degree allow_log", "solver")
     try:
         ansatz = AnsatzSpec(_optional(solver, "max_degree", int, "solver", 2),
                             _optional(solver, "inverse_degree", int, "solver", 0),
@@ -180,8 +186,7 @@ def build_problem(data: dict) -> Problem:
         raise ProblemError(f"solver options: {exc}") from None
     flow_defaults = data.get("flow")
     if flow_defaults is not None:
-        if not isinstance(flow_defaults, dict):
-            raise ProblemError("flow options must be an object")
+        _object(flow_defaults, "observable init dt steps monitors", "flow")
         _optional(flow_defaults, "observable", str, "flow")
         for key in _optional(flow_defaults, "init", dict, "flow", {}):
             _optional(flow_defaults["init"], key, _NUMBER, "flow.init")

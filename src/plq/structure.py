@@ -17,7 +17,8 @@ from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
 from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
-                   VarTable, clear_denominators, diff, exact_div, substitute)
+                   VarTable, clear_denominators, diff, exact_div, substitute,
+                   sum_of_products)
 from .linalg import nullspace, pfaffian, pivot_columns, rank_of
 
 DEFAULT_SEED = 20140
@@ -77,17 +78,17 @@ class BracketTable:
 
     def brackets_with_generators(self, expr: LogExpr) -> list[LogExpr]:
         """{F, u_j} = sum_i (dF/du_i) f_ij for every generator j, each
-        partial dF/du_i taken once."""
+        partial dF/du_i taken once; a sum of polynomial products is fused."""
         table = self.table
         partials = [diff(expr, g) for g in table.generator_indices]
         out = []
         for j in range(self.r):
-            total = LogExpr.zero(table)
-            for i in range(self.r):
-                f = self.bracket(i, j)
-                if not f.is_zero():
-                    total = total + partials[i] * LogExpr(f)
-            out.append(total)
+            column = [(partials[i], f) for i in range(self.r)
+                      if not (f := self.bracket(i, j)).is_zero()]
+            fused = None if any(p.logs for p, _ in column) else sum_of_products(
+                table, [(p.rat, f) for p, f in column])
+            out.append(LogExpr(fused) if fused is not None else
+                       sum((p * LogExpr(f) for p, f in column), LogExpr.zero(table)))
         return out
 
     @cached_property
@@ -248,11 +249,10 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
 
     Only nonzero products are formed and summed, in the order of the full sum
     over m of the jk.i, ki.j and ij.k terms: dropping zeros leaves every
-    residual printed as before.
+    residual printed as before.  A residual of polynomials is one fused sum.
     """
     names = btable.generator_names
-    r = btable.r
-    zero = RatFunc.zero(btable.table)
+    r, table = btable.r, btable.table
     # partial[a, b] = {m: d{u_a, u_b}/du_m}: nonzero partials, each taken once.
     partial: dict[tuple[int, int], dict[int, RatFunc]] = {}
     for (a, b), f in btable.entries.items():
@@ -267,10 +267,13 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
                 pairs = [(partial.get((j, k), {}), rows[i]),
                          (partial.get((k, i), {}), rows[j]),
                          (partial.get((i, j), {}), rows[k])]
-                residual = zero
-                for m in range(r):
-                    products = [d[m] * row[m] for d, row in pairs if m in d and m in row]
-                    if products:
+                factors = [[(d[m], row[m]) for d, row in pairs if m in d and m in row]
+                           for m in range(r)]
+                residual = sum_of_products(table, [f for fs in factors for f in fs])
+                if residual is None:
+                    residual = RatFunc.zero(table)
+                    for fs in filter(None, factors):
+                        products = [a * b for a, b in fs]
                         residual = residual + sum(products[1:], products[0])
                 triples.append(JacobiTriple((names[i], names[j], names[k]),
                                             residual.is_zero(), residual))

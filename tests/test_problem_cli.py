@@ -1,8 +1,12 @@
 """Problem documents and the command-line interface."""
 
+import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from plq.problem import ProblemError, build_problem, load_problem
 from plq.solver import verify_invariant
 from plq.structure import bind_parameters
 from test_solver import lie_module
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def minimal_data():
@@ -333,6 +339,78 @@ def test_cli_examples_listing_and_emit(tmp_path, capsys):
     capsys.readouterr()
     reloaded = load_problem(target)
     assert reloaded.generator_names == ["H", "phi", "V"]
+
+
+def test_cli_emit_without_a_name_is_usage(tmp_path, capsys):
+    """`examples --emit PATH` without a NAME has no document to write."""
+    target = tmp_path / "out.json"
+    assert main(["examples", "--emit", str(target)]) == 2
+    assert capsys.readouterr() == ("", "error: --emit needs a problem NAME\n")
+    assert not target.exists()
+
+
+def run_with_stdout_closed(argv):
+    """Exit code and standard error of `python -m plq.cli ARGV` whose standard
+    output is a pipe with no reader, so its first write fails."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "plq.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC})
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["examples"], ["solve", "sphere"]])
+def test_closed_stdout_ends_the_process_quietly(argv):
+    """`plq examples | head -1` and `plq solve FILE | head -3`: no traceback,
+    and the exit status a shell gives a process that SIGPIPE ends."""
+    assert run_with_stdout_closed(argv) == (141, "")
+
+
+def test_main_in_process_leaves_a_broken_pipe_to_its_caller(monkeypatch):
+    """Only the process entry point handles a closed standard output; `main`
+    raises, and the caller's own standard output is left as it was."""
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        main(["examples"])
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("", "name, variables, generators, brackets, solver, flow"),
+    ("variables.", "pairs, parameters, invertible, algebraic"),
+    ("generators[1].", "name, canonical"),
+    ("brackets[2].", "i, j, expression"),
+    ("solver.", "max_degree, inverse_degree, allow_log"),
+    ("flow.", "observable, init, dt, steps, monitors"),
+], ids=["document", "variables", "generators", "brackets", "solver", "flow"])
+def test_unknown_key_is_usage(path, expected, capsys, tmp_path):
+    """A misspelt key is an error naming its path (exit 2), not a default
+    used in silence: `"solver": {"max_degre": 3}` solved at degree 2."""
+    data = corpus_data("sphere")
+    block = data
+    for part in path.replace("[", ".").replace("]", "").split(".")[:-1]:
+        block = block[int(part)] if part.isdigit() else block[part]
+    block["max_degre"] = 3
+    file = tmp_path / "sphere.json"
+    file.write_text(json.dumps(data))
+    assert main(["solve", str(file)]) == 2
+    key = repr(path + "max_degre")
+    assert capsys.readouterr() == (
+        "", f"error: unknown key {key}; expected one of: {expected}\n")
+
+
+def test_documents_carry_only_known_keys():
+    """Every corpus and benchmark document still loads."""
+    for name in corpus_names():
+        build_problem(corpus_data(name))
+    for doc, _ in lie_module().documents().values():
+        build_problem(doc)
 
 
 def test_cli_seed_echoed(capsys):

@@ -331,26 +331,16 @@ def test_jacobi_matches_reference_loop(bt):
 
 
 def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
-    """Outside differentiation, jacobi_check multiplies only nonzero factors
-    on gl(3): one product per nonzero partial and bracket entry pair."""
+    """jacobi_check hands the product kernel only nonzero factors on gl(3):
+    one pair per nonzero partial and bracket entry pair."""
     bt = lie_problem("gl3").brackets
     factors = []
-    in_diff = []
-    mul, diff_ = RatFunc.__mul__, structure.diff
+    kernel = structure.sum_of_products
 
-    def counted_mul(a, b):
-        if not in_diff:
-            factors.append((a, b))
-        return mul(a, b)
-
-    def quiet_diff(*args):
-        in_diff.append(True)
-        try:
-            return diff_(*args)
-        finally:
-            in_diff.pop()
-    monkeypatch.setattr(RatFunc, "__mul__", counted_mul)
-    monkeypatch.setattr(structure, "diff", quiet_diff)
+    def counted_kernel(table, pairs):
+        factors.extend(pairs)
+        return kernel(table, pairs)
+    monkeypatch.setattr(structure, "sum_of_products", counted_kernel)
     assert jacobi_check(bt).ok
     monkeypatch.undo()
     assert not any(a.is_zero() or b.is_zero() for a, b in factors)
