@@ -39,11 +39,9 @@ def _partials(f: RatFunc) -> list[tuple[RatFunc, RatFunc]]:
 
 def _bracket_of_partials(df: list[tuple[RatFunc, RatFunc]],
                          dg: list[tuple[RatFunc, RatFunc]], zero: RatFunc) -> RatFunc:
-    """sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k), fused for polynomials."""
-    fused = sum_of_products(zero.table, [pair for (fq, fp), (gq, gp) in zip(df, dg)
-                                         for pair in ((fq, gp), (-fp, gq))])
-    return fused if fused is not None else sum(
-        (fq * gp - fp * gq for (fq, fp), (gq, gp) in zip(df, dg)), zero)
+    """sum_k (df/dq_k dg/dp_k + (-df/dp_k) dg/dq_k), fused for polynomials."""
+    return sum_of_products([((fq, gp), (-fp, gq)) for (fq, fp), (gq, gp) in zip(df, dg)],
+                           zero)
 
 
 def canonical_bracket(f: RatFunc, g: RatFunc) -> RatFunc:

@@ -352,12 +352,6 @@ class Poly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
@@ -524,16 +518,23 @@ def _multiply_into(acc: dict[int, int | Fraction], table: VarTable, a: dict, b: 
     return acc
 
 
-def sum_of_products(table: VarTable, pairs: Sequence[tuple]) -> "RatFunc | None":
-    """Sum a * b over pairs of polynomial RatFuncs in one dict, reduced once
-    (Johnson 1974); None at an operand with a denominator, whose sum the
-    caller adds in order: reordering a rational sum can change its print."""
-    acc: dict[int, int | Fraction] = {}
-    for a, b in pairs:
-        if not (a.den.is_one() and b.den.is_one()):
-            return None
-        _multiply_into(acc, table, a.num.packed, b.num.packed)
-    return RatFunc(Poly(table, _reduce_algebraic(table, acc)), Poly.one(table), _normalized=True)
+def sum_of_products(groups: Sequence[Sequence[tuple]], zero: "RatFunc") -> "RatFunc":
+    """The sum over groups of each group's sum of products a * b.  When every
+    operand is a polynomial RatFunc, the products go into one dict, reduced
+    once (Johnson 1974).  Otherwise each group is added in order, then the
+    groups in order onto `zero`: reordering a rational sum can change its print."""
+    table = zero.table
+    if all(a.den.is_one() and b.den.is_one() for group in groups for a, b in group):
+        acc: dict[int, int | Fraction] = {}
+        for group in groups:
+            for a, b in group:
+                _multiply_into(acc, table, a.num.packed, b.num.packed)
+        return RatFunc(Poly(table, _reduce_algebraic(table, acc)), Poly.one(table), _normalized=True)
+    total = zero
+    for group in filter(None, groups):
+        products = [a * b for a, b in group]
+        total = total + sum(products[1:], products[0])
+    return total
 
 
 class RatFunc:
@@ -625,10 +626,6 @@ class RatFunc:
             if other.table is not self.table:
                 raise ExprError("expressions over different tables")
             return other
-        if isinstance(other, Poly):
-            if other.table is not self.table:
-                raise ExprError("expressions over different tables")
-            return RatFunc.from_poly(other)
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(self.table, other)
         return None
@@ -764,9 +761,8 @@ class LogExpr:
             if other.table is not self.table:
                 raise ExprError("expressions over different tables")
             return other
-        if isinstance(other, (RatFunc, Poly, int, Fraction)):
-            r = RatFunc.zero(self.table)._coerce(other)
-            return LogExpr(r)
+        if isinstance(other, (RatFunc, int, Fraction)):
+            return LogExpr(RatFunc.zero(self.table)._coerce(other))
         return None
 
     def __add__(self, other) -> "LogExpr":
@@ -785,12 +781,6 @@ class LogExpr:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other) -> "LogExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other) -> "LogExpr":
         o = self._coerce(other)

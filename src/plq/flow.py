@@ -192,8 +192,6 @@ def _as_logexpr(expr) -> LogExpr:
         return expr
     if isinstance(expr, RatFunc):
         return LogExpr(expr)
-    if isinstance(expr, Poly):
-        return LogExpr(RatFunc.from_poly(expr))
     raise ExprError(f"cannot integrate a {type(expr).__name__}")
 
 

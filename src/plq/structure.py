@@ -62,6 +62,12 @@ class BracketTable:
             if not f.is_zero():
                 clean[(i, j)] = f
         self.entries = clean
+        # columns[j] = {i: f_ij} over the nonzero entries, i ascending; each
+        # lower-triangle entry is negated here, once.
+        self.columns: list[dict[int, RatFunc]] = [{} for _ in range(self.r)]
+        for i, j in sorted(clean):
+            self.columns[j][i] = clean[i, j]
+            self.columns[i][j] = -clean[i, j]
 
     @property
     def generator_names(self) -> tuple[str, ...]:
@@ -69,26 +75,22 @@ class BracketTable:
 
     def bracket(self, i: int, j: int) -> RatFunc:
         """Signed entry {u_i, u_j}; skew symmetry fills the lower triangle."""
-        if i == j:
-            return RatFunc.zero(self.table)
-        if i < j:
-            return self.entries.get((i, j), RatFunc.zero(self.table))
-        f = self.entries.get((j, i))
-        return RatFunc.zero(self.table) if f is None else -f
+        return self.columns[j].get(i, RatFunc.zero(self.table))
 
     def brackets_with_generators(self, expr: LogExpr) -> list[LogExpr]:
         """{F, u_j} = sum_i (dF/du_i) f_ij for every generator j, each
         partial dF/du_i taken once; a sum of polynomial products is fused."""
         table = self.table
         partials = [diff(expr, g) for g in table.generator_indices]
+        zero = RatFunc.zero(table)
         out = []
-        for j in range(self.r):
-            column = [(partials[i], f) for i in range(self.r)
-                      if not (f := self.bracket(i, j)).is_zero()]
-            fused = None if any(p.logs for p, _ in column) else sum_of_products(
-                table, [(p.rat, f) for p, f in column])
-            out.append(LogExpr(fused) if fused is not None else
-                       sum((p * LogExpr(f) for p, f in column), LogExpr.zero(table)))
+        for column in self.columns:
+            if any(partials[i].logs for i in column):
+                out.append(sum((partials[i] * LogExpr(f) for i, f in column.items()),
+                               LogExpr.zero(table)))
+            else:
+                out.append(LogExpr(sum_of_products(
+                    [[(partials[i].rat, f)] for i, f in column.items()], zero)))
         return out
 
     @cached_property
@@ -96,10 +98,9 @@ class BracketTable:
         """Each row j cleared of denominators: the product D of the distinct
         f_ij denominators, and {i: f_ij * D} for every nonzero f_ij."""
         out = []
-        for j in range(self.r):
-            fs = {i: f for i in range(self.r) if not (f := self.bracket(i, j)).is_zero()}
-            common, cleared = clear_denominators(self.table, list(fs.values()))
-            out.append((common, dict(zip(fs, cleared))))
+        for column in self.columns:
+            common, cleared = clear_denominators(self.table, list(column.values()))
+            out.append((common, dict(zip(column, cleared))))
         return out
 
     @_once
@@ -160,17 +161,15 @@ class BracketTable:
         """
         r = self.r
         position = {g: m for m, g in enumerate(self.table.generator_indices)}
-        # {u_i, u_j} = sum_m coeffs[i, j][m] u_m
-        coeffs: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-        for (i, j), f in self.entries.items():
-            if not f.is_poly() or any(sum(e) != 1 or e.index(1) not in position
-                                      for e in f.num.terms):
-                return []
-            coeffs[i, j] = {position[e.index(1)]: c for e, c in f.num.terms.items()}
-            coeffs[j, i] = {m: -c for m, c in coeffs[i, j].items()}
+        if any(not f.is_poly() or any(sum(e) != 1 or e.index(1) not in position
+                                      for e in f.num.terms) for f in self.entries.values()):
+            return []
         out = []
-        for k in range(r):
-            a = [coeffs.get((j, k), {}) for j in range(r)]
+        for column in self.columns:
+            # a[j] = {m: coefficient of u_m in {u_j, u_k}} for this column k
+            a = [{} for _ in range(r)]
+            for j, f in column.items():
+                a[j] = {position[e.index(1)]: c for e, c in f.num.terms.items()}
             a2 = _sparse_product(a, a)
             if _sparse_product(a2, a) != [{m: -c for m, c in row.items()} for row in a]:
                 continue
@@ -182,7 +181,8 @@ class BracketTable:
 
     def structure_matrix(self) -> list[list[RatFunc]]:
         """Dense r x r skew matrix of bracket entries."""
-        return [[self.bracket(i, j) for j in range(self.r)] for i in range(self.r)]
+        zero = RatFunc.zero(self.table)
+        return [[column.get(i, zero) for column in self.columns] for i in range(self.r)]
 
     @_once
     def pfaffian(self) -> RatFunc:
@@ -192,11 +192,7 @@ class BracketTable:
 
     def central_generators(self) -> list[str]:
         """Names of generators whose bracket with every generator vanishes."""
-        out = []
-        for i in range(self.r):
-            if all(self.bracket(i, j).is_zero() for j in range(self.r)):
-                out.append(self.table.names[i])
-        return out
+        return [self.table.names[i] for i, column in enumerate(self.columns) if not column]
 
 
 def _sparse_product(x: list[dict], y: list[dict]) -> list[dict]:
@@ -258,23 +254,17 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
     for (a, b), f in btable.entries.items():
         d = {m: dm for m in range(r) if not (dm := diff(f, m)).is_zero()}
         partial[a, b], partial[b, a] = d, {m: -v for m, v in d.items()}
-    rows = [{m: f for m, f in enumerate(row) if not f.is_zero()}
-            for row in btable.structure_matrix()]
+    columns, zero = btable.columns, RatFunc.zero(table)
     triples: list[JacobiTriple] = []
     for i in range(r):
         for j in range(i + 1, r):
             for k in range(j + 1, r):
-                pairs = [(partial.get((j, k), {}), rows[i]),
-                         (partial.get((k, i), {}), rows[j]),
-                         (partial.get((i, j), {}), rows[k])]
-                factors = [[(d[m], row[m]) for d, row in pairs if m in d and m in row]
-                           for m in range(r)]
-                residual = sum_of_products(table, [f for fs in factors for f in fs])
-                if residual is None:
-                    residual = RatFunc.zero(table)
-                    for fs in filter(None, factors):
-                        products = [a * b for a, b in fs]
-                        residual = residual + sum(products[1:], products[0])
+                # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
+                pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
+                         (partial.get((i, j), {}), k)]
+                residual = sum_of_products(
+                    [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
+                     for m, column in enumerate(columns)], zero)
                 triples.append(JacobiTriple((names[i], names[j], names[k]),
                                             residual.is_zero(), residual))
     return JacobiReport(triples)

@@ -2,10 +2,11 @@
 as `Poly`, against the sequential `RatFunc` and `LogExpr` arithmetic.
 
 `sum_of_products` must equal the sequential sum of `RatFunc` products key
-for key, on a table with a radial element and a parameter, and must decline
-(None) any sum with a rational operand.  A kernel that skips the algebraic
-reduction must fail that comparison.  The bracket checks that call it must
-print what they print with the kernel switched off.  The package parser must
+for key, on a table with a radial element and a parameter, and must print
+any sum with a rational operand as the in-order sum, group by group.  A
+kernel that skips the algebraic reduction must fail that comparison.  The
+bracket checks that call it must print what they print when every sum is
+forced into the in-order branch.  The package parser must
 equal `reference_parser`, which builds every node as a LogExpr, on random
 grammar strings and on every corpus and benchmark document.
 """
@@ -36,43 +37,80 @@ COEFFS = st.one_of(st.integers(-6, 6),
                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
 POLYS = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * len(TABLE)), COEFFS),
                  max_size=4).map(lambda raw: RatFunc.from_poly(Poly.from_terms(TABLE, raw)))
-PAIRS = st.lists(st.tuples(POLYS, POLYS), max_size=5)
+GROUPS = st.lists(st.lists(st.tuples(POLYS, POLYS), max_size=3), max_size=3)
+ZERO = RatFunc.zero(TABLE)
+U, V = Poly.var(TABLE, "u"), Poly.var(TABLE, "v")
+# operands with a denominator: sums of their products can print differently
+# when added in another order
+RATIONALS = [RatFunc.make(V + 1, U - 1), RatFunc.make(U * U - 1, V + 1),
+             RatFunc.make(V, U * U - 2)]
 
 
 def terms(p: Poly) -> dict:
     return {k: (type(c), c) for k, c in p.packed.items()}
 
 
-def matches_sequential(kernel, pairs) -> bool:
-    got = kernel(TABLE, pairs)
-    want = sum((a * b for a, b in pairs), RatFunc.zero(TABLE))
+def matches_sequential(kernel, groups) -> bool:
+    got = kernel(groups, ZERO)
+    want = sum((a * b for group in groups for a, b in group), ZERO)
     return got.is_poly() and terms(got.num) == terms(want.num)
 
 
-@SETTINGS
-@given(PAIRS)
-def test_kernel_equals_the_sequential_sum(pairs):
-    assert matches_sequential(sum_of_products, pairs)
+def in_order(groups):
+    """Each nonempty group summed left to right, then the groups onto zero."""
+    total = ZERO
+    for group in groups:
+        if group:
+            products = [a * b for a, b in group]
+            total = total + sum(products[1:], products[0])
+    return total
 
 
 @SETTINGS
-@given(PAIRS, st.data())
-def test_kernel_declines_a_rational_operand(pairs, data):
-    rational, one = RatFunc.make(Poly.var(TABLE, "u"), Poly.var(TABLE, "v") + 1), RatFunc.one(TABLE)
-    k = data.draw(st.integers(0, len(pairs)))
-    pair = (rational, one) if data.draw(st.booleans()) else (one, rational)
-    assert sum_of_products(TABLE, [*pairs[:k], pair, *pairs[k:]]) is None
+@given(GROUPS)
+def test_kernel_equals_the_sequential_sum(groups):
+    assert matches_sequential(sum_of_products, groups)
+
+
+@SETTINGS
+@given(GROUPS, st.lists(st.tuples(st.sampled_from(RATIONALS),
+                                  st.one_of(POLYS, st.sampled_from(RATIONALS)), st.booleans()),
+                        min_size=1, max_size=3), st.data())
+def test_a_rational_operand_gives_the_in_order_sum(groups, rationals, data):
+    """Rational operands anywhere, in groups of their own or inside drawn
+    groups, give the in-order sum, printed identically."""
+    for rational, p, first in rationals:
+        pair = (rational, p) if first else (p, rational)
+        g = data.draw(st.integers(0, len(groups)))
+        if g < len(groups) and data.draw(st.booleans()):
+            group = groups[g]
+            k = data.draw(st.integers(0, len(group)))
+            groups = [*groups[:g], [*group[:k], pair, *group[k:]], *groups[g + 1:]]
+        else:
+            groups = [*groups[:g], [pair], *groups[g:]]
+    got, want = sum_of_products(groups, ZERO), in_order(groups)
+    assert str(got) == str(want)
+    assert (terms(got.num), terms(got.den)) == (terms(want.num), terms(want.den))
+
+
+def test_the_in_order_sum_keeps_the_group_order():
+    """Three rational sums whose total prints differently added last to
+    first: the kernel adds them first to last."""
+    r1, r2, r3 = RATIONALS
+    groups = [[(RatFunc.from_poly(V - 1), r1)], [(r2, r3)], [(r1, r3)]]
+    got = str(sum_of_products(groups, ZERO))
+    assert got == str(in_order(groups)) != str(in_order(groups[::-1]))
 
 
 def test_a_kernel_that_skips_the_reduction_fails(monkeypatch):
     def unreduced(table, acc):
         return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
 
-    def mutant(table, pairs):
+    def mutant(groups, zero):
         with monkeypatch.context() as m:
             m.setattr(expr, "_reduce_algebraic", unreduced)
-            return sum_of_products(table, pairs)
-    found = find(PAIRS, lambda pairs: not matches_sequential(mutant, pairs),
+            return sum_of_products(groups, zero)
+    found = find(GROUPS, lambda groups: not matches_sequential(mutant, groups),
                  settings=settings(SETTINGS, phases=[Phase.generate]))
     assert found and matches_sequential(sum_of_products, found)
 
@@ -97,10 +135,17 @@ def problems():
 
 def test_bracket_checks_print_as_the_sequential_sums(monkeypatch):
     """Every corpus and benchmark table prints the same Jacobi, closure and
-    invariant residuals with the kernel on and with every sum sequential."""
+    invariant residuals with the kernel on and with every sum sequential.
+    A trailing group (u / (v + 1)) * 0 forces the kernel's in-order branch
+    and adds an exact zero."""
     fused = [bracket_checks(p) for p in problems()]
+
+    def sequential(groups, zero):
+        rational = RatFunc.make(Poly.var(zero.table, zero.table.generator_names[0]),
+                                Poly.var(zero.table, zero.table.generator_names[-1]) + 1)
+        return sum_of_products([*groups, [(rational, zero)]], zero)
     for module in (structure, canonical):
-        monkeypatch.setattr(module, "sum_of_products", lambda table, pairs: None)
+        monkeypatch.setattr(module, "sum_of_products", sequential)
     assert fused == [bracket_checks(p) for p in problems()]
     assert any(r != "0" for checks in fused for r in checks)
 

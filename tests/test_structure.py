@@ -337,9 +337,9 @@ def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
     factors = []
     kernel = structure.sum_of_products
 
-    def counted_kernel(table, pairs):
-        factors.extend(pairs)
-        return kernel(table, pairs)
+    def counted_kernel(groups, zero):
+        factors.extend(pair for group in groups for pair in group)
+        return kernel(groups, zero)
     monkeypatch.setattr(structure, "sum_of_products", counted_kernel)
     assert jacobi_check(bt).ok
     monkeypatch.undo()
@@ -351,6 +351,42 @@ def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
                            if not diff(bt.bracket(a, b), m).is_zero()
                            and not bt.bracket(x, m).is_zero())
     assert len(factors) == nonzero > 0
+
+
+@pytest.mark.parametrize("bt", jacobi_cases())
+def test_columns_hold_the_signed_entries(bt):
+    """columns[j][i] is f_ij above the diagonal and -f_ji below it, absent
+    when zero, with i ascending."""
+    for j, column in enumerate(bt.columns):
+        want = {}
+        for i in range(bt.r):
+            f = (bt.entries.get((i, j)) if i < j else
+                 -bt.entries[j, i] if (j, i) in bt.entries else None)
+            if f is not None:
+                want[i] = str(f)
+        assert list(column) == sorted(column)
+        assert {i: str(f) for i, f in column.items()} == want
+
+
+def test_brackets_with_generators_reads_the_columns(monkeypatch):
+    """Two {F, u_j} passes on gl(3) call no `bracket` and negate no entry."""
+    problem = lie_problem("gl3")
+    bt = problem.brackets
+    exprs = [parse_expression(f"{a}*{b} + {b}^2", problem.table)
+             for a, b in zip(problem.generator_names, problem.generator_names[1:3])]
+    calls = {"bracket": 0, "neg": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+    monkeypatch.setattr(BracketTable, "bracket", counted("bracket", BracketTable.bracket))
+    monkeypatch.setattr(RatFunc, "__neg__", counted("neg", RatFunc.__neg__))
+    sums = [bt.brackets_with_generators(e) for e in exprs]
+    monkeypatch.undo()
+    assert calls == {"bracket": 0, "neg": 0}
+    assert all(any(not s.is_zero() for s in out) for out in sums)
 
 
 def reference_bracket_strings(bt, expr, flow):
