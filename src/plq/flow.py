@@ -16,11 +16,14 @@ coefficients as subtractions, computes each distinct denominator and each
 repeated power once per point, and those that use only parameters once per
 run, and moves a component whose right-hand side is zero by + 0.0 (what
 h/2*0.0 and h/6*0.0 add for a valid step); each of these is exact in IEEE
-round-to-nearest arithmetic, so the trajectory is the one a term-by-term
-evaluation gives.  Every denominator is guarded, so a trajectory that
-approaches a pole aborts with the step index, and so does one whose state or
-monitors leave the finite range.  A run keeps only its current state, so its
-memory does not grow with the step count; a result's states and times are
+round-to-nearest arithmetic.  The one deliberate departure from term-by-term
+rounding is exact symbolically: the right-hand sides and monitors are
+reduced, and a denominator divisible by the non-monomial part of another is
+that local times the quotient ((q1^2+q2^2+q3^2)^2 is d0 * d0).  Every
+denominator is guarded, so a trajectory that approaches a pole aborts with
+the step index, and so does one whose state or monitors leave the finite
+range.  A run keeps only its current state, so its memory does not grow
+with the step count; a result's states and times are
 rebuilt, by replaying the run, only when something reads them.
 """
 
@@ -205,9 +208,54 @@ def _used_indices(exprs: Sequence[LogExpr]) -> set[int]:
     return used
 
 
+def _content_free(p: Poly) -> Poly:
+    """p divided by its monomial content."""
+    g = p.table.meet(p.packed)
+    return p.shift(g) if g else p
+
+
+def _reduced(expr) -> LogExpr:
+    """expr with the non-monomial part C of each denominator cancelled where
+    C divides the numerator exactly; equal to expr."""
+    def reduce(rf: RatFunc) -> RatFunc:
+        c = _content_free(rf.den)
+        q = None if c.is_constant() else rf.num.divide_exact(c)
+        return rf if q is None else RatFunc.make(q, rf.den.divide_exact(c))
+    le = _as_logexpr(expr)
+    return LogExpr(reduce(le.rat), [(g, reduce(c)) for g, c in le.logs])
+
+
+def _factor_base(exprs: Sequence[LogExpr]) -> list[Poly]:
+    """The distinct non-monomial parts of the denominators of `exprs` that
+    use a variable other than a parameter, the highest degree first."""
+    base: dict[Poly, None] = {}
+    for le in exprs:
+        for rf in (le.rat, *(c for _, c in le.logs)):
+            c = _content_free(rf.den)
+            if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
+                base.setdefault(c)
+    return sorted(base, key=Poly.degree, reverse=True)
+
+
+def _split(den: Poly, base: Sequence[Poly], names: Mapping[int, str]
+           ) -> tuple[Poly, Poly, bool] | None:
+    """(B, R, whether R is in `base`) with den = B * R, for the first B in
+    `base` that prints differently from den under `names` and leaves a
+    quotient R that is not constant; None when den is written out."""
+    src = _poly_src(den, names)
+    for b in base:
+        if _poly_src(b, names) != src:
+            r = den.divide_exact(b)
+            if r is not None and not r.is_constant():
+                shared = _poly_src(r, names) in {_poly_src(x, names)
+                                                 for x in base}
+                return b, r, shared
+    return None
+
+
 def _emit(table: VarTable, groups: Sequence[Sequence[object]],
           state_indices: Sequence[int], values: Mapping[str, float],
-          dens: dict[str, str] | None = None
+          dens: dict[str, str] | None = None, base: Sequence[Poly] = ()
           ) -> list[tuple[list[str], list[str], list[str]]]:
     """Source that evaluates groups of expressions at a point in locals x{i}.
 
@@ -219,7 +267,9 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     in the same order, less what an earlier group computes: its outputs read
     those locals.  A parameter-only denominator whose value is 1.0 is dropped
     with its guard, since `a/1.0` is `a`.  `dens` names the denominator
-    locals, so emissions that share it name a denominator alike.
+    locals, so emissions that share it name a denominator alike.  A
+    denominator that `_split` factors over `base` is B's local, placed first
+    with its guard, times R, read from its local when R is in `base`.
     """
     dens = {} if dens is None else dens
     norms = [[_as_logexpr(e) for e in group] for group in groups]
@@ -243,8 +293,21 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
             for norm in norms]
     den_polys = {_poly_src(rf.den, names): rf.den
                  for group in rats for rf in group if not rf.is_poly()}
-    uses = Counter((i, x) for p in [rf.num for group in rats for rf in group]
-                   + list(den_polys.values()) for e in p.terms
+    splits: dict[str, tuple | None] = {}
+
+    def written(p: Poly) -> list[Poly]:
+        # The polynomials that denominator p's local writes out.
+        src = _poly_src(p, names)
+        if src in splits:
+            return []
+        split = splits[src] = _split(p, base, names)
+        if split is None:
+            return [p]
+        b, r, shared = split
+        return written(b) + (written(r) if shared else [r])
+    polys = [rf.num for group in rats for rf in group]
+    polys += [q for p in den_polys.values() for q in written(p)]
+    uses = Counter((i, x) for p in polys for e in p.terms
                    for i, x in enumerate(e) if x > 1 and i in names)
     bound = {f"x{i}**{x}": f"x{i}_{x}" for (i, x), count in uses.items()
              if count > 1 or i in params}
@@ -268,23 +331,30 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
                     (constants if i in params else lines).append(
                         f"{local} = x{i}**{x}")
 
-    def guarded(rf: RatFunc) -> str:
-        src = _poly_src(rf.num, names, bound)
-        if rf.is_poly():
-            return src
-        den = _poly_src(rf.den, names)
-        if den in ones:
-            return src
-        dvar = dens.setdefault(den, f"d{len(dens)}")
+    def local(p: Poly) -> str:
+        # The local of denominator p, computed and guarded at its first use.
+        den = _poly_src(p, names)
         if den not in placed:
             placed.add(den)
-            lines = (constants if rf.den.used_indices() <= params.keys()
-                     else point)
-            place(rf.den, lines)
-            lines.append(f"{dvar} = {_poly_src(rf.den, names, bound)}")
+            lines = constants if p.used_indices() <= params.keys() else point
+            b, r, shared = splits[den] or (None, p, False)
+            value = "" if b is None else local(b) + " * "
+            if shared:
+                value += local(r)
+            else:
+                place(r, lines)
+                value += _poly_src(r, names, bound)
+            dvar = dens.setdefault(den, f"d{len(dens)}")
+            lines.append(f"{dvar} = {value}")
             lines.append(f"if abs({dvar}) < {POLE_TOLERANCE!r}: "
                          "raise _PoleSignal()")
-        return f"({src} / {dvar})"
+        return dens[den]
+
+    def guarded(rf: RatFunc) -> str:
+        src = _poly_src(rf.num, names, bound)
+        if rf.is_poly() or _poly_src(rf.den, names) in ones:
+            return src
+        return f"({src} / {local(rf.den)})"
 
     square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
     emitted = []
@@ -357,10 +427,11 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     for the monitors and before step 1 for the right-hand sides.
     """
     dens: dict[str, str] = {}
+    base = _factor_base([*rhs_exprs, *monitors])
     (mconst, mpoint, mout), (rconst, rfirst, rout1) = _emit(
-        table, [monitors, rhs_exprs], state_indices, values, dens)
+        table, [monitors, rhs_exprs], state_indices, values, dens, base)
     [(_, rpoint, rout)] = _emit(table, [rhs_exprs], state_indices, values,
-                                dens)
+                                dens, base)
     n = len(state_indices)
     ys = [f"y{k}" for k in range(n)]
     zero = [src == "0.0" for src in rout]
@@ -463,8 +534,9 @@ def _abstract_system(btable: BracketTable, cfg: FlowConfig):
     for m in monitors:
         _check_abstract_domain(table, m, "a flow monitor")
     # du_k/dt = {u_k, G} = -{G, u_k}
-    rhs_exprs = [-b for b in btable.brackets_with_generators(observable)]
-    return table, list(table.generator_indices), rhs_exprs, monitors
+    rhs_exprs = [_reduced(-b) for b in btable.brackets_with_generators(observable)]
+    return (table, list(table.generator_indices), rhs_exprs,
+            list(map(_reduced, monitors)))
 
 
 def _canonical_system(real: CanonicalRealization, hamiltonian,
@@ -475,9 +547,10 @@ def _canonical_system(real: CanonicalRealization, hamiltonian,
     realized = real.realize(_as_logexpr(hamiltonian))
     qs = list(table.q_indices)
     ps = list(table.p_indices)
-    rhs_exprs = [diff(realized, p) for p in ps]
-    rhs_exprs += [diff(realized, q) * RatFunc.const(table, -1) for q in qs]
-    monitors = [real.realize(_as_logexpr(m)) for m in cfg.monitors]
+    rhs_exprs = [_reduced(diff(realized, p)) for p in ps]
+    rhs_exprs += [_reduced(diff(realized, q) * RatFunc.const(table, -1))
+                  for q in qs]
+    monitors = [_reduced(real.realize(_as_logexpr(m))) for m in cfg.monitors]
     return table, qs + ps, rhs_exprs, monitors
 
 

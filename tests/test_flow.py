@@ -11,11 +11,12 @@ import pytest
 from plq.canonical import CanonicalRealization
 from plq.corpus import corpus_problem
 from plq import flow as flow_module
-from plq.expr import ExprError, Poly, VarTable
+from plq.expr import PARAMETER, ExprError, Poly, VarTable
 from plq.flow import (DriftReport, FlowConfig, FlowPoleError, FlowResult,
                       _abstract_system, _as_logexpr, _canonical_system,
-                      _PoleSignal, _poly_src, abstract_flow, canonical_flow,
-                      compile_evaluator, generator_trajectory)
+                      _factor_base, _PoleSignal, _poly_src, _split,
+                      abstract_flow, canonical_flow, compile_evaluator,
+                      generator_trajectory)
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.structure import BracketTable
 
@@ -235,10 +236,16 @@ def reference_poly_src(p, names):
     return "(" + " + ".join(parts) + ")"
 
 
-def reference_evaluator(table, exprs, state_indices, values):
+def reference_evaluator(table, exprs, state_indices, values, base=()):
     """Term-by-term evaluator: every denominator computed and guarded where
-    it occurs, parameters read from `values`."""
+    it occurs, parameters read from `values`.  A denominator that `_split`
+    factors over `base` is the product of its factors, each computed and
+    guarded the same way."""
     names = {i: f"x{i}" for i in range(len(table))}
+    # The emitter's names, without the parameters whose value is 1.0.
+    emitted = {i: x for i, x in names.items()
+               if table.kind(i) != PARAMETER
+               or float(values.get(table.names[i], 0.0)) != 1.0}
     lines = ["def _compiled(state):"]
     lines += [f"    x{i} = state[{k}]" for k, i in enumerate(state_indices)]
     lines += [f"    x{i} = {float(values[table.names[i]])!r}"
@@ -247,14 +254,24 @@ def reference_evaluator(table, exprs, state_indices, values):
         square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
         lines.append(f"    x{table.alg_index} = math.sqrt({square})")
 
+    def den(p):
+        split = _split(p, base, emitted)
+        if split is None:
+            value = reference_poly_src(p, names)
+        else:
+            b, r, shared = split
+            value = den(b) + " * " + (den(r) if shared
+                                      else reference_poly_src(r, names))
+        dvar = f"d{len(lines)}"
+        lines.append(f"    {dvar} = {value}")
+        lines.append(f"    if abs({dvar}) < 1e-12: raise _PoleSignal()")
+        return dvar
+
     def guarded(rf):
         src = reference_poly_src(rf.num, names) if not rf.num.is_zero() else "0.0"
         if rf.is_poly():
             return src
-        dvar = f"d{len(lines)}"
-        lines.append(f"    {dvar} = {reference_poly_src(rf.den, names)}")
-        lines.append(f"    if abs({dvar}) < 1e-12: raise _PoleSignal()")
-        return f"({src} / {dvar})"
+        return f"({src} / {den(rf.den)})"
 
     outputs = []
     for le in map(_as_logexpr, exprs):
@@ -343,12 +360,14 @@ def oracle_case(name):
                 "H", "L1*M1 + L2*M2 + L3*M3",
                 "H*(L1^2 + L2^2 + L3^2) - m/2*(M1^2 + M2^2 + M3^2)")])
         return problem.brackets, cfg, "abstract"
-    if name == "hydrogen-kepler":
+    if name in ("hydrogen-kepler", "kepler-mass"):
+        # At m = 1.5 the monitors' denominator m*Q is the local of Q times m.
         problem = corpus_problem("hydrogen")
         table = problem.table
+        mass = 1.5 if name == "kepler-mass" else 1.0
         cfg = FlowConfig(parse_expression("H", table),
                          {"q1": 1.0, "q2": 0.0, "q3": 0.0, "p1": 0.0,
-                          "p2": 0.8, "p3": 0.1, "m": 1.0, "kappa": 1.0},
+                          "p2": 0.8, "p3": 0.1, "m": mass, "kappa": 1.0},
                          1e-3, 2000,
                          [parse_expression(m, table) for m in ("H", "L3", "M1")])
         return problem.realization, cfg, "canonical"
@@ -438,8 +457,9 @@ def generated_and_reference(source, cfg, mode):
         system = _canonical_system(source, cfg.observable, cfg)
         flow = lambda: canonical_flow(source, cfg.observable, cfg)
     table, state, rhs_exprs, monitors = system
-    rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state)
-    mon = reference_evaluator(table, monitors, state, cfg.initial_state)
+    base = _factor_base([*rhs_exprs, *monitors])
+    rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state, base)
+    mon = reference_evaluator(table, monitors, state, cfg.initial_state, base)
     y0 = [float(cfg.initial_state[table.names[i]]) for i in state]
     want = outcome(lambda: reference_integrate(rhs, mon, y0, cfg.step_size,
                                                cfg.steps))
@@ -454,8 +474,9 @@ def generated_and_reference(source, cfg, mode):
 
 @pytest.mark.parametrize("name", [
     "sphere", "sphere-of-V", "hydrogen-abstract", "hydrogen-unit",
-    "hydrogen-kepler", "nappi-witten", "no-monitors", "log-monitor",
-    "log-pole", "rhs-log-pole", "pole", "parameter-power-log", *EARLY_POLES])
+    "hydrogen-kepler", "kepler-mass", "nappi-witten", "no-monitors",
+    "log-monitor", "log-pole", "rhs-log-pole", "pole", "parameter-power-log",
+    *EARLY_POLES])
 def test_generated_run_matches_reference_loop(name):
     """The one generated run reproduces the per-step loop over term-by-term
     evaluators bit for bit: every state and time, the monitor values and
@@ -553,17 +574,8 @@ def test_run_computes_powers_once_per_point_and_parameter_work_once(
     is read and no zero stage is stored."""
     source, cfg, mode = oracle_case(name)
     table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
-    lines = []
-    define = flow_module._define
-
-    def capture(src, fn):
-        lines.extend(line.strip() for line in src)
-        return define(src, fn)
-    monkeypatch.setattr(flow_module, "_define", capture)
-    flow_module._compile_run(table, rhs_exprs, monitors, state,
-                             cfg.initial_state)
-    loop = lines[lines.index("for n in range(1, steps + 1):") + 1:
-                 lines.index("except _PoleSignal:")]
+    _, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
+                          cfg.initial_state)
     # The lines of one point run from one move of the state locals to the next.
     points = [[]]
     for line in loop:
@@ -717,3 +729,140 @@ def test_long_run_memory_does_not_grow_with_steps():
         tracemalloc.stop()
     assert len(result.states) == 200001
     assert peak < 2_000_000
+
+
+# Observable and monitors per mode: the benchmark's flows (bench/run.py) and
+# the canonical sphere flow of test_canonical_flow_conserves_known_quantities.
+BENCH_ABSTRACT = {
+    "sphere": ("V", ["(phi + R^2)*H - 1/2*V^2"]),
+    "hydrogen": ("L1*M2 + 1/2*L3^2 + M1^2 - 1/3*H*L2",
+                 ["H", "L1*M1 + L2*M2 + L3*M3",
+                  "H*(L1^2 + L2^2 + L3^2) - m/2*(M1^2 + M2^2 + M3^2)"]),
+    "nappi-witten": ("J", ["P1^2 + P2^2 + 2*J*T", "T"]),
+}
+BENCH_CANONICAL = {"sphere": ("(phi + R^2)*H - 1/2*V^2", ["phi + R^2", "V"]),
+                   "hydrogen": ("H", ["H", "L3", "M1"])}
+
+
+def exactness_systems():
+    """(name, mode, source, config) for the flow of every generator of every
+    corpus problem, abstract, and of sphere and hydrogen, canonical, each
+    monitoring every generator, plus the benchmark's flows."""
+    from plq.corpus import corpus_names
+    for name in corpus_names():
+        problem = corpus_problem(name)
+        table = problem.table
+        modes = [("abstract", problem.brackets, BENCH_ABSTRACT)]
+        if name in BENCH_CANONICAL:
+            modes.append(("canonical", problem.realization, BENCH_CANONICAL))
+        for mode, source, bench in modes:
+            observable, monitors = bench.get(name, (None, []))
+            texts = list(table.generator_names) + monitors
+            for text in [*table.generator_names, *filter(None, [observable])]:
+                cfg = FlowConfig(parse_expression(text, table), {}, 0.1, 1,
+                                 [parse_expression(m, table) for m in texts])
+                yield name, mode, source, cfg
+
+
+def test_reduced_systems_equal_the_unreduced_ones(monkeypatch):
+    """Each reduced right-hand side and monitor is the unreduced one as a
+    rational function; the Kepler run's dq/dt loses its factor Q."""
+    cases = list(exactness_systems())
+    reduced = [flow_system(source, cfg, mode)
+               for _, mode, source, cfg in cases]
+    monkeypatch.setattr(flow_module, "_reduced", _as_logexpr)
+    changed = set()
+    for (name, mode, source, cfg), new in zip(cases, reduced):
+        old = flow_system(source, cfg, mode)
+        for got, want in zip(new[2] + new[3], old[2] + old[3]):
+            assert got == want, (name, mode, str(got), str(want))
+            if str(got) != str(want):
+                changed.add((name, mode))
+    assert ("hydrogen", "canonical") in changed
+    source, cfg, mode = oracle_case("hydrogen-kepler")
+    monkeypatch.undo()
+    rhs = flow_system(source, cfg, mode)[2]
+    assert [str(e) for e in rhs[:3]] == ["(p1)/(m)", "(p2)/(m)", "(p3)/(m)"]
+
+
+def emitted_run(monkeypatch, table, rhs_exprs, monitors, state, values):
+    """The stripped source lines of the generated `_run` and of its loop."""
+    lines = []
+    define = flow_module._define
+
+    def capture(src, fn):
+        lines.extend(line.strip() for line in src)
+        return define(src, fn)
+    monkeypatch.setattr(flow_module, "_define", capture)
+    flow_module._compile_run(table, rhs_exprs, monitors, state, values)
+    loop = lines[lines.index("for n in range(1, steps + 1):") + 1:
+                 lines.index("except _PoleSignal:")]
+    return lines, loop
+
+
+def assert_denominators_guarded(lines):
+    for i, line in enumerate(lines):
+        found = re.match(r"(d\d+) = ", line)
+        if found:
+            guard = f"if abs({found[1]}) < 1e-12: raise _PoleSignal()"
+            assert lines[i + 1] == guard, line
+
+
+def test_kepler_run_squares_q_as_a_product(monkeypatch):
+    """dp/dt's denominator Q^2 is one local of Q times itself in each of the
+    four stages, no fourth power is written, and every denominator local is
+    guarded."""
+    source, cfg, mode = oracle_case("hydrogen-kepler")
+    table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
+    lines, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
+                              cfg.initial_state)
+    assert not any("**4" in line for line in lines)
+    squares = [m for m in map(re.compile(r"d\d+ = (d\d+) \* \1").fullmatch,
+                              loop) if m]
+    assert len(squares) == 4
+    q = {m[1] for m in squares}
+    assert len(q) == 1
+    [q] = q
+    assert any(re.fullmatch(rf"{q} = \((x\d+(\*\*2|_2)( \+ )?){{3}}\)", l)
+               for l in lines)
+    assert_denominators_guarded(lines)
+
+
+def test_power_of_a_base_factor_is_emitted_as_a_product(monkeypatch):
+    """The flow of u2 + u4/(u1 - c) has the denominators u1 - c and its
+    square: the square is the local of u1 - c times itself."""
+    table = VarTable.make(["u1", "u2", "u3", "u4"], 0, ["c"])
+    bt = BracketTable(table, {(0, 1): parse_ratfunc("u1", table),
+                              (2, 3): parse_ratfunc("1", table)})
+    cfg = FlowConfig(parse_expression("u2 + u4/(u1 - c)", table),
+                     {"u1": 1.0, "u2": 0.5, "u3": 0.0, "u4": 1.0, "c": 3.0},
+                     0.1, 10, [parse_expression("u4/(u1 - c)", table)])
+    table, state, rhs_exprs, monitors = _abstract_system(bt, cfg)
+    dens = {str(rf.den) for le in rhs_exprs for rf in
+            (le.rat, *(c for _, c in le.logs)) if not rf.is_poly()}
+    assert dens == {"u1^2 - 2*u1*c + c^2", "u1 - c"}
+    lines, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
+                              cfg.initial_state)
+    assert "d0 = (-x4 + x0)" in lines
+    assert loop.count("d1 = d0 * d0") == 4
+    assert not any("**2" in line for line in loop)
+    assert_denominators_guarded(lines)
+
+
+def test_kepler_run_stays_close_to_the_unreduced_system(monkeypatch):
+    """Over 20,000 steps the reduced, factored run ends within 1e-8 of the
+    term-by-term loop over the unreduced system, and no monitor drifts by
+    1e-10."""
+    source, cfg, mode = oracle_case("hydrogen-kepler")
+    cfg = FlowConfig(cfg.observable, cfg.initial_state, cfg.step_size, 20000,
+                     cfg.monitors)
+    result = canonical_flow(source, cfg.observable, cfg)
+    monkeypatch.setattr(flow_module, "_reduced", _as_logexpr)
+    table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
+    rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state)
+    mon = reference_evaluator(table, monitors, state, cfg.initial_state)
+    y0 = [float(cfg.initial_state[table.names[i]]) for i in state]
+    _, states, *_ = reference_integrate(rhs, mon, y0, cfg.step_size, cfg.steps)
+    assert result.final_state != states[-1]
+    assert max(abs(a - b) for a, b in zip(result.final_state, states[-1])) < 1e-8
+    assert result.drift.worst() < 1e-10
