@@ -303,7 +303,7 @@ def _cmd_flow(args) -> int:
             raise ProblemError(f"--init value for {name!r} is not used by "
                                f"the {mode} flow")
     if wants_canonical:
-        result = canonical_flow(problem.realization, observable, cfg)
+        result = canonical_flow(problem.realization, cfg)
     else:
         result = abstract_flow(problem.brackets, cfg)
     print(f"problem: {problem.name}")
@@ -422,7 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; an error it raises is printed and, with `--json`,
     written as the report `{"command": ..., "error": ...}`."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse (3.11 at least) reads `--option=--` as an empty list, not a value.
+    for name, value in vars(args).items():
+        if value == [] or isinstance(value, list) and [] in value:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (ProblemError, ParseError, ExprError) as exc:

@@ -539,12 +539,11 @@ def _abstract_system(btable: BracketTable, cfg: FlowConfig):
             list(map(_reduced, monitors)))
 
 
-def _canonical_system(real: CanonicalRealization, hamiltonian,
-                     cfg: FlowConfig):
+def _canonical_system(real: CanonicalRealization, cfg: FlowConfig):
     """The table, state indices (q then p), Hamilton's equations for the
     realized observable, and the realized monitors."""
     table = real.table
-    realized = real.realize(_as_logexpr(hamiltonian))
+    realized = real.realize(_as_logexpr(cfg.observable))
     qs = list(table.q_indices)
     ps = list(table.p_indices)
     rhs_exprs = [_reduced(diff(realized, p)) for p in ps]
@@ -567,14 +566,13 @@ def abstract_flow(btable: BracketTable, cfg: FlowConfig) -> FlowResult:
     return _flow(*_abstract_system(btable, cfg), cfg)
 
 
-def canonical_flow(real: CanonicalRealization, hamiltonian,
-                   cfg: FlowConfig) -> FlowResult:
-    """RK4 on Hamilton's equations for the realized observable.
+def canonical_flow(real: CanonicalRealization, cfg: FlowConfig) -> FlowResult:
+    """RK4 on Hamilton's equations for the realized `cfg.observable`.
 
     Monitors given over the generators are realized first; monitors already
     over the canonical variables are integrated as written.
     """
-    return _flow(*_canonical_system(real, hamiltonian, cfg), cfg)
+    return _flow(*_canonical_system(real, cfg), cfg)
 
 
 def generator_trajectory(real: CanonicalRealization, result: FlowResult,

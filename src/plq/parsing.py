@@ -15,13 +15,16 @@ generator variables only, and ``log`` applies to generator variables only.
 Exponents are bounded by MAX_EXPONENT in magnitude, since each power is
 expanded by repeated multiplication, and integer literals by
 MAX_LITERAL_DIGITS digits, Python's default limit for converting a string to
-an int.  Whitespace is insignificant.  Printing
-produces a string that parses back to an equal expression.
+an int.  Identifiers and integers are ASCII; whitespace, Unicode whitespace
+included, is skipped; any other character is a parse error.  So is nesting
+deeper than the interpreter's recursion limit allows.  Printing produces a
+string that parses back to an equal expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .expr import (GENERATOR, ExprError, LogExpr, Poly, RatFunc, VarTable, add_terms,
                    exact_div)
@@ -35,49 +38,32 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-_OPS = set("+-*/^()")
+# One match per token or whitespace run; `bad` is any other character.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^()])|\s+|(?P<bad>.)", re.DOTALL)
 
 MAX_EXPONENT = 64
 MAX_LITERAL_DIGITS = 4300
 
 
 def tokenize(text: str) -> list[_Token]:
-    """Split input into integer, identifier, and operator tokens."""
+    """Integer, identifier and operator tokens, then two end tokens, so the
+    parser may look one token ahead while it stands at the end."""
     out: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind:
+            out.append(_Token(kind, m.group(), m.start()))
+    end = _Token("end", "", len(text))
+    out += (end, end)
     return out
 
 
@@ -97,8 +83,7 @@ class _Parser:
         self.k = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        j = min(self.k + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.k + ahead]
 
     def next(self) -> _Token:
         tok = self.toks[self.k]
@@ -224,7 +209,11 @@ class _Parser:
 
 def parse_expression(text: str, table: VarTable) -> LogExpr:
     """Parse a string into a LogExpr over the given table."""
-    return _Parser(text, table).parse()
+    parser = _Parser(text, table)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
 
 
 def parse_ratfunc(text: str, table: VarTable) -> RatFunc:

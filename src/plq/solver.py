@@ -166,7 +166,7 @@ def block_keys(btable: BracketTable, basis: Sequence[BasisElem]) -> list[tuple[i
     """Each column's weight w.e under every outer grading w, zero for log
     columns: row j of column u^e has weight w.e + w_j + c plus the weight of
     the row's cleared denominator, so no assembled row spans two keys."""
-    outer = btable.outer_gradings()
+    outer = btable.outer_gradings
     return [tuple(_dot(w, elem.exps) for w in outer) if isinstance(elem, Mono)
             else (0,) * len(outer) for elem in basis]
 
@@ -451,8 +451,8 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
         ansatz = AnsatzSpec()
     if invertible is None:
         invertible = [False] * r
-    basis = enumerate_basis(r, ansatz, invertible, btable.inner_gradings(),
-                            btable.sign_gradings())
+    basis = enumerate_basis(r, ansatz, invertible, btable.inner_gradings,
+                            btable.sign_gradings)
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
     rows = assemble_system(btable, basis)

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
@@ -23,18 +23,6 @@ from .linalg import nullspace, pfaffian, pivot_columns, rank_of
 
 DEFAULT_SEED = 20140
 SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
-
-
-def _once(method):
-    """A method without arguments, computed once per table: tables never change."""
-    key = "_" + method.__name__
-
-    @wraps(method)
-    def cached(self):
-        if key not in self.__dict__:
-            self.__dict__[key] = method(self)
-        return self.__dict__[key]
-    return cached
 
 
 class BracketTable:
@@ -103,7 +91,7 @@ class BracketTable:
             out.append((common, dict(zip(column, cleared))))
         return out
 
-    @_once
+    @cached_property
     def outer_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer generator weights w that grade the table: with
         some shift c, every nonzero f_ij is homogeneous of weight
@@ -126,7 +114,7 @@ class BracketTable:
         rows = [{k: v for k, v in row.items() if v} for row in rows]
         return _integer_weights(nullspace(rows, r + 1), range(r))
 
-    @_once
+    @cached_property
     def inner_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer weights w of the rational combinations
         h = sum_k a_k u_k that act diagonally, {h, u_j} = w_j u_j.
@@ -148,7 +136,7 @@ class BracketTable:
             rows.extend(grouped.values())
         return _integer_weights(nullspace(rows, 2 * r), range(r, 2 * r))
 
-    @_once
+    @cached_property
     def sign_gradings(self) -> list[tuple[int, ...]]:
         """The distinct diagonals s != 1 of the time-pi maps sigma = I + 2A^2
         of the generators' flows that are diagonal with entries +-1.
@@ -184,7 +172,7 @@ class BracketTable:
         zero = RatFunc.zero(self.table)
         return [[column.get(i, zero) for column in self.columns] for i in range(self.r)]
 
-    @_once
+    @cached_property
     def pfaffian(self) -> RatFunc:
         """Pfaffian of the even-sized structure matrix, formed only here."""
         return pfaffian(self.structure_matrix(), RatFunc.zero(self.table),
@@ -381,7 +369,7 @@ def _certified_rank(btable: BracketTable, block: list[int]) -> int:
     while True:
         for a, b in combinations([i for i in range(r) if i not in block], 2):
             grown = sorted([*block, a, b])
-            pf = btable.pfaffian() if len(grown) == r else pfaffian(
+            pf = btable.pfaffian if len(grown) == r else pfaffian(
                 [[matrix[i][j] for j in grown] for i in grown], zero, one)
             if not pf.is_zero():
                 block = grown
@@ -436,7 +424,7 @@ def _rank_report(btable: BracketTable, sample: RankSample, rank: int,
                       sampled_rank=max((k for k, *_ in ranked), default=0),
                       witness=_witness(btable.table, ranked, rank), seed=sample.seed,
                       samples=len(ranked), kind="pfaffian" if r % 2 == 0 else "determinant",
-                      degeneracy=btable.pfaffian() if rank == r else RatFunc.zero(btable.table),
+                      degeneracy=btable.pfaffian if rank == r else RatFunc.zero(btable.table),
                       certificate=certificate)
 
 

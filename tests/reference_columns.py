@@ -17,8 +17,8 @@ def _dot(w, e):
 def graded_columns(btable, basis):
     """The positions in `basis` of the columns that can carry an invariant,
     and each kept column's outer block key."""
-    inner = btable.inner_gradings()
-    signs = btable.sign_gradings()
+    inner = btable.inner_gradings
+    signs = btable.sign_gradings
     kept = []
     for c, elem in enumerate(basis):
         if isinstance(elem, Mono):

@@ -277,7 +277,7 @@ def test_flow_cross_checks(capsys):
                      [parse_expression("phi + R^2", sphere.table),
                       parse_expression("V", sphere.table)],
                      ["U", "V"])
-    result = canonical_flow(sphere.realization, sphere_c, cfg)
+    result = canonical_flow(sphere.realization, cfg)
     by = result.drift.by_label()
     assert by["U"].max_drift < 1e-10
     assert by["V"].max_drift < 1e-10

@@ -1,6 +1,7 @@
 """Exact expression tower: polynomials, rational functions, logs, parsing."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,37 @@ def test_parse_position_reported():
         assert exc.position == 5
     else:
         raise AssertionError("expected a parse error")
+
+
+@pytest.mark.parametrize("text, char, position", [
+    ("2*²", "²", 2), ("٣*u1", "٣", 0), ("u1^٢", "٢", 3), ("é + u1", "é", 0),
+    ("u1 + uⅫ", "Ⅻ", 6)])
+def test_parse_rejects_non_ascii_identifiers_and_digits(text, char, position):
+    with pytest.raises(ParseError, match=f"unexpected character {char!r}") as err:
+        parse_expression(text, table_uv())
+    assert err.value.position == position
+
+
+def test_parse_skips_unicode_whitespace():
+    """Every character `str.isspace` accepts separates tokens."""
+    table = table_uv()
+    spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    spaced = f"{spaces}u1{spaces}+{spaces}u2*a{spaces}"
+    assert parse_expression(spaced, table) == parse_expression("u1 + u2*a", table)
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1",
+                                  "(" * 3000], ids=["parentheses", "minus", "open"])
+def test_parse_nesting_past_the_recursion_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse_expression(text, table_uv())
+
+
+def test_parse_moderate_nesting():
+    table = table_uv()
+    assert parse_expression("(" * 100 + "u1" + ")" * 100, table) == \
+        parse_expression("u1", table)
+    assert parse_expression("-" * 101 + "u1", table) == parse_expression("-u1", table)
 
 
 def test_log_arithmetic_restrictions():

@@ -66,7 +66,7 @@ def test_canonical_flow_conserves_known_quantities():
                      [parse_expression("phi + R^2", table),
                       parse_expression("V", table), ham, lsq],
                      ["U", "V", "Hcal", "Lsq"])
-    result = canonical_flow(problem.realization, ham, cfg)
+    result = canonical_flow(problem.realization, cfg)
     by = result.drift.by_label()
     assert by["U"].max_drift < 1e-10
     assert by["V"].max_drift < 1e-10
@@ -85,7 +85,7 @@ def test_abstract_flow_matches_realized_canonical_flow():
     res_a = abstract_flow(problem.brackets,
                           FlowConfig(ham, {"H": 0.5, "phi": 0.0, "V": 0.0,
                                            "R": 1.0}, 1e-3, 1000, []))
-    res_c = canonical_flow(problem.realization, ham,
+    res_c = canonical_flow(problem.realization,
                            FlowConfig(ham, init, 1e-3, 1000, []))
     generators = generator_trajectory(problem.realization, res_c, init)
     err = max(abs(a - b) for a, b in zip(res_a.final_state, generators[-1]))
@@ -101,7 +101,7 @@ def test_free_flow_leaves_level_set():
             "p1": 0.0, "p2": 1.0, "p3": 0.0, "R": 1.0}
     cfg = FlowConfig(free, init, 1e-3, 1000,
                      [parse_expression("phi", table)], ["phi"])
-    result = canonical_flow(problem.realization, free, cfg)
+    result = canonical_flow(problem.realization, cfg)
     final = result.drift.monitors[0].final_drift
     assert abs(final - 1.0) < 1e-6
 
@@ -454,8 +454,8 @@ def generated_and_reference(source, cfg, mode):
         system = _abstract_system(source, cfg)
         flow = lambda: abstract_flow(source, cfg)
     else:
-        system = _canonical_system(source, cfg.observable, cfg)
-        flow = lambda: canonical_flow(source, cfg.observable, cfg)
+        system = _canonical_system(source, cfg)
+        flow = lambda: canonical_flow(source, cfg)
     table, state, rhs_exprs, monitors = system
     base = _factor_base([*rhs_exprs, *monitors])
     rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state, base)
@@ -560,7 +560,7 @@ def test_simplified_polynomial_source_is_exact():
 def flow_system(source, cfg, mode):
     if mode == "abstract":
         return _abstract_system(source, cfg)
-    return _canonical_system(source, cfg.observable, cfg)
+    return _canonical_system(source, cfg)
 
 
 @pytest.mark.parametrize("name", [
@@ -669,7 +669,7 @@ def oracle_flow(name):
     source, cfg, mode = oracle_case(name)
     if mode == "abstract":
         return abstract_flow(source, cfg), cfg
-    return canonical_flow(source, cfg.observable, cfg), cfg
+    return canonical_flow(source, cfg), cfg
 
 
 @pytest.mark.parametrize("name", [
@@ -856,7 +856,7 @@ def test_kepler_run_stays_close_to_the_unreduced_system(monkeypatch):
     source, cfg, mode = oracle_case("hydrogen-kepler")
     cfg = FlowConfig(cfg.observable, cfg.initial_state, cfg.step_size, 20000,
                      cfg.monitors)
-    result = canonical_flow(source, cfg.observable, cfg)
+    result = canonical_flow(source, cfg)
     monkeypatch.setattr(flow_module, "_reduced", _as_logexpr)
     table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
     rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state)

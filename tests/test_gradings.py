@@ -66,7 +66,7 @@ def test_so_sign_gradings_are_involutions_of_the_flows(n):
         assert set(s) <= {1, -1}
         if -1 in s and s not in diagonals:
             diagonals.append(s)
-    assert btable.sign_gradings() == diagonals
+    assert btable.sign_gradings == diagonals
     assert diagonals
 
 
@@ -96,7 +96,7 @@ def test_listed_casimirs_are_sign_invariant(name):
     names = btable.generator_names
     casimirs = lie_module().documents()[name][1]
     assert casimirs
-    for sign in btable.sign_gradings():
+    for sign in btable.sign_gradings:
         for text in casimirs:
             f, g = flipped(problem.table, text, sign, names)
             assert (f - g).is_zero(), (sign, text)
@@ -111,7 +111,7 @@ def test_so6_solutions_are_sign_invariant():
     result = solve_with_escalation(btable)
     assert len(result.solutions) == 3 and result.verified
     names = btable.generator_names
-    for sign in btable.sign_gradings():
+    for sign in btable.sign_gradings:
         for sol in result.solutions:
             f, g = flipped(btable.table, sol.as_ratfunc(), sign, names)
             assert (f - g).is_zero(), (sign, to_string(sol))
@@ -119,11 +119,11 @@ def test_so6_solutions_are_sign_invariant():
 
 def test_only_linear_parameter_free_tables_get_sign_gradings():
     for n in (2, 3, 4):
-        assert gl_table(n).sign_gradings() == []
-    assert corpus_problem("hydrogen").brackets.sign_gradings() == []
-    assert corpus_problem("sklyanin").brackets.sign_gradings() == []
-    assert bound_quadratic()[1].sign_gradings() == []
-    assert corpus_problem("nappi-witten").brackets.sign_gradings() == [(-1, -1, 1, 1)]
+        assert gl_table(n).sign_gradings == []
+    assert corpus_problem("hydrogen").brackets.sign_gradings == []
+    assert corpus_problem("sklyanin").brackets.sign_gradings == []
+    assert bound_quadratic()[1].sign_gradings == []
+    assert corpus_problem("nappi-witten").brackets.sign_gradings == [(-1, -1, 1, 1)]
 
 
 def test_a_flow_with_a_nilpotent_part_gives_no_sign_grading():
@@ -138,15 +138,15 @@ def test_a_flow_with_a_nilpotent_part_gives_no_sign_grading():
     a2 = matmul(a, a)
     assert all(a2[i][j] == (-1 if i == j < 2 else 0) for i in range(5) for j in range(5))
     assert matmul(a2, a) != [[-x for x in row] for row in a]
-    assert btable.sign_gradings() == []
+    assert btable.sign_gradings == []
 
 
 def test_a_solve_over_no_column_finds_nothing():
     """Every generator of so(3) is flipped by some sign grading, so at
     degree 1 no column is left, and the solve reports no solution."""
     btable = so_table(3)
-    assert enumerate_basis(3, AnsatzSpec(1), [False] * 3, btable.inner_gradings(),
-                           btable.sign_gradings()) == []
+    assert enumerate_basis(3, AnsatzSpec(1), [False] * 3, btable.inner_gradings,
+                           btable.sign_gradings) == []
     result = solve_casimirs(btable, AnsatzSpec(1))
     assert (result.solutions, result.basis, result.corank) == ([], [], 1)
 
@@ -195,8 +195,8 @@ def test_enumeration_matches_the_filtered_full_basis(name, ansatz):
     btable, invertible = case_table(name)
     full = enumerate_basis(btable.r, ansatz, invertible)
     kept, _ = graded_columns(btable, full)
-    basis = enumerate_basis(btable.r, ansatz, invertible, btable.inner_gradings(),
-                            btable.sign_gradings())
+    basis = enumerate_basis(btable.r, ansatz, invertible, btable.inner_gradings,
+                            btable.sign_gradings)
     assert basis == [full[c] for c in kept]
 
     def printed_candidates(columns):

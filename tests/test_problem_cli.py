@@ -220,6 +220,42 @@ def test_cli_check_parse_error_is_usage(capsys):
     assert main(["check", "sphere", "--invariant", "V +"]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2*²", "unexpected character '²'"), ("٣*H", "unexpected character '٣'"),
+    ("(" * 3000 + "H" + ")" * 3000, "expression nested too deeply"),
+    ("-" * 3000 + "H", "expression nested too deeply")],
+    ids=["superscript", "arabic-indic", "parentheses", "minus"])
+def test_cli_hostile_expression_is_one_error_line(text, message, tmp_path, capsys):
+    """Non-ASCII digits and nesting past the recursion limit are parse
+    errors, in `check --invariant` and in a document's bracket expression:
+    exit 2 with one `error:` line, not a traceback."""
+    data = corpus_data("sphere")
+    data["brackets"][0]["expression"] = text
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    for argv in (["check", "sphere", f"--invariant={text}"], ["verify", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "sphere", "--invariant=--"], ["check", "sphere", "--invariant=H", "--bind=--"],
+    ["flow", "sphere", "--monitor=H", "--monitor=--"], ["flow", "sphere", "--dt=--"],
+    ["flow", "sphere", "--steps=--"], ["solve", "sphere", "--max-degree=--"],
+    ["flow", "sphere", "--observable=--"]])
+def test_cli_option_given_as_double_dash_is_a_usage_error(argv, capsys):
+    """`--option=--` exits 2.  argparse reads it as the value "--" or, in
+    some versions, as an empty list, which `main` reports as a missing
+    argument instead of failing on the list or ignoring it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_cli_overlong_integer_literal_is_usage(capsys):
     """A literal past Python's int() digit limit is a parse error, exit 2,
     not a ValueError traceback; leading zeros do not count."""

@@ -487,7 +487,7 @@ def test_gl3_has_inner_gradings():
     names = bt.generator_names
     roots = [tuple((n[1] == str(k)) - (n[2] == str(k)) for n in names)
              for k in (1, 2, 3)]
-    inner = bt.inner_gradings()
+    inner = bt.inner_gradings
     assert len(inner) == 2
     assert same_span(inner, roots)
     for w in inner:
@@ -497,8 +497,8 @@ def test_gl3_has_inner_gradings():
 
 def test_so4_has_the_degree_grading_only():
     bt = lie_problem("so4").brackets
-    assert bt.outer_gradings() == [(1,) * 6]
-    assert bt.inner_gradings() == []
+    assert bt.outer_gradings == [(1,) * 6]
+    assert bt.inner_gradings == []
 
 
 def test_hydrogen_outer_gradings_keep_parameters_at_weight_zero():
@@ -508,15 +508,15 @@ def test_hydrogen_outer_gradings_keep_parameters_at_weight_zero():
     bt = corpus_problem("hydrogen").brackets
     assert bt.generator_names == ("H", "L1", "L2", "L3", "M1", "M2", "M3")
     expected = [(2, 0, 0, 0, 1, 1, 1), (-2, 1, 1, 1, 0, 0, 0)]
-    assert same_span(bt.outer_gradings(), expected)
-    assert bt.inner_gradings() == []
+    assert same_span(bt.outer_gradings, expected)
+    assert bt.inner_gradings == []
 
 
 def test_abelian_table_makes_every_monomial_its_own_block():
     table = VarTable.make(["u1", "u2", "u3"], 0, [])
     bt = BracketTable(table, {})
-    assert same_span(bt.outer_gradings(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert bt.inner_gradings() == []
+    assert same_span(bt.outer_gradings, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert bt.inner_gradings == []
     basis = enumerate_basis(3, AnsatzSpec(3), [False] * 3)
     kept, keys = graded_columns(bt, basis)
     assert kept == list(range(len(basis)))
@@ -537,8 +537,8 @@ def test_non_homogeneous_entry_ties_the_weights():
     diagonally: {h, u1} = -a2 (u3 + u1^2) and {h, u2} = a1 (u3 + u1^2)."""
     table = VarTable.make(["u1", "u2", "u3"], 0, [])
     bt = BracketTable(table, {(0, 1): parse_ratfunc("u3 + u1^2", table)})
-    assert same_span(bt.outer_gradings(), [(1, 0, 2), (0, 1, 0)])
-    assert bt.inner_gradings() == []
+    assert same_span(bt.outer_gradings, [(1, 0, 2), (0, 1, 0)])
+    assert bt.inner_gradings == []
     assert_no_row_spans_two_blocks(bt, enumerate_basis(3, AnsatzSpec(3), [False] * 3))
 
 
@@ -549,7 +549,7 @@ def test_sl2_inner_grading_keeps_weight_zero_columns():
     bt = BracketTable(table, {(0, 1): parse_ratfunc("2*e", table),
                               (0, 2): parse_ratfunc("-2*f", table),
                               (1, 2): parse_ratfunc("h", table)})
-    assert same_span(bt.inner_gradings(), [(0, 1, -1)])
+    assert same_span(bt.inner_gradings, [(0, 1, -1)])
     basis = enumerate_basis(3, AnsatzSpec(4), [False] * 3)
     kept, _ = graded_columns(bt, basis)
     assert sorted(basis[c].exps for c in kept) == sorted(
