@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +32,8 @@ _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 # The largest total degree of a term: a packed field is one byte whose top
 # bit stays clear, so the sum of two keys never carries into the next field.
 DEGREE_LIMIT = 127
+# The most terms a power may have; a t-term polynomial to the n has C(t+n-1, n).
+TERM_LIMIT = 20_000
 
 
 class ExprError(ValueError):
@@ -366,6 +369,8 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ExprError("polynomial powers must be nonnegative integers")
         _check_degree(n * self.degree())
+        if len(self.packed) > 1 and (count := comb(len(self.packed) + n - 1, n)) > TERM_LIMIT:
+            raise ExprError(f"power to the {n} could have {count} terms, more than {TERM_LIMIT}")
         out = Poly.one(self.table)
         for _ in range(n):
             out = out * self

@@ -16,15 +16,18 @@ coefficients as subtractions, computes each distinct denominator and each
 repeated power once per point, and those that use only parameters once per
 run, and moves a component whose right-hand side is zero by + 0.0 (what
 h/2*0.0 and h/6*0.0 add for a valid step); each of these is exact in IEEE
-round-to-nearest arithmetic.  The one deliberate departure from term-by-term
-rounding is exact symbolically: the right-hand sides and monitors are
-reduced, and a denominator divisible by the non-monomial part of another is
-that local times the quotient ((q1^2+q2^2+q3^2)^2 is d0 * d0).  Every
+round-to-nearest arithmetic.  The deliberate departures from term-by-term
+rounding are exact symbolically: reduced right-hand sides and monitors; a
+denominator divisible by the non-monomial part of another as that local
+times the quotient ((q1^2+q2^2+q3^2)^2 is d0 * d0); N/D as polynomial part
+plus remainder, Q/g + R/D for D = g*C and N = Q*C + R (Kepler's energy is
+p^2/2 - rho/d0); a square as a product, correctly rounded where ** calls
+libm pow, so inf on overflow; the radial element as sqrt(d0).  Every
 denominator is guarded, so a trajectory that approaches a pole aborts with
-the step index, and so does one whose state or monitors leave the finite
-range.  A run keeps only its current state, so its memory does not grow
-with the step count; a result's states and times are
-rebuilt, by replaying the run, only when something reads them.
+the step index, and so does one whose state or monitors, or an evaluator
+whose values, leave the finite range.  A run keeps only its current state,
+so its memory does not grow with the step count; a result's states and
+times are rebuilt, by replaying the run, only when something reads them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import cached_property
 
 from .canonical import CanonicalRealization
 from .expr import (PARAMETER, ExprError, LogExpr, Poly, RatFunc, VarTable,
-                   diff)
+                   add_terms, diff, exact_div, sigma_poly)
 from .parsing import to_string
 from .structure import BracketTable
 
@@ -64,7 +67,7 @@ class _PoleSignal(Exception):
 
 
 class _NotFiniteSignal(Exception):
-    """Internal marker raised by a compiled run at an infinite or NaN value."""
+    """Internal marker raised by compiled code at an infinite or NaN value."""
 
 
 @dataclass
@@ -166,6 +169,11 @@ def _frac_src(c: int | Fraction) -> str:
     return f"({c.numerator}/{c.denominator})"
 
 
+def _power(name: str, x: int) -> str:
+    """name to the power x; a square is a product, correctly rounded."""
+    return name if x == 1 else f"({name}*{name})" if x == 2 else f"{name}**{x}"
+
+
 def _poly_src(p: Poly, names: Mapping[int, str],
               bound: Mapping[str, str] = {}) -> str:
     """Source of a polynomial: a unit coefficient is dropped and a negative
@@ -177,9 +185,8 @@ def _poly_src(p: Poly, names: Mapping[int, str],
         return "0.0"
     src = ""
     for e, c in sorted(p.terms.items()):
-        factors = [names[i] if x == 1 else f"{names[i]}**{x}"
-                   for i, x in enumerate(e) if x and i in names]
-        factors = [bound.get(f, f) for f in factors]
+        factors = [bound.get(f, f) for f in (_power(names[i], x)
+                   for i, x in enumerate(e) if x and i in names)]
         if abs(c) != 1 or not factors:
             factors.insert(0, _frac_src(abs(c)))
         term = "*".join(factors)
@@ -212,6 +219,33 @@ def _content_free(p: Poly) -> Poly:
     """p divided by its monomial content."""
     g = p.table.meet(p.packed)
     return p.shift(g) if g else p
+
+
+def _divided(n: Poly, c: Poly) -> tuple[Poly, Poly]:
+    """(Q, R) with n = Q*c + R, c free of the radial element, by the descent
+    of `Poly.divide_exact` moving to R what c's leading term does not divide."""
+    (de, dc), guard = c.leading(), n.table.guard
+    rem, q, r = dict(n.packed), {}, {}
+    while rem:
+        e = max(rem)
+        if ((e | guard) - de) & guard != guard:
+            r[e] = rem.pop(e)
+        else:
+            q[e - de] = x = exact_div(rem[e], dc)
+            add_terms(rem, {k + e - de: -v * x for k, v in c.packed.items()})
+    return Poly(n.table, q), Poly(n.table, r)
+
+
+def _parts(rf: RatFunc) -> list[RatFunc]:
+    """The terms the emitter sums for rf = N/D: Q/g + R/D when D = g*C, g a
+    parameter monomial, C uses the state and `_divided` gives Q nonzero."""
+    g = Poly(rf.table, {rf.table.meet(rf.den.packed): 1})
+    c, params = _content_free(rf.den), set(rf.table.parameter_indices)
+    if c.used_indices() <= params or not g.used_indices() <= params:
+        return [rf]
+    q, r = _divided(rf.num, c)
+    rest = [] if r.is_zero() else [RatFunc(r, rf.den, _normalized=True)]
+    return [rf] if q.is_zero() else [RatFunc.make(q, g), *rest]
 
 
 def _reduced(expr) -> LogExpr:
@@ -289,8 +323,8 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
                         "in the flow state")
     names = {i: f"x{i}" for i in range(len(table)) if params.get(i) != 1.0}
     # Count each power once per polynomial written, a shared denominator once.
-    rats = [[rf for le in norm for rf in (le.rat, *(c for _, c in le.logs))]
-            for norm in norms]
+    rats = [[p for le in norm for rf in (le.rat, *(c for _, c in le.logs))
+             for p in _parts(rf)] for norm in norms]
     den_polys = {_poly_src(rf.den, names): rf.den
                  for group in rats for rf in group if not rf.is_poly()}
     splits: dict[str, tuple | None] = {}
@@ -309,7 +343,7 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     polys += [q for p in den_polys.values() for q in written(p)]
     uses = Counter((i, x) for p in polys for e in p.terms
                    for i, x in enumerate(e) if x > 1 and i in names)
-    bound = {f"x{i}**{x}": f"x{i}_{x}" for (i, x), count in uses.items()
+    bound = {_power(f"x{i}", x): f"x{i}_{x}" for (i, x), count in uses.items()
              if count > 1 or i in params}
     env = {names[i]: v for i, v in params.items() if i in names}
     ones = set()
@@ -326,10 +360,8 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
         # that can raise (powers, guards) keep their term-by-term order.
         for e in sorted(p.terms):
             for i, x in enumerate(e):
-                local = unplaced.pop(f"x{i}**{x}", None)
-                if local:
-                    (constants if i in params else lines).append(
-                        f"{local} = x{i}**{x}")
+                if local := unplaced.pop(power := _power(f"x{i}", x), None):
+                    (constants if i in params else lines).append(f"{local} = {power}")
 
     def local(p: Poly) -> str:
         # The local of denominator p, computed and guarded at its first use.
@@ -351,12 +383,13 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
         return dens[den]
 
     def guarded(rf: RatFunc) -> str:
-        src = _poly_src(rf.num, names, bound)
-        if rf.is_poly() or _poly_src(rf.den, names) in ones:
-            return src
-        return f"({src} / {local(rf.den)})"
+        srcs = [_poly_src(p.num, names, bound)
+                if p.is_poly() or _poly_src(p.den, names) in ones else
+                f"({_poly_src(p.num, names, bound)} / {local(p.den)})"
+                for p in _parts(rf)]
+        return srcs[0] if len(srcs) == 1 else "(" + " + ".join(srcs) + ")"
 
-    square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
+    sigma = _poly_src(sigma_poly(table), names)
     emitted = []
     seen: set[int] = set()
     for norm, group_rats in zip(norms, rats):
@@ -365,8 +398,7 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
         seen |= new
         constants = [f"x{i} = {params[i]!r}" for i in sorted(new)
                      if i in params and i in names]
-        point = [f"x{ia} = sqrt({square})"] if ia in new else []
-        outputs = []
+        point, outputs = [], []
         for le in norm:
             src = guarded(le.rat)
             for g, c in le.logs:
@@ -378,6 +410,8 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
             outputs.append(src)
         for rf in group_rats:
             place(rf.num, point)
+        if ia in new:  # sqrt(q1^2+q2^2+q3^2): its local if placed, else the same sum
+            point.append(f"x{ia} = sqrt({dens[sigma] if sigma in placed else sigma})")
         emitted.append((constants, point, outputs))
     return emitted
 
@@ -400,12 +434,14 @@ def _tuple_src(items: Sequence[str]) -> str:
 def compile_evaluator(table: VarTable, exprs: Sequence[object],
                       state_indices: Sequence[int],
                       values: Mapping[str, float]) -> Callable[[tuple], tuple]:
-    """Compile expressions into one function mapping a state tuple to a tuple
-    of values, with parameters baked in and denominators guarded."""
+    """Compile expressions into one function from a state tuple to a tuple of
+    finite values, else `_NotFiniteSignal`: parameters baked in, poles guarded."""
     [(constants, point, outputs)] = _emit(table, [exprs], state_indices,
                                           values)
     body = [f"x{i} = state[{k}]" for k, i in enumerate(state_indices)]
-    body += constants + point + ["return " + _tuple_src(outputs)]
+    body += constants + point + ["out = " + _tuple_src(outputs),
+                                 "if not all(map(isfinite, out)): "
+                                 "raise _NotFiniteSignal()", "return out"]
     return _define(["def _compiled(state):"] + ["    " + l for l in body],
                    "_compiled")
 
@@ -588,6 +624,6 @@ def generator_trajectory(real: CanonicalRealization, result: FlowResult,
             out.append(fn(point))
         except _PoleSignal:
             raise FlowPoleError(n, result.times[n]) from None
-        except OverflowError:
+        except (_NotFiniteSignal, OverflowError):
             raise FlowPoleError(n, result.times[n], NOT_FINITE) from None
     return out

@@ -233,7 +233,8 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
 
     Only nonzero products are formed and summed, in the order of the full sum
     over m of the jk.i, ki.j and ij.k terms: dropping zeros leaves every
-    residual printed as before.  A residual of polynomials is one fused sum.
+    residual printed as before.  A residual of polynomials is one fused sum,
+    and a triple whose three entries have no nonzero partial is zero.
     """
     names = btable.generator_names
     r, table = btable.r, btable.table
@@ -244,17 +245,15 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
         partial[a, b], partial[b, a] = d, {m: -v for m, v in d.items()}
     columns, zero = btable.columns, RatFunc.zero(table)
     triples: list[JacobiTriple] = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            for k in range(j + 1, r):
-                # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
-                pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
-                         (partial.get((i, j), {}), k)]
-                residual = sum_of_products(
-                    [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
-                     for m, column in enumerate(columns)], zero)
-                triples.append(JacobiTriple((names[i], names[j], names[k]),
-                                            residual.is_zero(), residual))
+    for i, j, k in combinations(range(r), 3):
+        # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
+        pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
+                 (partial.get((i, j), {}), k)]
+        residual = zero if not any(d for d, _ in pairs) else sum_of_products(
+            [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
+             for m, column in enumerate(columns)], zero)
+        triples.append(JacobiTriple((names[i], names[j], names[k]),
+                                    residual.is_zero(), residual))
     return JacobiReport(triples)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from plq.expr import (ExprError, LogExpr, Poly, RatFunc, VarTable,
+from plq.expr import (TERM_LIMIT, ExprError, LogExpr, Poly, RatFunc, VarTable,
                       clear_denominators, diff, monomial_exponents, sigma_poly,
                       split_terms, substitute)
 from plq.parsing import ParseError, parse_expression, parse_ratfunc, to_string
@@ -224,6 +224,23 @@ def test_parse_precedence_and_power():
         parse_ratfunc("-(u1^2)", table)
     assert parse_ratfunc("u1^-2", table) == \
         parse_ratfunc("1/(u1^2)", table)
+
+
+def test_power_term_bound():
+    """A power of t terms to the n can have C(t + n - 1, n) terms: one that
+    could pass TERM_LIMIT raises before it is expanded, in the parser at its
+    caret, and the largest admitted power of u1 + u2 + u3 + b has exactly
+    that many terms."""
+    table = table_uv()
+    assert len(parse_ratfunc("(u1 + u2 + u3 + b)^47", table).num.packed) == 19600
+    with pytest.raises(ParseError, match="could have 20825 terms, more than "
+                       f"{TERM_LIMIT} at position 18"):
+        parse_ratfunc("(u1 + u2 + u3 + b)^48", table)
+    with pytest.raises(ExprError, match="power to the 48 could have 20825 terms"):
+        (Poly.var(table, "u1") + Poly.var(table, "u2") + Poly.var(table, "u3")
+         + Poly.var(table, "a")) ** 48
+    assert parse_ratfunc("(2*u1*u2)^63", table) == parse_ratfunc("2^63*u1^63*u2^63", table)
+    assert parse_ratfunc("(u1 + u2)^0 + 0^0", table) == 2
 
 
 def test_parse_errors():

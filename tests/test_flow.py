@@ -11,14 +11,16 @@ import pytest
 from plq.canonical import CanonicalRealization
 from plq.corpus import corpus_problem
 from plq import flow as flow_module
-from plq.expr import PARAMETER, ExprError, Poly, VarTable
-from plq.flow import (DriftReport, FlowConfig, FlowPoleError, FlowResult,
-                      _abstract_system, _as_logexpr, _canonical_system,
-                      _factor_base, _PoleSignal, _poly_src, _split,
+from plq.expr import PARAMETER, ExprError, Poly, VarTable, sigma_poly
+from plq.flow import (NOT_FINITE, DriftReport, FlowConfig, FlowPoleError,
+                      FlowResult, _abstract_system, _as_logexpr,
+                      _canonical_system, _factor_base, _NotFiniteSignal,
+                      _PoleSignal, _poly_src, _split,
                       abstract_flow, canonical_flow, compile_evaluator,
                       generator_trajectory)
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.structure import BracketTable
+from test_solver import lie_module, lie_problem
 
 
 def sphere():
@@ -224,13 +226,18 @@ def test_non_finite_start_aborts_at_step_zero(value):
     assert (info.value.step, info.value.time) == (0, 0.0)
 
 
+def reference_power(name, x):
+    return name if x == 1 else f"({name}*{name})" if x == 2 else f"{name}**{x}"
+
+
 def reference_poly_src(p, names):
-    """Term-by-term source: every coefficient written, signs added."""
+    """Term-by-term source: every coefficient written, signs added, a square
+    written as a product."""
     parts = []
     for e, c in sorted(p.terms.items()):
         coef = (f"{c.numerator}.0" if c.denominator == 1
                 else f"({c.numerator}/{c.denominator})")
-        factors = [coef] + [names[i] if x == 1 else f"{names[i]}**{x}"
+        factors = [coef] + [reference_power(names[i], x)
                             for i, x in enumerate(e) if x]
         parts.append("*".join(factors))
     return "(" + " + ".join(parts) + ")"
@@ -240,7 +247,10 @@ def reference_evaluator(table, exprs, state_indices, values, base=()):
     """Term-by-term evaluator: every denominator computed and guarded where
     it occurs, parameters read from `values`.  A denominator that `_split`
     factors over `base` is the product of its factors, each computed and
-    guarded the same way."""
+    guarded the same way.  Each expression is the sum of its `_parts`, the
+    radial element is the square root of q1^2 + q2^2 + q3^2 summed as that
+    denominator is (the value of the emitter's local of it), and a value
+    that is not finite raises `_NotFiniteSignal`."""
     names = {i: f"x{i}" for i in range(len(table))}
     # The emitter's names, without the parameters whose value is 1.0.
     emitted = {i: x for i, x in names.items()
@@ -251,8 +261,8 @@ def reference_evaluator(table, exprs, state_indices, values, base=()):
     lines += [f"    x{i} = {float(values[table.names[i]])!r}"
               for i in table.parameter_indices if table.names[i] in values]
     if table.alg_index is not None and set(table.q_indices) <= set(state_indices):
-        square = " + ".join(f"x{i}*x{i}" for i in table.q_indices)
-        lines.append(f"    x{table.alg_index} = math.sqrt({square})")
+        sigma = reference_poly_src(sigma_poly(table), names)
+        lines.append(f"    x{table.alg_index} = math.sqrt({sigma})")
 
     def den(p):
         split = _split(p, base, emitted)
@@ -267,11 +277,15 @@ def reference_evaluator(table, exprs, state_indices, values, base=()):
         lines.append(f"    if abs({dvar}) < 1e-12: raise _PoleSignal()")
         return dvar
 
-    def guarded(rf):
+    def part(rf):
         src = reference_poly_src(rf.num, names) if not rf.num.is_zero() else "0.0"
         if rf.is_poly():
             return src
         return f"({src} / {den(rf.den)})"
+
+    def guarded(rf):
+        srcs = [part(p) for p in flow_module._parts(rf)]
+        return srcs[0] if len(srcs) == 1 else "(" + " + ".join(srcs) + ")"
 
     outputs = []
     for le in map(_as_logexpr, exprs):
@@ -280,9 +294,12 @@ def reference_evaluator(table, exprs, state_indices, values, base=()):
             lines.append(f"    if x{g} <= 1e-12: raise _PoleSignal()")
             src = f"({src} + {guarded(c)}*math.log(x{g}))"
         outputs.append(src + ",")
-    lines.append("    return (" + " ".join(outputs) + ")")
+    lines.append("    out = (" + " ".join(outputs) + ")")
+    lines.append("    if not all(map(math.isfinite, out)): raise _NotFiniteSignal()")
+    lines.append("    return out")
     namespace = {}
-    exec("\n".join(lines), {"math": math, "_PoleSignal": _PoleSignal}, namespace)
+    exec("\n".join(lines), {"math": math, "_PoleSignal": _PoleSignal,
+                             "_NotFiniteSignal": _NotFiniteSignal}, namespace)
     return namespace["_compiled"]
 
 
@@ -311,6 +328,8 @@ def reference_integrate(rhs, mon, y0, h, steps):
             current = mon(y)
         except _PoleSignal:
             raise FlowPoleError(n, n * h) from None
+        except _NotFiniteSignal:
+            raise FlowPoleError(n, n * h, NOT_FINITE) from None
         times.append(n * h)
         states.append(y)
         for i in range(len(base)):
@@ -360,16 +379,19 @@ def oracle_case(name):
                 "H", "L1*M1 + L2*M2 + L3*M3",
                 "H*(L1^2 + L2^2 + L3^2) - m/2*(M1^2 + M2^2 + M3^2)")])
         return problem.brackets, cfg, "abstract"
-    if name in ("hydrogen-kepler", "kepler-mass"):
+    if name in ("hydrogen-kepler", "kepler-mass", "kepler-radius"):
         # At m = 1.5 the monitors' denominator m*Q is the local of Q times m.
+        # The radius alone is a monitor with no denominator: its square root
+        # sums Q where no local of Q is placed yet.
         problem = corpus_problem("hydrogen")
         table = problem.table
         mass = 1.5 if name == "kepler-mass" else 1.0
+        monitors = ["rho"] if name == "kepler-radius" else ["H", "L3", "M1"]
         cfg = FlowConfig(parse_expression("H", table),
                          {"q1": 1.0, "q2": 0.0, "q3": 0.0, "p1": 0.0,
                           "p2": 0.8, "p3": 0.1, "m": mass, "kappa": 1.0},
                          1e-3, 2000,
-                         [parse_expression(m, table) for m in ("H", "L3", "M1")])
+                         [parse_expression(m, table) for m in monitors])
         return problem.realization, cfg, "canonical"
     if name == "nappi-witten":
         problem = corpus_problem("nappi-witten")
@@ -474,9 +496,9 @@ def generated_and_reference(source, cfg, mode):
 
 @pytest.mark.parametrize("name", [
     "sphere", "sphere-of-V", "hydrogen-abstract", "hydrogen-unit",
-    "hydrogen-kepler", "kepler-mass", "nappi-witten", "no-monitors",
-    "log-monitor", "log-pole", "rhs-log-pole", "pole", "parameter-power-log",
-    *EARLY_POLES])
+    "hydrogen-kepler", "kepler-mass", "kepler-radius", "nappi-witten",
+    "no-monitors", "log-monitor", "log-pole", "rhs-log-pole", "pole",
+    "parameter-power-log", *EARLY_POLES])
 def test_generated_run_matches_reference_loop(name):
     """The one generated run reproduces the per-step loop over term-by-term
     evaluators bit for bit: every state and time, the monitor values and
@@ -568,10 +590,11 @@ def flow_system(source, cfg, mode):
     "log-monitor", "rhs-log-pole"])
 def test_run_computes_powers_once_per_point_and_parameter_work_once(
         name, monkeypatch):
-    """Inside the step loop, no radial element, power or denominator is
-    computed twice at one state and every logarithm is guarded there,
-    nothing that uses only parameters is computed at all, no unit parameter
-    is read and no zero stage is stored."""
+    """Inside the step loop, no radial element, power (a square is a
+    product) or denominator is computed twice at one state and every
+    logarithm is guarded there, nothing that uses only parameters is
+    computed at all, no unit parameter is read and no zero stage is
+    stored."""
     source, cfg, mode = oracle_case(name)
     table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
     _, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
@@ -589,7 +612,7 @@ def test_run_computes_powers_once_per_point_and_parameter_work_once(
     points[0] += points.pop()
     for point in points:
         text = "\n".join(point)
-        powers = re.findall(r"x\d+\*\*\d+", text)
+        powers = [m[0] for m in re.finditer(r"\(x(\d+)\*x\1\)|x\d+\*\*\d+", text)]
         assert len(powers) == len(set(powers)), point
         assert text.count("sqrt(") <= 1, point
         dens = [l.partition(" = ")[2] for l in point if re.match(r"d\d+ = ", l)]
@@ -600,7 +623,8 @@ def test_run_computes_powers_once_per_point_and_parameter_work_once(
     units = {str(i) for i in table.parameter_indices
              if cfg.initial_state[table.names[i]] == 1.0}
     for line in loop:
-        assert not any(f"x{i}**" in line for i in params), line
+        assert not any(f"x{i}**" in line or f"(x{i}*x{i})" in line
+                       for i in params), line
         value = line.partition(" = ")[2]
         used = set(re.findall(r"\bx(\d+)", value))
         assert not used or not used <= params, line
@@ -611,13 +635,15 @@ def test_run_computes_powers_once_per_point_and_parameter_work_once(
 def evaluated(fn, point):
     try:
         return fn(point)
-    except (_PoleSignal, OverflowError) as exc:
+    except (_PoleSignal, _NotFiniteSignal, OverflowError) as exc:
         return type(exc).__name__
 
 
 def test_compiled_evaluator_matches_reference_evaluator():
     """The shared emitter reproduces the term-by-term evaluator bit for bit on
-    the hydrogen realization, signed zeros, poles and overflows included."""
+    the hydrogen realization, signed zeros, poles and overflows included; a
+    square that overflows is a product, so it signals a value that is not
+    finite rather than raising OverflowError."""
     problem = corpus_problem("hydrogen")
     table = problem.table
     exprs = list(problem.realization.expressions)
@@ -634,7 +660,7 @@ def test_compiled_evaluator_matches_reference_evaluator():
         got, want = evaluated(fast, point), evaluated(slow, point)
         assert repr(got) == repr(want), point
         kinds.add(want if isinstance(want, str) else "value")
-    assert kinds == {"value", "_PoleSignal", "OverflowError"}
+    assert kinds == {"value", "_PoleSignal", "_NotFiniteSignal"}
 
 
 def hydrogen_path(bad_state, index):
@@ -662,6 +688,18 @@ def test_generator_trajectory_reports_an_overflow_as_not_finite():
     with pytest.raises(FlowPoleError, match="not finite") as info:
         generator_trajectory(problem.realization, path,
                              {"m": 1.0, "kappa": 1.0})
+    assert (info.value.step, info.value.time) == (1, 0.25)
+
+
+def test_generator_trajectory_reports_a_product_overflow_as_not_finite():
+    """x11 = q1*p1 on the gl(2) Jordan-Schwinger realization overflows as a
+    product, which raises nothing: the infinite value, not an exception,
+    ends the trajectory as not finite."""
+    path = FlowResult(["q1", "q2", "p1", "p2"], [0.0, 0.25],
+                      [(1.0, 0.5, 1.0, 0.5), (1e200, 0.5, 1e200, 0.5)],
+                      DriftReport([]))
+    with pytest.raises(FlowPoleError, match="not finite") as info:
+        generator_trajectory(lie_problem("gl2").realization, path, {})
     assert (info.value.step, info.value.time) == (1, 0.25)
 
 
@@ -764,6 +802,66 @@ def exactness_systems():
                 yield name, mode, source, cfg
 
 
+def test_split_parts_sum_to_the_expression():
+    """Each right-hand side and monitor, and each coefficient of a
+    logarithm, is the sum of its `_parts`; the Kepler run's H and M1 split
+    into a polynomial over m and a remainder over m*Q."""
+    split = set()
+    for name, mode, source, cfg in exactness_systems():
+        _, _, rhs_exprs, monitors = flow_system(source, cfg, mode)
+        for le in rhs_exprs + monitors:
+            for rf in (le.rat, *(c for _, c in le.logs)):
+                parts = flow_module._parts(rf)
+                assert sum(parts[1:], parts[0]) == rf, (name, mode, str(rf))
+                if len(parts) > 1:
+                    split.add((name, mode))
+    assert ("hydrogen", "canonical") in split
+    source, cfg, mode = oracle_case("hydrogen-kepler")
+    monitors = flow_system(source, cfg, mode)[3]
+    assert [[str(p) for p in flow_module._parts(m.rat)] for m in monitors] == [
+        ["(1/2*p1^2 + 1/2*p2^2 + 1/2*p3^2)/(m)",
+         "(-m*kappa*rho)/(q1^2*m + q2^2*m + q3^2*m)"],
+        ["q1*p2 - q2*p1"],
+        ["(q1*p2^2 + q1*p3^2 - q2*p1*p2 - q3*p1*p3)/(m)",
+         "(-q1*m*kappa*rho)/(q1^2*m + q2^2*m + q3^2*m)"]]
+
+
+def benchmark_runs():
+    """(name, source, config, mode) of the benchmark's five flow kernels:
+    sphere, hydrogen, Kepler and Nappi-Witten, and the so(4) rigid body."""
+    for name in ("sphere-of-V", "hydrogen-unit", "hydrogen-kepler"):
+        yield (name, *oracle_case(name))
+    problem = corpus_problem("nappi-witten")
+    observable, monitors = BENCH_ABSTRACT["nappi-witten"]
+    yield ("nappi-witten", problem.brackets,
+           FlowConfig(parse_expression(observable, problem.table),
+                      {"P1": 1.0, "P2": 0.5, "J": 0.25, "T": 2.0, "a": 1.0,
+                       "b": 1.0}, 1e-3, 10,
+                      [parse_expression(m, problem.table) for m in monitors]),
+           "abstract")
+    lie = lie_module()
+    problem = lie_problem("so4")
+    names = problem.table.generator_names
+    observable = " + ".join(f"1/{k}*{g}^2" for k, g in enumerate(names, 1))
+    yield ("so4", problem.brackets,
+           FlowConfig(parse_expression(observable, problem.table),
+                      {g: 0.5 for g in names}, 1e-3, 10,
+                      [parse_expression(c, problem.table)
+                       for c in lie.so_casimirs(4)]), "abstract")
+
+
+@pytest.mark.parametrize("name", ["sphere-of-V", "hydrogen-unit",
+                                  "hydrogen-kepler", "nappi-witten", "so4"])
+def test_benchmark_loops_write_squares_as_products(name, monkeypatch):
+    """No benchmark kernel's step loop takes a square with `**`."""
+    [(_, source, cfg, mode)] = [r for r in benchmark_runs() if r[0] == name]
+    table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
+    _, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
+                          cfg.initial_state)
+    assert not any("**2" in line for line in loop), name
+    assert any(re.search(r"\(x(\d+)\*x\1\)", line) for line in loop), name
+
+
 def test_reduced_systems_equal_the_unreduced_ones(monkeypatch):
     """Each reduced right-hand side and monitor is the unreduced one as a
     rational function; the Kepler run's dq/dt loses its factor Q."""
@@ -810,7 +908,8 @@ def assert_denominators_guarded(lines):
 
 def test_kepler_run_squares_q_as_a_product(monkeypatch):
     """dp/dt's denominator Q^2 is one local of Q times itself in each of the
-    four stages, no fourth power is written, and every denominator local is
+    four stages, no fourth power is written, Q sums products, the radial
+    element is the square root of Q's local, and every denominator local is
     guarded."""
     source, cfg, mode = oracle_case("hydrogen-kepler")
     table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
@@ -823,8 +922,11 @@ def test_kepler_run_squares_q_as_a_product(monkeypatch):
     q = {m[1] for m in squares}
     assert len(q) == 1
     [q] = q
-    assert any(re.fullmatch(rf"{q} = \((x\d+(\*\*2|_2)( \+ )?){{3}}\)", l)
+    assert any(re.fullmatch(rf"{q} = \(((\(x(\d+)\*x\3\)|x\d+_2)( \+ )?){{3}}\)", l)
                for l in lines)
+    radial = [l for l in loop if "sqrt(" in l]
+    assert len(radial) == 4 and all(re.fullmatch(rf"x\d+ = sqrt\({q}\)", l)
+                                    for l in radial)
     assert_denominators_guarded(lines)
 
 

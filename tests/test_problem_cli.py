@@ -256,6 +256,21 @@ def test_cli_option_given_as_double_dash_is_a_usage_error(argv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_cli_power_past_the_term_limit_is_one_error_line(tmp_path, capsys):
+    """A power whose expansion could have more than TERM_LIMIT terms is a
+    parse error, exit 2 with one `error:` line, before it is expanded: on
+    gl(3) the sum of all nine generators to the 16th would have 735,471
+    terms."""
+    path = tmp_path / "gl3.json"
+    path.write_text(json.dumps(lie_module().gl_document(3)))
+    total = " + ".join(f"x{i}{j}" for i in range(1, 4) for j in range(1, 4))
+    assert main(["check", str(path), "--invariant", f"({total})^16"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: power to the 16 could have 735471 terms, more than 20000 "
+                   "at position 53"]
+    assert main(["check", "sphere", "--invariant", "(H + phi + V)^64 - (V + H + phi)^64"]) == 0
+
+
 def test_cli_overlong_integer_literal_is_usage(capsys):
     """A literal past Python's int() digit limit is a parse error, exit 2,
     not a ValueError traceback; leading zeros do not count."""

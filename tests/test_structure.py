@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -351,6 +352,24 @@ def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
                            if not diff(bt.bracket(a, b), m).is_zero()
                            and not bt.bracket(x, m).is_zero())
     assert len(factors) == nonzero > 0
+
+
+def test_jacobi_on_a_bracket_free_table_forms_no_sum(tmp_path, capsys, monkeypatch):
+    """On 100 generators and no brackets, every one of the C(100, 3) triples
+    has residual zero with no sum formed, and `verify` finishes in under 2 s
+    (it took 11.8 s when each triple summed 100 empty groups)."""
+    doc = {"name": "free", "variables": {},
+           "generators": [{"name": f"g{k}"} for k in range(1, 101)], "brackets": []}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    seconds = time.perf_counter() - start
+    assert "jacobi: ok (161700 triples)" in capsys.readouterr().out
+    assert seconds < 2
+    monkeypatch.setattr(structure, "sum_of_products", None)
+    report = jacobi_check(build_problem(doc).brackets)
+    assert len(report.triples) == 161700 and report.ok
 
 
 @pytest.mark.parametrize("bt", jacobi_cases())
