@@ -32,6 +32,7 @@ _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 # The largest total degree of a term: a packed field is one byte whose top
 # bit stays clear, so the sum of two keys never carries into the next field.
 DEGREE_LIMIT = 127
+PAIR_LIMIT = 1000  # the most canonical pairs a table may declare
 # The most terms a power may have; a t-term polynomial to the n has C(t+n-1, n).
 TERM_LIMIT = 20_000
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import CanonicalRealization
-from .expr import ExprError, VarTable
+from .expr import PAIR_LIMIT, ExprError, VarTable
 from .parsing import ParseError, parse_ratfunc
 from .solver import AnsatzSpec
 from .structure import BracketTable
@@ -105,6 +105,8 @@ def build_problem(data: dict) -> Problem:
     pairs = variables.get("pairs", 0)
     if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
         raise ProblemError("variables.pairs must be a nonnegative integer")
+    if pairs > PAIR_LIMIT:
+        raise ProblemError(f"variables.pairs must be at most {PAIR_LIMIT}")
     parameters = _str_list(variables.get("parameters", []),
                            "variables.parameters")
     invertible_names = _str_list(variables.get("invertible", []),

@@ -7,11 +7,11 @@ resulting linear system with entries in the parameter field (numbers on a
 table without parameters), and reads off an exact nullspace basis.  The
 table's gradings shrink and split that system: only the monomials of inner
 weight zero and of sign +1 under every sign grading are enumerated, and each
-outer block is solved on its own.  Vectors are echelonized so the simplest
-monomials lead, reduced modulo products of already accepted solutions (powers
-and products of known invariants carry no new information), and normalized so
-the canonically leading coefficient is one and parameter denominators are
-cleared.
+outer block is solved on its own; a Lie table gives only the rows of its
+generating set.  Vectors are echelonized so the simplest monomials lead,
+reduced modulo products of accepted solutions (powers and products of known
+invariants carry no new information), and normalized so the canonically
+leading coefficient is one and parameter denominators are cleared.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ def basis_expression(table: VarTable, elem: BasisElem) -> LogExpr:
     return LogExpr.log(table, name)
 
 
-def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[dict]:
-    """Sparse rows of the invariant system over the ansatz columns.
+def assemble_system(btable: BracketTable, basis: Sequence[BasisElem],
+                    generators: Sequence[int] | None = None) -> list[dict]:
+    """Sparse rows of the invariant system over the ansatz columns, from the
+    rows of the given generator positions, all of them by default.
 
     Row j of sum_i (dF/du_i) f_ij = 0 is cleared of denominators once, by
     the product of the distinct f_ij denominators, and each cleared f_ij is
@@ -145,8 +147,8 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem]) -> list[di
             k = elem.position
             terms.append([(k, 1, tuple(-x for x in _delta(r, k)))])
     rows: list[dict] = []
-    for _, cleared in btable.cleared_rows:
-        split = {i: split_terms(p, gens) for i, p in cleared.items()}
+    for j in range(r) if generators is None else generators:
+        split = {i: split_terms(p, gens) for i, p in btable.cleared_rows[j][1].items()}
         grouped: dict[tuple[int, ...], dict[int, object]] = {}
         for c, contributions in enumerate(terms):
             for i, scale, shift in contributions:
@@ -432,7 +434,7 @@ def _normalize_solution(table: VarTable, coords: dict[int, object]) -> dict[int,
     return out
 
 
-def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
+def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec = AnsatzSpec(),
                    invertible: Sequence[bool] | None = None,
                    seed: int = DEFAULT_SEED,
                    rank_report: RankReport | RankSample | None = None) -> CasimirBasis:
@@ -447,15 +449,13 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec | None = None,
     """
     table = btable.table
     r = btable.r
-    if ansatz is None:
-        ansatz = AnsatzSpec()
     if invertible is None:
         invertible = [False] * r
     basis = enumerate_basis(r, ansatz, invertible, btable.inner_gradings,
                             btable.sign_gradings)
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
-    rows = assemble_system(btable, basis)
+    rows = assemble_system(btable, basis, btable.generating_set)
     candidates = _reversed_echelon(_block_nullspace(rows, block_keys(btable, basis)))
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
@@ -507,7 +507,7 @@ def _escalate(btable: BracketTable, ansatz: AnsatzSpec,
         current = nxt
 
 
-def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None,
+def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec = AnsatzSpec(),
                           invertible: Sequence[bool] | None = None,
                           seed: int = DEFAULT_SEED,
                           ceiling: int = ESCALATION_CEILING) -> CasimirBasis:
@@ -519,8 +519,6 @@ def solve_with_escalation(btable: BracketTable, ansatz: AnsatzSpec | None = None
     and a rank that differs from the sampled one is escalated against again;
     the result is the same either way.
     """
-    if ansatz is None:
-        ansatz = AnsatzSpec()
     sample = sample_rank(btable, seed=seed)
     result = _escalate(btable, ansatz, invertible, seed, ceiling, sample)
     report = (certify_by_kernel(btable, sample, result.independence)

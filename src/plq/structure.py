@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
                    VarTable, clear_denominators, diff, exact_div, substitute,
                    sum_of_products)
-from .linalg import nullspace, pfaffian, pivot_columns, rank_of
+from .linalg import nullspace, pfaffian, pivot_columns, rank_of, subtract_scaled
 
 DEFAULT_SEED = 20140
 SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
@@ -92,6 +92,35 @@ class BracketTable:
         return out
 
     @cached_property
+    def jacobi(self) -> JacobiReport:
+        """The Jacobi identity checked for every generator triple i < j < k.
+
+        Only nonzero products are formed and summed, in the order of the full
+        sum over m of the jk.i, ki.j and ij.k terms, so every residual prints
+        as it would from the full sum.  A residual of polynomials is one fused
+        sum; a triple whose entries have no nonzero partial is zero.
+        """
+        names = self.generator_names
+        r, table = self.r, self.table
+        # partial[a, b] = {m: d{u_a, u_b}/du_m}: nonzero partials, each taken once.
+        partial: dict[tuple[int, int], dict[int, RatFunc]] = {}
+        for (a, b), f in self.entries.items():
+            d = {m: dm for m in range(r) if not (dm := diff(f, m)).is_zero()}
+            partial[a, b], partial[b, a] = d, {m: -v for m, v in d.items()}
+        columns, zero = self.columns, RatFunc.zero(table)
+        triples: list[JacobiTriple] = []
+        for i, j, k in combinations(range(r), 3):
+            # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
+            pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
+                     (partial.get((i, j), {}), k)]
+            residual = zero if not any(d for d, _ in pairs) else sum_of_products(
+                [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
+                 for m, column in enumerate(columns)], zero)
+            triples.append(JacobiTriple((names[i], names[j], names[k]),
+                                        residual.is_zero(), residual))
+        return JacobiReport(triples)
+
+    @cached_property
     def outer_gradings(self) -> list[tuple[int, ...]]:
         """Basis of the integer generator weights w that grade the table: with
         some shift c, every nonzero f_ij is homogeneous of weight
@@ -137,6 +166,49 @@ class BracketTable:
         return _integer_weights(nullspace(rows, 2 * r), range(r, 2 * r))
 
     @cached_property
+    def linear_columns(self) -> list[list[dict[int, int | Fraction]]] | None:
+        """a[k][j] = {m: coefficient of u_m in {u_j, u_k}} when every entry is
+        a rational combination of generators, with no parameter; else None."""
+        position = {g: m for m, g in enumerate(self.table.generator_indices)}
+        if any(not f.is_poly() or any(sum(e) != 1 or e.index(1) not in position
+                                      for e in f.num.terms) for f in self.entries.values()):
+            return None
+        return [[{position[e.index(1)]: c for e, c in column[j].num.terms.items()}
+                 if j in column else {} for j in range(self.r)] for column in self.columns]
+
+    @cached_property
+    def generating_set(self) -> list[int]:
+        """Positions of generators S whose rows imply every row of the system:
+        {F, .} is a derivation, so under the Jacobi identity it vanishes on the
+        Lie algebra over Q that S and the linear centre span (Olver 1993, ch.
+        2).  From the centre, generators join in table order, the span closed
+        under brackets after each, until it holds them all.  Every position on
+        a table that is not linear or fails the Jacobi check."""
+        a, r = self.linear_columns, self.r
+        if a is None or not self.jacobi.ok:
+            return list(range(r))
+        span: list[dict] = []  # echelon rows, each led by its first column
+
+        def add(v: dict) -> bool:
+            """Whether v leaves a remainder on the span; it joins with its
+            brackets [v, w] = sum_k w_k [v, u_k] by the rows before it."""
+            for row in span:
+                if (p := min(row)) in v:
+                    subtract_scaled(v, exact_div(v[p], row[p]), row)
+            if not v:
+                return False
+            span.append(v)
+            for w in span[:-1]:
+                add(_sparse_product([w], {k: _sparse_product([v], a[k])[0] for k in w})[0])
+            return True
+
+        # The centre: every v with sum_j v_j {u_j, u_k} = 0 at each u_m.
+        for v in nullspace([{j: c[m] for j, c in enumerate(column) if m in c}
+                            for column in a for m in range(r)], r):
+            add(v)
+        return [g for g in range(r) if add({g: 1})]
+
+    @cached_property
     def sign_gradings(self) -> list[tuple[int, ...]]:
         """The distinct diagonals s != 1 of the time-pi maps sigma = I + 2A^2
         of the generators' flows that are diagonal with entries +-1.
@@ -147,17 +219,8 @@ class BracketTable:
         time-pi map, and every invariant F has F o sigma = F (Olver 1993,
         6.2): no monomial u^e with prod s_j^e_j = -1.  Other tables get none.
         """
-        r = self.r
-        position = {g: m for m, g in enumerate(self.table.generator_indices)}
-        if any(not f.is_poly() or any(sum(e) != 1 or e.index(1) not in position
-                                      for e in f.num.terms) for f in self.entries.values()):
-            return []
         out = []
-        for column in self.columns:
-            # a[j] = {m: coefficient of u_m in {u_j, u_k}} for this column k
-            a = [{} for _ in range(r)]
-            for j, f in column.items():
-                a[j] = {position[e.index(1)]: c for e, c in f.num.terms.items()}
+        for a in self.linear_columns or ():
             a2 = _sparse_product(a, a)
             if _sparse_product(a2, a) != [{m: -c for m, c in row.items()} for row in a]:
                 continue
@@ -229,32 +292,8 @@ class JacobiReport:
 
 
 def jacobi_check(btable: BracketTable) -> JacobiReport:
-    """Verify the Jacobi identity for every generator triple i < j < k.
-
-    Only nonzero products are formed and summed, in the order of the full sum
-    over m of the jk.i, ki.j and ij.k terms: dropping zeros leaves every
-    residual printed as before.  A residual of polynomials is one fused sum,
-    and a triple whose three entries have no nonzero partial is zero.
-    """
-    names = btable.generator_names
-    r, table = btable.r, btable.table
-    # partial[a, b] = {m: d{u_a, u_b}/du_m}: nonzero partials, each taken once.
-    partial: dict[tuple[int, int], dict[int, RatFunc]] = {}
-    for (a, b), f in btable.entries.items():
-        d = {m: dm for m in range(r) if not (dm := diff(f, m)).is_zero()}
-        partial[a, b], partial[b, a] = d, {m: -v for m, v in d.items()}
-    columns, zero = btable.columns, RatFunc.zero(table)
-    triples: list[JacobiTriple] = []
-    for i, j, k in combinations(range(r), 3):
-        # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
-        pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
-                 (partial.get((i, j), {}), k)]
-        residual = zero if not any(d for d, _ in pairs) else sum_of_products(
-            [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
-             for m, column in enumerate(columns)], zero)
-        triples.append(JacobiTriple((names[i], names[j], names[k]),
-                                    residual.is_zero(), residual))
-    return JacobiReport(triples)
+    """The table's Jacobi report, checked once per table (`BracketTable.jacobi`)."""
+    return btable.jacobi
 
 
 _NUMERATORS = tuple(n for n in range(-9, 10) if n)

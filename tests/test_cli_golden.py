@@ -30,7 +30,7 @@ HYDROGEN_STATE = "H=-0.5,L1=0.3,L2=-0.2,L3=0.4,M1=0.1,M2=0.25,M3=-0.15,m=1,kappa
 KEPLER_STATE = "q1=1,q2=0,q3=0,p1=0,p2=0.8,p3=0.1,m=1,kappa=1"
 SHORT = ["--dt", "0.001", "--steps", "20"]
 
-# Case name -> argv; {gl3}, {so4} and {so5} stand for generated problem files.
+# Case name -> argv; {gl3}, {gl4}, {so4} and {so5} stand for generated problem files.
 CASES = {
     **{f"{command}-{name.strip('{}')}": [command, name, *bind]
        for name, bind in [("sphere", []), ("sklyanin", BIND), ("spinchain", []),
@@ -66,6 +66,7 @@ CASES = {
                                 KEPLER_STATE, *SHORT, "--monitor", "L3"],
     "solve-so5-escalated": ["solve", "{so5}"],
     "solve-gl3-degree-5": ["solve", "{gl3}", "--max-degree", "5"],
+    "solve-gl4-degree-4": ["solve", "{gl4}", "--max-degree", "4"],
     "error-unknown-problem": ["verify", "nosuch"],
     "error-bind-syntax": ["solve", "sphere", "--bind", "x"],
     "error-bind-target": ["rank", "sphere", "--bind", "H=1"],
@@ -94,11 +95,13 @@ def run_case(argv: list[str], files: dict[str, str], report: Path) -> dict:
 
 
 def problem_files(directory: Path) -> dict[str, str]:
-    docs = lie_module().documents()
+    lie = lie_module()
+    docs = {name: doc for name, (doc, _) in lie.documents().items()}
+    docs["gl4"] = lie.gl_document(4)
     files = {}
-    for name in ("gl3", "so4", "so5"):
+    for name in ("gl3", "gl4", "so4", "so5"):
         path = directory / f"{name}.json"
-        path.write_text(json.dumps(docs[name][0]))
+        path.write_text(json.dumps(docs[name]))
         files[name] = str(path)
     return files
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from plq import linalg
 from plq.cli import main
 from plq.corpus import corpus_data, corpus_names, corpus_problem
+from plq.expr import PAIR_LIMIT
 from plq.parsing import parse_expression
 from plq.problem import ProblemError, build_problem, load_problem
 from plq.solver import verify_invariant
@@ -567,6 +569,26 @@ def test_cli_malformed_document_field_is_usage(command, block, field, value, err
     assert main([command, str(path), "--json", str(report)]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert json.loads(report.read_text()) == {"command": command, "error": err}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_cli_pairs_past_the_limit_is_one_error_line(command, capsys, tmp_path):
+    """`variables.pairs` past `expr.PAIR_LIMIT` is exit 2 with one `error:`
+    line naming the field, before a table is built: 1,000,000 pairs took
+    2.4 s and 283 MB, and 10,000,000 ended in a MemoryError traceback.  The
+    limit itself still builds."""
+    data = corpus_data("sphere")
+    path = tmp_path / "sphere.json"
+    for pairs in (PAIR_LIMIT + 1, 10_000_000):
+        data["variables"]["pairs"] = pairs
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: variables.pairs must be at most {PAIR_LIMIT}\n")
+    data["variables"]["pairs"] = PAIR_LIMIT
+    assert len(build_problem(data).table) == 2 * PAIR_LIMIT + 4
 
 
 # A binding reaches the bracket table, the realization and the command's own

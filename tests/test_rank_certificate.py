@@ -193,7 +193,7 @@ def test_every_golden_solve_certifies_by_casimirs():
     golden = json.loads(GOLDEN.read_text())
     solves = [name for name, argv in CASES.items()
               if argv[0] == "solve" and golden[name]["exit"] == 0]
-    assert len(solves) == 17
+    assert len(solves) == 18
     for name in solves:
         assert golden[name]["report"]["rank"]["certificate"] == "casimirs", name
     for name, argv in CASES.items():

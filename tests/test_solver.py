@@ -572,9 +572,9 @@ def test_gl3_degree_4_assembles_only_weight_zero_columns(monkeypatch):
     assembled = []
     assemble = solver.assemble_system
 
-    def recorded(bt, basis):
+    def recorded(bt, basis, *generators):
         assembled.append(list(basis))
-        return assemble(bt, basis)
+        return assemble(bt, basis, *generators)
     monkeypatch.setattr(solver, "assemble_system", recorded)
     result = solve_casimirs(btable, AnsatzSpec(4), problem.invertible)
     names = btable.generator_names
