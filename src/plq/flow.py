@@ -268,6 +268,9 @@ def _factor_base(exprs: Sequence[LogExpr]) -> list[Poly]:
             c = _content_free(rf.den)
             if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
                 base.setdefault(c)
+    for c in list(base):  # sigma^k (k >= 2) as a power of sigma's local
+        if (k := c.degree() // 2) >= 2 and c == sigma_poly(c.table) ** k:
+            base.setdefault(sigma_poly(c.table))
     return sorted(base, key=Poly.degree, reverse=True)
 
 

@@ -6,13 +6,19 @@ from itertools import combinations
 
 import pytest
 
-from plq.canonical import (CanonicalRealization, NotExpressibleError,
-                           canonical_bracket, express_in_generators,
-                           verify_closure)
+from plq.canonical import (CanonicalRealization, NotExpressibleError, _closes,
+                           _shared_partials, canonical_bracket,
+                           express_in_generators, verify_closure)
 from plq.corpus import corpus_data, corpus_problem
 from plq.expr import Poly, RatFunc, VarTable, diff
 from plq.parsing import parse_ratfunc
 from plq.problem import build_problem
+from plq.structure import BracketTable
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the drawn closure test below needs hypothesis
+    st = None
 
 
 def table_2p():
@@ -197,3 +203,59 @@ def test_kepler_vector_identity():
         "M1^2 + M2^2 + M3^2 - 2/m*H*(L1^2 + L2^2 + L3^2) - kappa^2",
         problem.table)
     assert problem.realization.realize(expr).is_zero()
+
+
+if st is not None:
+    # G1 G2 G3, 1-3 canonical pairs, a parameter a, with and without rho
+    TABLES = [VarTable.make(["G1", "G2", "G3"], n, ["a"], rho)
+              for n in (1, 2, 3) for rho in (None, "rho")]
+    # a parameter monomial, polynomials in which C is or is not sigma, and
+    # monomials in a position (shared partials fall back to the bracket)
+    DENOMINATORS = ["1", "a", "a^2", "SIGMA", "a*SIGMA", "q1 + a", "p1*q1 - 2",
+                    "q1", "a*q1^2"]
+
+    @st.composite
+    def realized(draw, table, nonzero=False):
+        """A drawn numerator in the canonical variables, a and rho, over one
+        of DENOMINATORS."""
+        canon = [k for k, kind in enumerate(table.kinds) if kind != "generator"]
+        raw = draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 1 if table.kind(k) == "algebraic" else 2)
+                        for k in canon]),
+            st.integers(-3, 3).filter(bool)), min_size=int(nonzero), max_size=3))
+        num = Poly.from_terms(table, [
+            (tuple(dict(zip(canon, e)).get(k, 0) for k in range(len(table))), c)
+            for e, c in raw])
+        sigma = "(" + " + ".join(f"q{k + 1}^2" for k in range(table.pairs)) + ")"
+        den = parse_ratfunc(draw(st.sampled_from(DENOMINATORS)).replace("SIGMA", sigma),
+                            table)
+        return RatFunc.from_poly(num) / den
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_shared_partials_decide_closure_as_the_residual(data):
+        """{G1, G2} = G3 with R3 the bracket of R1 and R2, or the bracket
+        plus a nonzero term; the other pairs' entries are 0.  Each pair's
+        identity test agrees with the residual of `canonical_bracket`, and
+        `verify_closure` prints that residual; shared partials fall back
+        exactly when the content of a denominator uses a canonical variable."""
+        table = data.draw(st.sampled_from(TABLES))
+        r1, r2 = data.draw(realized(table)), data.draw(realized(table))
+        r3 = canonical_bracket(r1, r2)
+        if data.draw(st.booleans()):
+            r3 = r3 + data.draw(realized(table, nonzero=True))
+        g3 = RatFunc.var(table, "G3")
+        report = verify_closure(BracketTable(table, {(0, 1): g3}),
+                                CanonicalRealization(table, [r1, r2, r3]))
+        exprs, targets = (r1, r2, r3), {(0, 1): r3}
+        for (i, j), pair in zip(combinations(range(3), 2), report.pairs):
+            target = targets.get((i, j), RatFunc.zero(table))
+            residual = canonical_bracket(exprs[i], exprs[j]) - target
+            assert (pair.ok, str(pair.residual)) == (residual.is_zero(), str(residual))
+            fi, fj = _shared_partials(exprs[i]), _shared_partials(exprs[j])
+            if fi and fj:
+                assert _closes(fi, fj, target) == residual.is_zero()
+        for r in exprs:
+            content = table.unpack(table.meet(r.den.packed))
+            canonical = any(content[k] for k in (*table.q_indices, *table.p_indices))
+            assert (_shared_partials(r) is None) == canonical

@@ -21,6 +21,7 @@ import pytest
 
 from plq import cli
 from plq.cli import main
+from plq.corpus import corpus_data
 from test_solver import lie_module
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -30,7 +31,8 @@ HYDROGEN_STATE = "H=-0.5,L1=0.3,L2=-0.2,L3=0.4,M1=0.1,M2=0.25,M3=-0.15,m=1,kappa
 KEPLER_STATE = "q1=1,q2=0,q3=0,p1=0,p2=0.8,p3=0.1,m=1,kappa=1"
 SHORT = ["--dt", "0.001", "--steps", "20"]
 
-# Case name -> argv; {gl3}, {gl4}, {so4} and {so5} stand for generated problem files.
+# Case name -> argv; {gl3}, {gl4}, {so4}, {so5} and {hydrogen-corrupted} stand for
+# generated problem files.
 CASES = {
     **{f"{command}-{name.strip('{}')}": [command, name, *bind]
        for name, bind in [("sphere", []), ("sklyanin", BIND), ("spinchain", []),
@@ -41,6 +43,7 @@ CASES = {
        for name, bind in [("sphere", []), ("sklyanin", BIND), ("spinchain", []),
                           ("galilei", []), ("nappi-witten", []), ("hydrogen", [])]},
     "verify-sklyanin-unbound": ["verify", "sklyanin"],
+    "verify-hydrogen-corrupted": ["verify", "{hydrogen-corrupted}"],
     "solve-galilei-log": ["solve", "galilei", "--inverse-degree", "1", "--allow-log"],
     "check-sphere": ["check", "sphere", "--invariant", "(phi + R^2)*H - 1/2*V^2"],
     "check-sklyanin": ["check", *SKLYANIN, "--invariant", "a3*u1^2 - b2*u2^2 + b1*u3^2"],
@@ -98,8 +101,13 @@ def problem_files(directory: Path) -> dict[str, str]:
     lie = lie_module()
     docs = {name: doc for name, (doc, _) in lie.documents().items()}
     docs["gl4"] = lie.gl_document(4)
+    # Hydrogen with a wrong {M1, M2} entry: closure fails on that pair only.
+    docs["hydrogen-corrupted"] = corpus_data("hydrogen")
+    for entry in docs["hydrogen-corrupted"]["brackets"]:
+        if {entry["i"], entry["j"]} == {"M1", "M2"}:
+            entry["expression"] = "-3/m*H*L3"
     files = {}
-    for name in ("gl3", "gl4", "so4", "so5"):
+    for name in ("gl3", "gl4", "so4", "so5", "hydrogen-corrupted"):
         path = directory / f"{name}.json"
         path.write_text(json.dumps(docs[name]))
         files[name] = str(path)

@@ -930,6 +930,21 @@ def test_kepler_run_squares_q_as_a_product(monkeypatch):
     assert_denominators_guarded(lines)
 
 
+def test_radius_monitor_squares_q_as_a_product(monkeypatch):
+    """With `rho` the only monitor no run denominator is Q itself, yet Q is a
+    local: dp/dt's Q^2 is that local times itself in each of the four
+    stages, with no fourth power, and the radial element is its square root
+    where the local is placed before it."""
+    source, cfg, mode = oracle_case("kepler-radius")
+    table, state, rhs_exprs, monitors = flow_system(source, cfg, mode)
+    lines, loop = emitted_run(monkeypatch, table, rhs_exprs, monitors, state,
+                              cfg.initial_state)
+    assert not any("**4" in line for line in lines)
+    assert loop.count("d1 = d0 * d0") == 4
+    assert any(re.fullmatch(r"x\d+ = sqrt\(d0\)", l) for l in loop)
+    assert_denominators_guarded(lines)
+
+
 def test_power_of_a_base_factor_is_emitted_as_a_product(monkeypatch):
     """The flow of u2 + u4/(u1 - c) has the denominators u1 - c and its
     square: the square is the local of u1 - c times itself."""
