@@ -873,9 +873,10 @@ def diff_ratfunc(r: RatFunc, i: int) -> RatFunc:
     dn = diff_poly(r.num, i)
     if r.is_poly():
         return dn
-    dd = diff_poly(r.den, i)
     den = RatFunc.from_poly(r.den)
-    return dn / den - RatFunc.from_poly(r.num) * dd / (den * den)
+    if not r.den.uses(i):
+        return dn / den
+    return dn / den - RatFunc.from_poly(r.num) * diff_poly(r.den, i) / (den * den)
 
 
 def diff(expr, i: int):

@@ -16,12 +16,13 @@ from functools import cached_property
 from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
-from .expr import (GENERATOR, PARAMETER, ExprError, LogExpr, Poly, RatFunc,
-                   VarTable, clear_denominators, diff, exact_div, substitute,
-                   sum_of_products)
+from .expr import (GENERATOR, PARAMETER, TERM_LIMIT, ExprError, LogExpr, Poly, RatFunc,
+                   VarTable, _multiply_into, _poly_diff_parts, clear_denominators, diff,
+                   exact_div, substitute, sum_of_products)
 from .linalg import nullspace, pfaffian, pivot_columns, rank_of, subtract_scaled
 
 DEFAULT_SEED = 20140
+BRACKET_TERMS = 2 * TERM_LIMIT  # the most term pairs one bracket {F, u_j} multiplies
 SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
 
 
@@ -67,9 +68,16 @@ class BracketTable:
 
     def brackets_with_generators(self, expr: LogExpr) -> list[LogExpr]:
         """{F, u_j} = sum_i (dF/du_i) f_ij for every generator j, each
-        partial dF/du_i taken once; a sum of polynomial products is fused."""
+        partial dF/du_i taken once; a sum of polynomial products is fused.
+        ExprError, before any product, when some {F, u_j} would multiply more
+        than BRACKET_TERMS pairs of numerator terms."""
         table = self.table
         partials = [diff(expr, g) for g in table.generator_indices]
+        for name, column in zip(self.generator_names, self.columns):
+            if (n := sum(len(partials[i].rat.num.packed) * len(f.num.packed)
+                         for i, f in column.items())) > BRACKET_TERMS:
+                raise ExprError(f"bracket with {name} would multiply {n} pairs of terms, "
+                                f"more than {BRACKET_TERMS}")
         zero = RatFunc.zero(table)
         out = []
         for column in self.columns:
@@ -93,32 +101,55 @@ class BracketTable:
 
     @cached_property
     def jacobi(self) -> JacobiReport:
-        """The Jacobi identity checked for every generator triple i < j < k.
+        """The Jacobi identity, sum_m (df_jk/du_m f_im + df_ki/du_m f_jm +
+        df_ij/du_m f_km) = 0, checked for every generator triple i < j < k.
 
-        Only nonzero products are formed and summed, in the order of the full
-        sum over m of the jk.i, ki.j and ij.k terms, so every residual prints
-        as it would from the full sum.  A residual of polynomials is one fused
-        sum; a triple whose entries have no nonzero partial is zero.
-        """
-        names = self.generator_names
-        r, table = self.r, self.table
-        # partial[a, b] = {m: d{u_a, u_b}/du_m}: nonzero partials, each taken once.
-        partial: dict[tuple[int, int], dict[int, RatFunc]] = {}
+        Each entry N/D is differentiated once into packed numerators P_m over
+        E = D, or D^2 when D uses a generator.  Only a triple {a, b, x} with
+        P_m of f_ab and f_xm nonzero has a term, so no other is visited.  The
+        terms P_m * N_xm are summed per denominator E * D_xm and decided by
+        `_sums_vanish`.  A failing triple gets its residual from the in-order
+        sum of `RatFunc` partials, so it prints as the full sum would."""
+        r, table, columns, names = self.r, self.table, self.columns, self.generator_names
+        dens: dict[Poly, int] = {}  # distinct entry denominators, numbered
+        # cells[m][x] = (numerator of f_xm, its denominator as a tuple of numbers)
+        cells = [{x: (f.num.packed, () if f.is_poly() else (dens.setdefault(f.den, len(dens)),))
+                  for x, f in column.items()} for column in columns]
+        partial: dict[tuple[int, int], tuple[tuple, dict[int, dict]]] = {}  # (E, {m: P_m})
         for (a, b), f in self.entries.items():
-            d = {m: dm for m in range(r) if not (dm := diff(f, m)).is_zero()}
-            partial[a, b], partial[b, a] = d, {m: -v for m, v in d.items()}
-        columns, zero = self.columns, RatFunc.zero(table)
-        triples: list[JacobiTriple] = []
-        for i, j, k in combinations(range(r), 3):
-            # group m: the jk.i, ki.j and ij.k terms, column m holding f_xm
-            pairs = [(partial.get((j, k), {}), i), (partial.get((k, i), {}), j),
-                     (partial.get((i, j), {}), k)]
-            residual = zero if not any(d for d, _ in pairs) else sum_of_products(
-                [[(d[m], column[x]) for d, x in pairs if m in d and x in column]
-                 for m, column in enumerate(columns)], zero)
-            triples.append(JacobiTriple((names[i], names[j], names[k]),
-                                        residual.is_zero(), residual))
-        return JacobiReport(triples)
+            num, den, e = f.num, f.den, cells[b][a][1]
+            used = [m for m in num.used_indices() | den.used_indices() if m < r]
+            if any(den.uses(m) for m in used):
+                e, ps = e * 2, [_poly_diff_parts(num, m) * den - num * _poly_diff_parts(den, m)
+                                for m in used]
+            else:
+                ps = [_poly_diff_parts(num, m) for m in used]
+            d = {m: p.packed for m, p in zip(used, ps) if p.packed}
+            partial[a, b] = e, d
+            partial[b, a] = e, {m: {t: -c for t, c in p.items()} for m, p in d.items()}
+        # sums[i, j, k][denominator] = the sum of the triple's terms over it;
+        # (x, a, b) is in cyclic order i, j, k when two of x < a < b < x hold
+        sums: dict[tuple, dict[tuple, dict]] = {}
+        for (a, b), (e, d) in partial.items():
+            for m, p in d.items():
+                for x, (n, q) in cells[m].items():
+                    if (x < a) + (a < b) + (b < x) == 2:
+                        _multiply_into(sums.setdefault(tuple(sorted((a, b, x))), {})
+                                       .setdefault(e + q, {}), table, p, n)
+        bases, failing = list(dens), {}
+        for (i, j, k), groups in sorted(sums.items()):
+            if _sums_vanish(groups, bases, table):
+                continue
+            # the residual: products of RatFunc partials grouped by m, summed in order
+            pairs = [({m: diff(columns[b][a], m) for m in partial[a, b][1]}
+                      if (a, b) in partial else {}, x) for x, a, b in
+                     ((i, j, k), (j, k, i), (k, i, j))]
+            residual = sum_of_products([[(d[m], column[x]) for d, x in pairs
+                                         if m in d and x in column]
+                                        for m, column in enumerate(columns)], RatFunc.zero(table))
+            if not residual.is_zero():
+                failing[i, j, k] = JacobiTriple((names[i], names[j], names[k]), False, residual)
+        return JacobiReport(JacobiTriples(table, failing))
 
     @cached_property
     def outer_gradings(self) -> list[tuple[int, ...]]:
@@ -279,16 +310,59 @@ class JacobiTriple:
     residual: RatFunc
 
 
+class JacobiTriples(Sequence):
+    """Every generator triple of a table, read-only, in combination order:
+    `failing` holds those whose residual is nonzero, by positions i < j < k;
+    any other is ok with residual zero."""
+
+    def __init__(self, table: VarTable, failing: dict[tuple[int, int, int], JacobiTriple]):
+        self.table, self.failing, self.r = table, failing, len(table.generator_names)
+
+    def __len__(self) -> int:
+        return math.comb(self.r, 3)
+
+    def __getitem__(self, index: int) -> JacobiTriple:
+        if not -len(self) <= index < len(self):
+            raise IndexError("triple index out of range")
+        index, key, x = index % len(self), (), 0
+        for rest in (2, 1, 0):  # comb(r - x - 1, rest) combinations continue from x
+            while index >= (c := math.comb(self.r - x - 1, rest)):
+                index, x = index - c, x + 1
+            key, x = (*key, x), x + 1
+        return self._at(key)
+
+    def __iter__(self) -> Iterator[JacobiTriple]:
+        return map(self._at, combinations(range(self.r), 3))
+
+    def _at(self, key: tuple[int, ...]) -> JacobiTriple:
+        return self.failing.get(key) or JacobiTriple(
+            tuple(self.table.generator_names[x] for x in key), True, RatFunc.zero(self.table))
+
+
 @dataclass
 class JacobiReport:
-    triples: list[JacobiTriple]
+    triples: JacobiTriples
 
     @property
     def ok(self) -> bool:
-        return all(t.ok for t in self.triples)
+        return not self.triples.failing
 
     def failures(self) -> list[JacobiTriple]:
-        return [t for t in self.triples if not t.ok]
+        return list(self.triples.failing.values())
+
+
+def _sums_vanish(groups: dict[tuple, dict], bases: list[Poly], table: VarTable) -> bool:
+    """Whether the sum over groups of S / prod(bases[t] for t in key) is zero,
+    each S as packed terms: each S times the quotient of the least product of
+    bases that every key's product divides, summed."""
+    if len(groups) == 1:
+        return not any(next(iter(groups.values())).values())
+    top, total = {t: max(key.count(t) for key in groups) for t in set(chain(*groups))}, {}
+    for key, s in groups.items():
+        lift = math.prod((bases[t] ** (n - key.count(t)) for t, n in top.items()),
+                         start=Poly.one(table))
+        _multiply_into(total, table, s, lift.packed)
+    return not any(total.values())
 
 
 def jacobi_check(btable: BracketTable) -> JacobiReport:

@@ -12,11 +12,15 @@ Two size blowups stay out of the draws, since they exhaust time or memory
 rather than raise: a huge `variables.pairs` and a table of thousands of
 generators.  Integer pieces are 0, 1, 2, 4, 6 and 7, so drawn exponents reach
 64, the parser's largest; a power that could expand past
-`plq.expr.TERM_LIMIT` terms is a parse error.
+`plq.expr.TERM_LIMIT` terms is a parse error.  `(u1+u2+u3+u4)^47` parses,
+but its brackets with sklyanin's generators would multiply more pairs of
+terms than `plq.structure.BRACKET_TERMS`, so `check` exits 2 before forming
+them.
 """
 
 import copy
 import json
+import time
 from datetime import timedelta
 
 import pytest
@@ -24,6 +28,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from plq.cli import main  # noqa: E402
 from plq.corpus import corpus_data, corpus_names  # noqa: E402
 from test_flow_fuzz import run  # noqa: E402
 
@@ -34,7 +39,7 @@ PIECES = NAMES + ["log", "0", "1", "2", "4", "6", "7", "+", "-", "*", "/", "^", 
                   " ", "²", "٣", "é", "Ⅻ", "\u3000", "\u00a0", "$"]
 LONG = ["u1 + " * 2000 + "u1", "x" * 10000]
 VALID = ["H", "-2*V", "2*H + 1/2", "phi + R^2", "u1*u2 - u3", "u2^-1",
-         "log(u2)", "q1*p2 - q2*p1", "(u1 + u2)^7", "a*u1", "0"]
+         "log(u2)", "q1*p2 - q2*p1", "(u1 + u2)^7", "a*u1", "0", "(u1+u2+u3+u4)^47"]
 EXPRESSIONS = (st.sampled_from(VALID + LONG) | st.sampled_from(DEEP)
                | st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
 VALUES = ["0", "1", "-0.5", "1/3", "1e400", "nan", "٣", "²", "x", ""]
@@ -123,3 +128,15 @@ def test_mutated_documents_exit_cleanly(problem_file, data):
 def test_drawn_expressions_on_corpus_problems_exit_cleanly(data):
     argv = data.draw(command_lines(data.draw(st.sampled_from(corpus_names()))))
     assert run(argv) in (0, 1, 2), argv
+
+
+def test_a_bracket_past_the_budget_exits_2_within_the_deadline(capsys):
+    """The drawn power that parses but whose brackets would pass the budget:
+    sklyanin's {F, u_j} would multiply 3 * 18424 pairs of terms."""
+    start = time.perf_counter()
+    assert main(["check", "sklyanin", "--invariant", "(u1+u2+u3+u4)^47"]) == 2
+    assert time.perf_counter() - start < FUZZ.deadline.total_seconds()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bracket with u1 would multiply 55272 pairs of "
+                            "terms, more than 40000\n")

@@ -332,19 +332,19 @@ def test_jacobi_matches_reference_loop(bt):
 
 
 def test_jacobi_forms_no_product_with_a_zero_factor(monkeypatch):
-    """jacobi_check hands the product kernel only nonzero factors on gl(3):
-    one pair per nonzero partial and bracket entry pair."""
+    """jacobi_check hands the packed product kernel only nonzero factors on
+    gl(3): one product per nonzero partial and bracket entry pair."""
     bt = lie_problem("gl3").brackets
     factors = []
-    kernel = structure.sum_of_products
+    kernel = structure._multiply_into
 
-    def counted_kernel(groups, zero):
-        factors.extend(pair for group in groups for pair in group)
-        return kernel(groups, zero)
-    monkeypatch.setattr(structure, "sum_of_products", counted_kernel)
+    def counted_kernel(acc, table, a, b):
+        factors.append((a, b))
+        return kernel(acc, table, a, b)
+    monkeypatch.setattr(structure, "_multiply_into", counted_kernel)
     assert jacobi_check(bt).ok
     monkeypatch.undo()
-    assert not any(a.is_zero() or b.is_zero() for a, b in factors)
+    assert all(a and b for a, b in factors)
     nonzero = 0
     for i, j, k in combinations(range(bt.r), 3):
         for (a, b), x in (((j, k), i), ((k, i), j), ((i, j), k)):
@@ -370,6 +370,27 @@ def test_jacobi_on_a_bracket_free_table_forms_no_sum(tmp_path, capsys, monkeypat
     monkeypatch.setattr(structure, "sum_of_products", None)
     report = jacobi_check(build_problem(doc).brackets)
     assert len(report.triples) == 161700 and report.ok
+
+
+def test_jacobi_on_3000_bracket_free_generators_visits_no_triple(tmp_path, capsys, monkeypatch):
+    """Only a triple with a nonzero partial and a column entry to meet it is
+    visited, so `verify` counts all C(3000, 3) triples of a bracket-free table
+    in under 2 s, and the report indexes them in combination order."""
+    doc = {"name": "free", "variables": {},
+           "generators": [{"name": f"g{k}"} for k in range(1, 3001)], "brackets": []}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    seconds = time.perf_counter() - start
+    assert "jacobi: ok (4495501000 triples)" in capsys.readouterr().out
+    assert seconds < 2
+    monkeypatch.setattr(structure, "_multiply_into", None)
+    triples = jacobi_check(build_problem(doc).brackets).triples
+    assert len(triples) == 4495501000
+    assert (triples[0].names, triples[1].names) == (("g1", "g2", "g3"), ("g1", "g2", "g4"))
+    assert triples[-1].names == ("g2998", "g2999", "g3000")
+    assert triples[-1000000].ok and triples[-1000000].residual.is_zero()
 
 
 @pytest.mark.parametrize("bt", jacobi_cases())
