@@ -237,10 +237,14 @@ def _divided(n: Poly, c: Poly) -> tuple[Poly, Poly]:
 
 
 def _parts(rf: RatFunc) -> list[RatFunc]:
-    """The terms the emitter sums for rf = N/D: Q/g + R/D when D = g*C, g a
-    parameter monomial, C uses the state and `_divided` gives Q nonzero."""
+    """The terms the emitter sums for rf = N/D, D = g*C with g a monomial
+    and C its non-monomial part: (N/C)/g when C divides N exactly, else
+    Q/g + R/D when g uses only parameters, C uses the state and `_divided`
+    gives Q nonzero."""
     g = Poly(rf.table, {rf.table.meet(rf.den.packed): 1})
     c, params = _content_free(rf.den), set(rf.table.parameter_indices)
+    if not c.is_constant() and (n := rf.num.divide_exact(c)) is not None:
+        return [RatFunc.make(n, g)]
     if c.used_indices() <= params or not g.used_indices() <= params:
         return [rf]
     q, r = _divided(rf.num, c)
@@ -248,23 +252,13 @@ def _parts(rf: RatFunc) -> list[RatFunc]:
     return [rf] if q.is_zero() else [RatFunc.make(q, g), *rest]
 
 
-def _reduced(expr) -> LogExpr:
-    """expr with the non-monomial part C of each denominator cancelled where
-    C divides the numerator exactly; equal to expr."""
-    def reduce(rf: RatFunc) -> RatFunc:
-        c = _content_free(rf.den)
-        q = None if c.is_constant() else rf.num.divide_exact(c)
-        return rf if q is None else RatFunc.make(q, rf.den.divide_exact(c))
-    le = _as_logexpr(expr)
-    return LogExpr(reduce(le.rat), [(g, reduce(c)) for g, c in le.logs])
-
-
 def _factor_base(exprs: Sequence[LogExpr]) -> list[Poly]:
-    """The distinct non-monomial parts of the denominators of `exprs` that
-    use a variable other than a parameter, the highest degree first."""
+    """The distinct non-monomial parts of the denominators of the `_parts`
+    of `exprs` that use a variable other than a parameter, the highest
+    degree first."""
     base: dict[Poly, None] = {}
     for le in exprs:
-        for rf in (le.rat, *(c for _, c in le.logs)):
+        for rf in (p for f in (le.rat, *(c for _, c in le.logs)) for p in _parts(f)):
             c = _content_free(rf.den)
             if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
                 base.setdefault(c)
@@ -310,7 +304,13 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     """
     dens = {} if dens is None else dens
     norms = [[_as_logexpr(e) for e in group] for group in groups]
-    used = _used_indices([le for norm in norms for le in norm])
+    rats = [[p for le in norm for rf in (le.rat, *(c for _, c in le.logs))
+             for p in _parts(rf)] for norm in norms]
+    # Each group reads its parts' variables and its logarithms' generators.
+    reads = [{g for le in norm for g, _ in le.logs}.union(
+        *(p.num.used_indices() | p.den.used_indices() for p in group))
+        for norm, group in zip(norms, rats)]
+    used = set().union(*reads)
     params: dict[int, float] = {}
     state_set = set(state_indices)
     ia = table.alg_index
@@ -326,8 +326,6 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
                         "in the flow state")
     names = {i: f"x{i}" for i in range(len(table)) if params.get(i) != 1.0}
     # Count each power once per polynomial written, a shared denominator once.
-    rats = [[p for le in norm for rf in (le.rat, *(c for _, c in le.logs))
-             for p in _parts(rf)] for norm in norms]
     den_polys = {_poly_src(rf.den, names): rf.den
                  for group in rats for rf in group if not rf.is_poly()}
     splits: dict[str, tuple | None] = {}
@@ -395,9 +393,9 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     sigma = _poly_src(sigma_poly(table), names)
     emitted = []
     seen: set[int] = set()
-    for norm, group_rats in zip(norms, rats):
+    for norm, group_rats, group_reads in zip(norms, rats, reads):
         # `place` and `guarded` append to this group's lines.
-        new = _used_indices(norm) - seen
+        new = group_reads - seen
         seen |= new
         constants = [f"x{i} = {params[i]!r}" for i in sorted(new)
                      if i in params and i in names]
@@ -573,9 +571,8 @@ def _abstract_system(btable: BracketTable, cfg: FlowConfig):
     for m in monitors:
         _check_abstract_domain(table, m, "a flow monitor")
     # du_k/dt = {u_k, G} = -{G, u_k}
-    rhs_exprs = [_reduced(-b) for b in btable.brackets_with_generators(observable)]
-    return (table, list(table.generator_indices), rhs_exprs,
-            list(map(_reduced, monitors)))
+    rhs_exprs = [-b for b in btable.brackets_with_generators(observable)]
+    return table, list(table.generator_indices), rhs_exprs, monitors
 
 
 def _canonical_system(real: CanonicalRealization, cfg: FlowConfig):
@@ -585,10 +582,9 @@ def _canonical_system(real: CanonicalRealization, cfg: FlowConfig):
     realized = real.realize(_as_logexpr(cfg.observable))
     qs = list(table.q_indices)
     ps = list(table.p_indices)
-    rhs_exprs = [_reduced(diff(realized, p)) for p in ps]
-    rhs_exprs += [_reduced(diff(realized, q) * RatFunc.const(table, -1))
-                  for q in qs]
-    monitors = [_reduced(real.realize(_as_logexpr(m))) for m in cfg.monitors]
+    rhs_exprs = [_as_logexpr(diff(realized, p)) for p in ps]
+    rhs_exprs += [_as_logexpr(-diff(realized, q)) for q in qs]
+    monitors = [_as_logexpr(real.realize(_as_logexpr(m))) for m in cfg.monitors]
     return table, qs + ps, rhs_exprs, monitors
 
 

@@ -5,20 +5,21 @@ generator j.  The solver expands F over a graded monomial basis, optionally
 extended by inverses and logarithms of invertible generators, assembles the
 resulting linear system with entries in the parameter field (numbers on a
 table without parameters), and reads off an exact nullspace basis.  The
-table's gradings shrink and split that system: only the monomials of inner
-weight zero and of sign +1 under every sign grading are enumerated, and each
-outer block is solved on its own; a Lie table gives only the rows of its
-generating set.  Vectors are echelonized so the simplest monomials lead,
-reduced modulo products of accepted solutions (powers and products of known
-invariants carry no new information), and normalized so the canonically
-leading coefficient is one and parameter denominators are cleared.
+table's gradings shrink that system: only the monomials of inner weight zero
+and of sign +1 under every sign grading are enumerated, and a Lie table gives
+only the rows of its generating set.  Columns that share a row join one
+block, and each connected block is solved on its own.  Vectors are
+echelonized so the simplest monomials lead, reduced modulo products of
+accepted solutions (powers and products of known invariants carry no new
+information), and normalized so the canonically leading coefficient is one
+and parameter denominators are cleared.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -160,39 +161,35 @@ def assemble_system(btable: BracketTable, basis: Sequence[BasisElem],
     return rows
 
 
-def _dot(w: Sequence[int], e: Sequence[int]) -> int:
-    return sum(map(mul, w, e))
-
-
-def block_keys(btable: BracketTable, basis: Sequence[BasisElem]) -> list[tuple[int, ...]]:
-    """Each column's weight w.e under every outer grading w, zero for log
-    columns: row j of column u^e has weight w.e + w_j + c plus the weight of
-    the row's cleared denominator, so no assembled row spans two keys."""
-    outer = btable.outer_gradings
-    return [tuple(_dot(w, elem.exps) for w in outer) if isinstance(elem, Mono)
-            else (0,) * len(outer) for elem in basis]
-
-
-def _block_nullspace(rows: Sequence[dict], keys: Sequence[tuple[int, ...]]) -> list[dict]:
+def _block_nullspace(rows: Sequence[dict], ncols: int) -> list[dict]:
     """Nullspace of the system, block by block.
 
-    The singleton presolve runs once, since its waves never cross a block; a
-    remaining row belongs to the block of its columns' key, and each block's
-    nullspace is taken over its unforced columns alone.  Vectors come back
-    sparse over the system's columns.
+    After the singleton presolve, every two unforced columns that share a
+    remaining row join one block (union-find), and each block's nullspace is
+    taken over its own columns, ascending, with its rows in their given
+    order.  Vectors come back sparse over the system's columns.
     """
     reduced, forced = presolve_forced_zero(rows)
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for c, key in enumerate(keys):
-        if c not in forced:
-            blocks.setdefault(key, []).append(c)
-    block_rows: dict[tuple[int, ...], list[dict]] = {key: [] for key in blocks}
+    root = list(range(ncols))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
     for row in reduced:
-        block_rows[keys[min(row)]].append(row)
+        first, *rest = map(find, row)
+        for c in rest:
+            root[c] = first
+    blocks: dict[int, tuple[list[int], list[dict]]] = {}
+    for c in range(ncols):
+        if c not in forced:
+            blocks.setdefault(find(c), ([], []))[0].append(c)
+    for row in reduced:
+        blocks[find(next(iter(row)))][1].append(row)
     vectors = []
-    for key, cols in blocks.items():
+    for cols, block_rows in blocks.values():
         local = {c: n for n, c in enumerate(cols)}
-        for vec in nullspace([{local[c]: v for c, v in row.items()} for row in block_rows[key]],
+        for vec in nullspace([{local[c]: v for c, v in row.items()} for row in block_rows],
                              len(cols)):
             vectors.append({cols[n]: v for n, v in vec.items()})
     return vectors
@@ -456,7 +453,7 @@ def solve_casimirs(btable: BracketTable, ansatz: AnsatzSpec = AnsatzSpec(),
     index = {elem: k for k, elem in enumerate(basis)}
     ncols = len(basis)
     rows = assemble_system(btable, basis, btable.generating_set)
-    candidates = _reversed_echelon(_block_nullspace(rows, block_keys(btable, basis)))
+    candidates = _reversed_echelon(_block_nullspace(rows, ncols))
     if rank_report is None:
         rank_report = generic_rank(btable, seed=seed)
     central = btable.central_generators()

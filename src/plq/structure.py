@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice
 from typing import Iterator, Mapping, Sequence
 
@@ -136,43 +136,24 @@ class BracketTable:
                     if (x < a) + (a < b) + (b < x) == 2:
                         _multiply_into(sums.setdefault(tuple(sorted((a, b, x))), {})
                                        .setdefault(e + q, {}), table, p, n)
+
+        @cache
+        def partials(a: int, b: int) -> dict[int, RatFunc]:
+            """The RatFunc partials of f_ab, formed once across the triples."""
+            _, used = partial.get((a, b), ((), {}))
+            return {m: diff(columns[b][a], m) for m in used}
         bases, failing = list(dens), {}
         for (i, j, k), groups in sorted(sums.items()):
             if _sums_vanish(groups, bases, table):
                 continue
             # the residual: products of RatFunc partials grouped by m, summed in order
-            pairs = [({m: diff(columns[b][a], m) for m in partial[a, b][1]}
-                      if (a, b) in partial else {}, x) for x, a, b in
-                     ((i, j, k), (j, k, i), (k, i, j))]
+            pairs = [(partials(a, b), x) for x, a, b in ((i, j, k), (j, k, i), (k, i, j))]
             residual = sum_of_products([[(d[m], column[x]) for d, x in pairs
                                          if m in d and x in column]
                                         for m, column in enumerate(columns)], RatFunc.zero(table))
             if not residual.is_zero():
                 failing[i, j, k] = JacobiTriple((names[i], names[j], names[k]), False, residual)
         return JacobiReport(JacobiTriples(table, failing))
-
-    @cached_property
-    def outer_gradings(self) -> list[tuple[int, ...]]:
-        """Basis of the integer generator weights w that grade the table: with
-        some shift c, every nonzero f_ij is homogeneous of weight
-        w_i + w_j + c, parameters at weight 0.
-
-        Unknowns are (w, c).  Each numerator term a of f_ij = N/D, against the
-        first denominator term d0, gives w.a - w.d0 - w_i - w_j - c = 0; each
-        other denominator term d gives w.(d - d0) = 0.
-        """
-        gens = self.table.generator_indices
-        r = self.r
-        rows = []
-        for (i, j), f in self.entries.items():
-            d0, *rest = [[e[g] for g in gens] for e in f.den.terms]
-            for e in f.num.terms:
-                row = {k: e[g] - d0[k] - (k == i) - (k == j) for k, g in enumerate(gens)}
-                row[r] = -1
-                rows.append(row)
-            rows.extend({k: x - y for k, (x, y) in enumerate(zip(d, d0))} for d in rest)
-        rows = [{k: v for k, v in row.items() if v} for row in rows]
-        return _integer_weights(nullspace(rows, r + 1), range(r))
 
     @cached_property
     def inner_gradings(self) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ This filter keeps the log columns and the other monomials of the whole
 basis, one at a time; `plq.solver.enumerate_basis` enumerates them directly.
 """
 
-from plq.solver import Mono, block_keys
+from plq.solver import Mono
 
 
 def _dot(w, e):
@@ -15,8 +15,7 @@ def _dot(w, e):
 
 
 def graded_columns(btable, basis):
-    """The positions in `basis` of the columns that can carry an invariant,
-    and each kept column's outer block key."""
+    """The positions in `basis` of the columns that can carry an invariant."""
     inner = btable.inner_gradings
     signs = btable.sign_gradings
     kept = []
@@ -28,4 +27,4 @@ def graded_columns(btable, basis):
             if any(sum(x for s, x in zip(sign, e) if s < 0) % 2 for sign in signs):
                 continue
         kept.append(c)
-    return kept, block_keys(btable, [basis[c] for c in kept])
+    return kept

@@ -75,20 +75,22 @@ def test_nullspace_matches_sympy(matrix):
 
 @pytest.mark.parametrize("name,degree", [("gl3", 4), ("so4", 4)])
 def test_solver_blocks_match_gauss_jordan(name, degree):
-    """Every outer block of a generated table's system, presolved, has the
+    """Every degree of a generated table's system, presolved, has the
     reference's nullspace: larger and sparser matrices than the strategy's."""
     problem = lie_problem(name)
     btable = problem.brackets
     basis = enumerate_basis(btable.r, AnsatzSpec(degree), problem.invertible)
-    kept, keys = graded_columns(btable, basis)
-    rows, forced = presolve_forced_zero(assemble_system(btable, [basis[c] for c in kept]))
+    columns = [basis[c] for c in graded_columns(btable, basis)]
+    rows, forced = presolve_forced_zero(assemble_system(btable, columns))
+    degrees = [sum(elem.exps) for elem in columns]
     blocks = {}
-    for c, key in enumerate(keys):
+    for c, degree in enumerate(degrees):
         if c not in forced:
-            blocks.setdefault(key, []).append(c)
-    for key, cols in blocks.items():
+            blocks.setdefault(degree, []).append(c)
+    for degree, cols in blocks.items():
         local = {c: n for n, c in enumerate(cols)}
-        block = [{local[c]: v for c, v in row.items()} for row in rows if keys[min(row)] == key]
+        block = [{local[c]: v for c, v in row.items()} for row in rows
+                 if degrees[min(row)] == degree]
         got = dense_nullspace(block, len(cols))
         assert got == reference_rref.nullspace(block, len(cols))
         assert rref(block, len(cols)) == reference_rref.rref(block, len(cols))

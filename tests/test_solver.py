@@ -404,13 +404,50 @@ def test_solver_steps_match_reference(name, ansatz):
     ref_candidates = reference_echelon(
         nullspace(ref_reduced + [{c: 1} for c in ref_forced], len(basis)), len(basis))
     assert printed(candidates) == printed(ref_candidates)
-    kept, keys = graded_columns(btable, basis)
-    blocks = solver._block_nullspace(assemble_system(btable, [basis[c] for c in kept]), keys)
+    kept = graded_columns(btable, basis)
+    blocks = solver._block_nullspace(assemble_system(btable, [basis[c] for c in kept]),
+                                     len(kept))
     block_candidates = _reversed_echelon([{kept[c]: v for c, v in vec.items()} for vec in blocks])
     assert printed(block_candidates) == printed(candidates)
     solved = solve_casimirs(btable, ansatz, problem.invertible)
     assert [to_string(s) for s in solved.solutions] == reference_solutions(
         btable, basis, ref_candidates, ansatz.max_degree)
+
+
+def non_homogeneous_table():
+    """{u1, u2} = u3 + u1^2, a table that no weight of the generators grades
+    with u1, u2 and u3 all of degree one."""
+    table = VarTable.make(["u1", "u2", "u3"], 0, [])
+    return BracketTable(table, {(0, 1): parse_ratfunc("u3 + u1^2", table)})
+
+
+def block_cases():
+    yield from solver_oracle_cases()
+    for name in ("so5", "non-homogeneous"):
+        for degree in (2, 3, 4):
+            yield pytest.param(name, AnsatzSpec(degree), id=f"{name}-{degree}")
+
+
+@pytest.mark.parametrize("name,ansatz", list(block_cases()))
+def test_block_nullspace_is_the_whole_nullspace(name, ansatz):
+    """Block by block, the system `solve_casimirs` assembles has the vectors
+    of its whole presolved nullspace, each printed alike."""
+    if name == "non-homogeneous":
+        btable, invertible = non_homogeneous_table(), [False] * 3
+    elif name == "sklyanin-bound":
+        problem, btable = bound_quadratic()
+        invertible = problem.invertible
+    else:
+        problem = lie_problem(name) if name[:2] in ("gl", "so") else corpus_problem(name)
+        btable, invertible = problem.brackets, problem.invertible
+    basis = enumerate_basis(btable.r, ansatz, invertible, btable.inner_gradings,
+                            btable.sign_gradings)
+    rows = assemble_system(btable, basis, btable.generating_set)
+    reduced, forced = presolve_forced_zero(rows)
+    whole = nullspace(reduced + [{c: 1} for c in forced], len(basis))
+    blocks = sorted(solver._block_nullspace(rows, len(basis)), key=max)
+    assert blocks == whole
+    assert printed(blocks) == printed(whole)
 
 
 @pytest.mark.parametrize("name", ["sphere", "so4"])
@@ -554,7 +591,7 @@ def test_full_nullspace_is_zero_at_dropped_columns(n, degree):
     the columns of nonzero inner weight that the solver leaves out."""
     btable = build_problem(lie_module().gl_document(n)).brackets
     basis = enumerate_basis(btable.r, AnsatzSpec(degree), [False] * btable.r)
-    kept, _ = graded_columns(btable, basis)
+    kept = graded_columns(btable, basis)
     dropped = set(range(len(basis))) - set(kept)
     assert dropped
     reduced, forced = presolve_forced_zero(assemble_system(btable, basis))

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from plq import linalg, structure
+from plq import linalg, solver, structure
 from plq.cli import main
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
@@ -22,7 +22,7 @@ from plq.structure import (DEFAULT_SEED, BracketTable, RankSample, bind_paramete
                            certify_by_pfaffians, generic_rank, jacobi_check)
 from reference_columns import graded_columns
 from test_linalg import det
-from test_solver import lie_module, lie_problem
+from test_solver import lie_module, lie_problem, non_homogeneous_table
 
 
 def so3_table():
@@ -535,51 +535,43 @@ def test_gl3_has_inner_gradings():
             assert w[names.index(f"x{i + 1}{i + 1}")] == 0
 
 
-def test_so4_has_the_degree_grading_only():
-    bt = lie_problem("so4").brackets
-    assert bt.outer_gradings == [(1,) * 6]
-    assert bt.inner_gradings == []
+def test_tables_without_a_diagonal_action_have_no_inner_grading():
+    for bt in (lie_problem("so4").brackets, corpus_problem("hydrogen").brackets,
+               non_homogeneous_table()):
+        assert bt.inner_gradings == []
 
 
-def test_hydrogen_outer_gradings_keep_parameters_at_weight_zero():
-    """{L, L} = L, {L, M} = M and {M1, M2} = -2/m*H*L3 force c = -w_L and
-    w_H = 2 w_M - 2 w_L, with w_L and w_M free; m in the denominators
-    carries no weight."""
-    bt = corpus_problem("hydrogen").brackets
-    assert bt.generator_names == ("H", "L1", "L2", "L3", "M1", "M2", "M3")
-    expected = [(2, 0, 0, 0, 1, 1, 1), (-2, 1, 1, 1, 0, 0, 0)]
-    assert same_span(bt.outer_gradings, expected)
-    assert bt.inner_gradings == []
+def solved_blocks(rows, ncols, monkeypatch):
+    """The vectors of `_block_nullspace`, and each block it solves as (its
+    rows over local columns, its number of columns)."""
+    calls = []
+
+    def recorded(rows, ncols):
+        calls.append((rows, ncols))
+        return linalg.nullspace(rows, ncols)
+    monkeypatch.setattr(solver, "nullspace", recorded)
+    return solver._block_nullspace(rows, ncols), calls
 
 
-def test_abelian_table_makes_every_monomial_its_own_block():
+def test_abelian_table_makes_every_monomial_its_own_block(monkeypatch):
     table = VarTable.make(["u1", "u2", "u3"], 0, [])
     bt = BracketTable(table, {})
-    assert same_span(bt.outer_gradings, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert bt.inner_gradings == []
     basis = enumerate_basis(3, AnsatzSpec(3), [False] * 3)
-    kept, keys = graded_columns(bt, basis)
-    assert kept == list(range(len(basis)))
-    assert len(set(keys)) == len(basis)
+    assert graded_columns(bt, basis) == list(range(len(basis)))
+    assert assemble_system(bt, basis) == []
+    vectors, calls = solved_blocks([], len(basis), monkeypatch)
+    assert calls == [([], 1)] * len(basis)
+    assert vectors == [{c: 1} for c in range(len(basis))]
 
 
-def assert_no_row_spans_two_blocks(bt, basis):
-    kept, keys = graded_columns(bt, basis)
-    rows = assemble_system(bt, [basis[c] for c in kept])
-    assert rows
-    for row in rows:
-        assert len({keys[c] for c in row}) == 1
-
-
-def test_non_homogeneous_entry_ties_the_weights():
-    """{u1, u2} = u3 + u1^2: w3 - w1 - w2 - c = 0 and 2 w1 - w1 - w2 - c = 0,
-    so c = w1 - w2 and w3 = 2 w1, the weight of u1^2.  No combination acts
-    diagonally: {h, u1} = -a2 (u3 + u1^2) and {h, u2} = a1 (u3 + u1^2)."""
-    table = VarTable.make(["u1", "u2", "u3"], 0, [])
-    bt = BracketTable(table, {(0, 1): parse_ratfunc("u3 + u1^2", table)})
-    assert same_span(bt.outer_gradings, [(1, 0, 2), (0, 1, 0)])
-    assert bt.inner_gradings == []
-    assert_no_row_spans_two_blocks(bt, enumerate_basis(3, AnsatzSpec(3), [False] * 3))
+def test_rows_that_chain_columns_make_one_block(monkeypatch):
+    """Each row of the chain is the only link between two of its columns, so
+    a union left out splits it; a column in no row is a block of its own."""
+    rows = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 3: -1}, {5: 1, 6: 1}]
+    vectors, calls = solved_blocks(rows, 8, monkeypatch)
+    assert calls == [(rows[:3], 4), ([], 1), ([{0: 1, 1: 1}], 2), ([], 1)]
+    assert vectors == [{0: 1, 1: 1, 2: 1, 3: 1}, {4: 1}, {5: 1, 6: -1}, {7: 1}]
 
 
 def test_sl2_inner_grading_keeps_weight_zero_columns():
@@ -591,15 +583,35 @@ def test_sl2_inner_grading_keeps_weight_zero_columns():
                               (1, 2): parse_ratfunc("h", table)})
     assert same_span(bt.inner_gradings, [(0, 1, -1)])
     basis = enumerate_basis(3, AnsatzSpec(4), [False] * 3)
-    kept, _ = graded_columns(bt, basis)
+    kept = graded_columns(bt, basis)
     assert sorted(basis[c].exps for c in kept) == sorted(
         (a, b, b) for a in range(5) for b in range(3) if 0 < a + 2 * b <= 4)
 
 
-@pytest.mark.parametrize("name", [*corpus_names(), "gl3", "so4"])
-def test_no_assembled_row_spans_two_blocks(name):
-    problem = lie_problem(name) if name in ("gl3", "so4") else corpus_problem(name)
-    invertible = problem.invertible
+def connected(rows, ncols):
+    """Whether the columns [0, ncols) are connected through shared rows."""
+    reached, rows = {0}, list(rows)
+    while grown := [row for row in rows if reached.intersection(row)]:
+        rows = [row for row in rows if not reached.intersection(row)]
+        reached.update(*grown)
+    return reached == set(range(ncols))
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "gl3", "so4", "non-homogeneous"])
+def test_no_assembled_row_spans_two_blocks(name, monkeypatch):
+    """Each block that `_block_nullspace` solves is connected through its
+    rows, and the blocks share out the presolved rows and unforced columns."""
+    if name == "non-homogeneous":
+        bt, invertible = non_homogeneous_table(), [False] * 3
+    else:
+        problem = lie_problem(name) if name in ("gl3", "so4") else corpus_problem(name)
+        bt, invertible = problem.brackets, problem.invertible
     ansatz = AnsatzSpec(3, 1, True) if any(invertible) else AnsatzSpec(3)
-    assert_no_row_spans_two_blocks(problem.brackets,
-                                   enumerate_basis(problem.brackets.r, ansatz, invertible))
+    basis = enumerate_basis(bt.r, ansatz, invertible)
+    rows = assemble_system(bt, basis)
+    _, calls = solved_blocks(rows, len(basis), monkeypatch)
+    reduced, forced = linalg.presolve_forced_zero(rows)
+    assert rows
+    assert sum(len(block) for block, _ in calls) == len(reduced)
+    assert sum(ncols for _, ncols in calls) == len(basis) - len(forced)
+    assert all(connected(block, ncols) for block, ncols in calls)
