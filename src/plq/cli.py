@@ -177,6 +177,8 @@ def _cmd_rank(args) -> int:
     print(_degeneracy_note(rank_report))
     print(f"sampled max {rank_report.sampled_rank} over "
           f"{rank_report.samples} points (seed {rank_report.seed})")
+    if rank_report.witness is None:
+        print(f"witness: none (no sampled point attains rank {rank_report.rank})")
     report["rank"] = _rank_json(rank_report)
     _write_json(args.json, report)
     return EXIT_OK

@@ -252,13 +252,19 @@ def _parts(rf: RatFunc) -> list[RatFunc]:
     return [rf] if q.is_zero() else [RatFunc.make(q, g), *rest]
 
 
-def _factor_base(exprs: Sequence[LogExpr]) -> list[Poly]:
-    """The distinct non-monomial parts of the denominators of the `_parts`
-    of `exprs` that use a variable other than a parameter, the highest
-    degree first."""
+def _expr_parts(le: LogExpr) -> list[list[RatFunc]]:
+    """The `_parts` of le's rational part, then of each logarithm's
+    coefficient, in order."""
+    return [_parts(f) for f in (le.rat, *(c for _, c in le.logs))]
+
+
+def _factor_base(parts: Sequence[list[list[RatFunc]]]) -> list[Poly]:
+    """The distinct non-monomial parts of the denominators of `parts`, as
+    `_expr_parts` gives them, that use a variable other than a parameter,
+    the highest degree first."""
     base: dict[Poly, None] = {}
-    for le in exprs:
-        for rf in (p for f in (le.rat, *(c for _, c in le.logs)) for p in _parts(f)):
+    for expr_parts in parts:
+        for rf in (p for ps in expr_parts for p in ps):
             c = _content_free(rf.den)
             if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
                 base.setdefault(c)
@@ -286,7 +292,8 @@ def _split(den: Poly, base: Sequence[Poly], names: Mapping[int, str]
 
 def _emit(table: VarTable, groups: Sequence[Sequence[object]],
           state_indices: Sequence[int], values: Mapping[str, float],
-          dens: dict[str, str] | None = None, base: Sequence[Poly] = ()
+          dens: dict[str, str] | None = None, base: Sequence[Poly] = (),
+          parts: Sequence[Sequence[list[list[RatFunc]]]] | None = None
           ) -> list[tuple[list[str], list[str], list[str]]]:
     """Source that evaluates groups of expressions at a point in locals x{i}.
 
@@ -301,11 +308,13 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     locals, so emissions that share it name a denominator alike.  A
     denominator that `_split` factors over `base` is B's local, placed first
     with its guard, times R, read from its local when R is in `base`.
+    `parts`, when given, holds `_expr_parts` of each expression, by position.
     """
     dens = {} if dens is None else dens
     norms = [[_as_logexpr(e) for e in group] for group in groups]
-    rats = [[p for le in norm for rf in (le.rat, *(c for _, c in le.logs))
-             for p in _parts(rf)] for norm in norms]
+    parts = parts or [[_expr_parts(le) for le in norm] for norm in norms]
+    rats = [[p for expr_parts in group for ps in expr_parts for p in ps]
+            for group in parts]
     # Each group reads its parts' variables and its logarithms' generators.
     reads = [{g for le in norm for g, _ in le.logs}.union(
         *(p.num.used_indices() | p.den.used_indices() for p in group))
@@ -383,26 +392,26 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
                          "raise _PoleSignal()")
         return dens[den]
 
-    def guarded(rf: RatFunc) -> str:
+    def guarded(ps: list[RatFunc]) -> str:
         srcs = [_poly_src(p.num, names, bound)
                 if p.is_poly() or _poly_src(p.den, names) in ones else
                 f"({_poly_src(p.num, names, bound)} / {local(p.den)})"
-                for p in _parts(rf)]
+                for p in ps]
         return srcs[0] if len(srcs) == 1 else "(" + " + ".join(srcs) + ")"
 
     sigma = _poly_src(sigma_poly(table), names)
     emitted = []
     seen: set[int] = set()
-    for norm, group_rats, group_reads in zip(norms, rats, reads):
+    for norm, group_parts, group_rats, group_reads in zip(norms, parts, rats, reads):
         # `place` and `guarded` append to this group's lines.
         new = group_reads - seen
         seen |= new
         constants = [f"x{i} = {params[i]!r}" for i in sorted(new)
                      if i in params and i in names]
         point, outputs = [], []
-        for le in norm:
-            src = guarded(le.rat)
-            for g, c in le.logs:
+        for le, (rat, *logs) in zip(norm, group_parts):
+            src = guarded(rat)
+            for (g, _), c in zip(le.logs, logs):
                 if g not in logged:
                     logged.add(g)
                     point.append(f"if x{g} <= {POLE_TOLERANCE!r}: "
@@ -464,11 +473,13 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     for the monitors and before step 1 for the right-hand sides.
     """
     dens: dict[str, str] = {}
-    base = _factor_base([*rhs_exprs, *monitors])
+    mparts, rparts = ([_expr_parts(e) for e in exprs] for exprs in (monitors, rhs_exprs))
+    base = _factor_base([*rparts, *mparts])
     (mconst, mpoint, mout), (rconst, rfirst, rout1) = _emit(
-        table, [monitors, rhs_exprs], state_indices, values, dens, base)
+        table, [monitors, rhs_exprs], state_indices, values, dens, base,
+        [mparts, rparts])
     [(_, rpoint, rout)] = _emit(table, [rhs_exprs], state_indices, values,
-                                dens, base)
+                                dens, base, [rparts])
     n = len(state_indices)
     ys = [f"y{k}" for k in range(n)]
     zero = [src == "0.0" for src in rout]

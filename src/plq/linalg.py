@@ -1,15 +1,16 @@
 """Exact linear algebra over a field of rational or RatFunc entries.
 
 Rows are sparse mappings from column index to a nonzero field element.  Rows
-of ints and Fractions go through one integer kernel, `_integer_echelon`:
+of ints and Fractions go through the integer echelon, `_integer_echelon`:
 fraction-free elimination (cf. Bareiss 1968), the sparsest row holding a
 column pivoting (Markowitz 1957); `rref` divides by each pivot at the end, so
-integral results are ints.  Other rows (RatFunc entries) are eliminated over
-their field, the first remaining row holding the column pivoting.  The RREF is
-unique and its pivot columns are the column rank profile, so neither depends
-on the pivot rule.  `nullspace` returns one sparse vector per free column,
-read off the RREF like its rows.  Entries only meet ring operations and
-`expr.exact_div`.
+integral results are ints.  The rank of a skew matrix of numbers has its own
+integer kernel, `skew_rank`, by 2x2 pivots on the entries above the
+diagonal.  Other rows (RatFunc entries) are eliminated over their field, the
+first remaining row holding the column pivoting.  The RREF is unique and its
+pivot columns are the column rank profile, so neither depends on the pivot
+rule.  `nullspace` returns one sparse vector per free column, read off the
+RREF like its rows.  Entries only meet ring operations and `expr.exact_div`.
 """
 
 from __future__ import annotations
@@ -155,6 +156,54 @@ def pivot_columns(rows: Sequence[Row], ncols: int) -> list[int]:
 def rank_of(rows: Sequence[Row], ncols: int) -> int:
     """Exact rank of a sparse matrix."""
     return len(pivot_columns(rows, ncols))
+
+
+def skew_rank(rows: Sequence[Row], ncols: int) -> int:
+    """Exact rank of the skew matrix of ints and Fractions whose row k is
+    rows[k], read above the diagonal only.  Scaled to integers once, each step
+    pivots on the first nonzero a = a_ij left, row-major, and sets each other
+    a_kl, k < l, to a*a_kl + a_ki*a_jl - a_kj*a_il: a times the Schur
+    complement of the block {i, j}, again skew (Bunch 1982), divided by the
+    gcd of the new entries (fraction-free, cf. Bareiss 1968).  Each pivot
+    adds two to the rank.  A step costs the nonzeros left, so a matrix with
+    fewer than n^2/5 of them, such as a band, is mirrored from the same
+    entries and ranked by `pivot_columns`, whose cost is its fill."""
+    up = {k: x for k, row in enumerate(rows) if (x := {l: v for l, v in row.items() if l > k})}
+    if 10 * sum(map(len, up.values())) < len(rows) ** 2:
+        full = [dict(up.get(k, ())) for k in range(len(rows))]
+        for k, row in up.items():
+            for l, v in row.items():
+                full[l][k] = -v
+        return len(pivot_columns(full, ncols))
+    if dens := [v.denominator for row in up.values() for v in row.values() if type(v) is not int]:
+        scale = math.lcm(*dens)
+        up = {k: {l: v.numerator * (scale // v.denominator) for l, v in row.items()}
+              for k, row in up.items()}
+    rank = 0
+    while up:
+        row_i = up.pop(i := min(up))  # so no row above i is left
+        a = row_i.pop(j := min(row_i))
+        u = {k: -x for k, x in row_i.items()}  # u_k = a_ki, v_k = a_kj
+        v = {k: -x for k, x in up.pop(j, {}).items()}
+        new = {}
+        for k, row in up.items():
+            if (x := row.pop(j, None)) is not None:
+                v[k] = x
+            new[k] = {l: a * x for l, x in row.items()}
+        touched = [(k, u.get(k, 0), v.get(k, 0)) for k in sorted(u.keys() | v.keys())]
+        for n, (k, uk, vk) in enumerate(touched):  # only these entries can vanish
+            row = new.setdefault(k, {})
+            for l, ul, vl in touched[n + 1:]:
+                if d := vk * ul - uk * vl:
+                    if s := row.get(l, 0) + d:
+                        row[l] = s
+                    else:
+                        del row[l]
+        g = math.gcd(*[math.gcd(*row.values()) for row in new.values()])
+        up = {k: {l: x // g for l, x in row.items()} if g > 1 else row
+              for k, row in new.items() if row}
+        rank += 2
+    return rank
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[Row]:

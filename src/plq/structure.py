@@ -19,11 +19,12 @@ from typing import Iterator, Mapping, Sequence
 from .expr import (GENERATOR, PARAMETER, TERM_LIMIT, ExprError, LogExpr, Poly, RatFunc,
                    VarTable, _multiply_into, _poly_diff_parts, clear_denominators, diff,
                    exact_div, substitute, sum_of_products)
-from .linalg import nullspace, pfaffian, pivot_columns, rank_of, subtract_scaled
+from .linalg import nullspace, pfaffian, pivot_columns, skew_rank, subtract_scaled
 
 DEFAULT_SEED = 20140
 BRACKET_TERMS = 2 * TERM_LIMIT  # the most term pairs one bracket {F, u_j} multiplies
 SAMPLE_BLOCK = 16  # sample points per block; `sample_rank` ranks the first
+rank_of = skew_rank  # `_ranked` calls it by this name, which bench/tracing.py wraps
 
 
 class BracketTable:
@@ -425,10 +426,14 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
     numerator degree, from term lists of N and M with integer coefficients
     built once per call.  So each row is D^K times the row of values, and
     ranks and pivot columns are those of the values.  A cell builds at most
-    one Fraction.  Zero values are left out and poles are skipped."""
+    one Fraction; a constant denominator joins the cell's integer scale, so
+    it is not evaluated.  Zero values are left out and poles are skipped."""
     degree = max((f.num.degree() for f in cells.values()), default=0)
-    lifted = [(key, *_integer_terms(f.num, degree), kd, *_integer_terms(f.den, kd))
-              for key, f in cells.items() for kd in [f.den.degree()]]
+    lifted = []
+    for key, f in cells.items():
+        (sn, num), kd = _integer_terms(f.num, degree), f.den.degree()
+        sd, den = _integer_terms(f.den, kd)
+        lifted.append((key, sn, num, kd, sd, den) if kd else (key, sn * den[0][0], num, 0, sd, ()))
     top = max([degree, *(cell[3] for cell in lifted)])
     draws = (sample_point(table, rng) for _ in range(attempts))
     for point in chain(given, draws):
@@ -437,10 +442,12 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
         powers = [d ** k for k in range(top + 1)]
         rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
         for (i, j), sn, num, kd, sd, den in lifted:
-            m = sn * _lifted_value(den, a, powers)
+            m = sn * _lifted_value(den, a, powers) if den else sn
             if not m:
                 break
-            v = exact_div(sd * powers[kd] * _lifted_value(num, a, powers), m)
+            v = sd * powers[kd] * _lifted_value(num, a, powers)
+            if m != 1:
+                v = exact_div(v, m)
             if v:
                 rows[i][j] = v
                 if skew:

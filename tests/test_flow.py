@@ -14,7 +14,7 @@ from plq import flow as flow_module
 from plq.expr import PARAMETER, ExprError, Poly, VarTable, sigma_poly
 from plq.flow import (NOT_FINITE, DriftReport, FlowConfig, FlowPoleError,
                       FlowResult, _abstract_system, _as_logexpr,
-                      _canonical_system, _factor_base, _NotFiniteSignal,
+                      _canonical_system, _expr_parts, _factor_base, _NotFiniteSignal,
                       _PoleSignal, _poly_src, _split,
                       abstract_flow, canonical_flow, compile_evaluator,
                       generator_trajectory)
@@ -479,7 +479,7 @@ def generated_and_reference(source, cfg, mode):
         system = _canonical_system(source, cfg)
         flow = lambda: canonical_flow(source, cfg)
     table, state, rhs_exprs, monitors = system
-    base = _factor_base([*rhs_exprs, *monitors])
+    base = _factor_base([_expr_parts(e) for e in (*rhs_exprs, *monitors)])
     rhs = reference_evaluator(table, rhs_exprs, state, cfg.initial_state, base)
     mon = reference_evaluator(table, monitors, state, cfg.initial_state, base)
     y0 = [float(cfg.initial_state[table.names[i]]) for i in state]

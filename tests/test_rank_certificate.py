@@ -189,6 +189,29 @@ def test_sampler_missing_the_rank_prints_the_pinned_output(name, monkeypatch, tm
     assert report["rank"]["certificate"] == "pfaffian"
 
 
+def test_rank_without_a_witness_says_so(monkeypatch, tmp_path):
+    """Every one of the 12 blocks of gl(3) draws is the origin, where each
+    entry vanishes: the sub-Pfaffians still certify rank 6, and `rank`
+    prints that no sampled point attains it; the JSON witness is null."""
+    draw, draws = structure.sample_point, []
+
+    def origin(table, rng):
+        draws.append(draw(table, rng))
+        return [0 * x for x in draws[-1]]
+    monkeypatch.setattr(structure, "sample_point", origin)
+    path = problem_files(tmp_path)["gl3"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["rank", path, "--json", str(tmp_path / "r.json")])
+    rank = json.loads((tmp_path / "r.json").read_text())["rank"]
+    assert (code, len(draws)) == (0, 12 * structure.SAMPLE_BLOCK)
+    assert (rank["rank"], rank["sampled_rank"], rank["samples"], rank["witness"]) == \
+        (6, 0, 192, None)
+    assert out.getvalue().splitlines()[-2:] == [
+        "sampled max 0 over 192 points (seed 20140)",
+        "witness: none (no sampled point attains rank 6)"]
+
+
 def test_every_golden_solve_certifies_by_casimirs():
     golden = json.loads(GOLDEN.read_text())
     solves = [name for name, argv in CASES.items()
