@@ -253,8 +253,7 @@ def _parts(rf: RatFunc) -> list[RatFunc]:
 
 
 def _expr_parts(le: LogExpr) -> list[list[RatFunc]]:
-    """The `_parts` of le's rational part, then of each logarithm's
-    coefficient, in order."""
+    """The `_parts` of le's rational part, then of each log's coefficient."""
     return [_parts(f) for f in (le.rat, *(c for _, c in le.logs))]
 
 
@@ -263,11 +262,10 @@ def _factor_base(parts: Sequence[list[list[RatFunc]]]) -> list[Poly]:
     `_expr_parts` gives them, that use a variable other than a parameter,
     the highest degree first."""
     base: dict[Poly, None] = {}
-    for expr_parts in parts:
-        for rf in (p for ps in expr_parts for p in ps):
-            c = _content_free(rf.den)
-            if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
-                base.setdefault(c)
+    for rf in (p for expr_parts in parts for ps in expr_parts for p in ps):
+        c = _content_free(rf.den)
+        if any(c.table.kind(i) != PARAMETER for i in c.used_indices()):
+            base.setdefault(c)
     for c in list(base):  # sigma^k (k >= 2) as a power of sigma's local
         if (k := c.degree() // 2) >= 2 and c == sigma_poly(c.table) ** k:
             base.setdefault(sigma_poly(c.table))
@@ -290,12 +288,13 @@ def _split(den: Poly, base: Sequence[Poly], names: Mapping[int, str]
     return None
 
 
-def _emit(table: VarTable, groups: Sequence[Sequence[object]],
+def _emit(table: VarTable, groups: Sequence[Sequence[LogExpr]],
+          parts: Sequence[Sequence[list[list[RatFunc]]]],
           state_indices: Sequence[int], values: Mapping[str, float],
-          dens: dict[str, str] | None = None, base: Sequence[Poly] = (),
-          parts: Sequence[Sequence[list[list[RatFunc]]]] | None = None
+          dens: dict[str, str], base: Sequence[Poly] = ()
           ) -> list[tuple[list[str], list[str], list[str]]]:
-    """Source that evaluates groups of expressions at a point in locals x{i}.
+    """Source that evaluates groups of expressions at a point in locals x{i};
+    `parts` holds `_expr_parts` of each expression, by position.
 
     Returns, for each group, the lines run once (parameter values, then the
     powers and guarded denominators that use only parameters), the lines run
@@ -308,17 +307,13 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     locals, so emissions that share it name a denominator alike.  A
     denominator that `_split` factors over `base` is B's local, placed first
     with its guard, times R, read from its local when R is in `base`.
-    `parts`, when given, holds `_expr_parts` of each expression, by position.
     """
-    dens = {} if dens is None else dens
-    norms = [[_as_logexpr(e) for e in group] for group in groups]
-    parts = parts or [[_expr_parts(le) for le in norm] for norm in norms]
     rats = [[p for expr_parts in group for ps in expr_parts for p in ps]
             for group in parts]
     # Each group reads its parts' variables and its logarithms' generators.
     reads = [{g for le in norm for g, _ in le.logs}.union(
         *(p.num.used_indices() | p.den.used_indices() for p in group))
-        for norm, group in zip(norms, rats)]
+        for norm, group in zip(groups, rats)]
     used = set().union(*reads)
     params: dict[int, float] = {}
     state_set = set(state_indices)
@@ -402,7 +397,7 @@ def _emit(table: VarTable, groups: Sequence[Sequence[object]],
     sigma = _poly_src(sigma_poly(table), names)
     emitted = []
     seen: set[int] = set()
-    for norm, group_parts, group_rats, group_reads in zip(norms, parts, rats, reads):
+    for norm, group_parts, group_rats, group_reads in zip(groups, parts, rats, reads):
         # `place` and `guarded` append to this group's lines.
         new = group_reads - seen
         seen |= new
@@ -446,8 +441,9 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
                       values: Mapping[str, float]) -> Callable[[tuple], tuple]:
     """Compile expressions into one function from a state tuple to a tuple of
     finite values, else `_NotFiniteSignal`: parameters baked in, poles guarded."""
-    [(constants, point, outputs)] = _emit(table, [exprs], state_indices,
-                                          values)
+    norm = [_as_logexpr(e) for e in exprs]
+    [(constants, point, outputs)] = _emit(
+        table, [norm], [[_expr_parts(le) for le in norm]], state_indices, values, {})
     body = [f"x{i} = state[{k}]" for k, i in enumerate(state_indices)]
     body += constants + point + ["out = " + _tuple_src(outputs),
                                  "if not all(map(isfinite, out)): "
@@ -456,8 +452,8 @@ def compile_evaluator(table: VarTable, exprs: Sequence[object],
                    "_compiled")
 
 
-def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
-                 monitors: Sequence[object], state_indices: Sequence[int],
+def _compile_run(table: VarTable, rhs_exprs: Sequence[LogExpr],
+                 monitors: Sequence[LogExpr], state_indices: Sequence[int],
                  values: Mapping[str, float]) -> Callable:
     """Compile a whole RK4 run into one function
     `_run(start, h, steps, append=None)`.
@@ -476,10 +472,9 @@ def _compile_run(table: VarTable, rhs_exprs: Sequence[object],
     mparts, rparts = ([_expr_parts(e) for e in exprs] for exprs in (monitors, rhs_exprs))
     base = _factor_base([*rparts, *mparts])
     (mconst, mpoint, mout), (rconst, rfirst, rout1) = _emit(
-        table, [monitors, rhs_exprs], state_indices, values, dens, base,
-        [mparts, rparts])
-    [(_, rpoint, rout)] = _emit(table, [rhs_exprs], state_indices, values,
-                                dens, base, [rparts])
+        table, [monitors, rhs_exprs], [mparts, rparts], state_indices, values, dens, base)
+    [(_, rpoint, rout)] = _emit(table, [rhs_exprs], [rparts], state_indices,
+                                values, dens, base)
     n = len(state_indices)
     ys = [f"y{k}" for k in range(n)]
     zero = [src == "0.0" for src in rout]

@@ -1,16 +1,15 @@
 """Exact linear algebra over a field of rational or RatFunc entries.
 
 Rows are sparse mappings from column index to a nonzero field element.  Rows
-of ints and Fractions go through the integer echelon, `_integer_echelon`:
+of ints and Fractions go through the integer echelon `_integer_echelon`:
 fraction-free elimination (cf. Bareiss 1968), the sparsest row holding a
 column pivoting (Markowitz 1957); `rref` divides by each pivot at the end, so
-integral results are ints.  The rank of a skew matrix of numbers has its own
-integer kernel, `skew_rank`, by 2x2 pivots on the entries above the
-diagonal.  Other rows (RatFunc entries) are eliminated over their field, the
-first remaining row holding the column pivoting.  The RREF is unique and its
-pivot columns are the column rank profile, so neither depends on the pivot
-rule.  `nullspace` returns one sparse vector per free column, read off the
-RREF like its rows.  Entries only meet ring operations and `expr.exact_div`.
+integral results are ints; `skew_rank` ranks a skew matrix by 2x2 pivots.
+Other rows (RatFunc entries) are eliminated over their field, the first
+remaining row holding the column pivoting.  The RREF is unique and its pivot
+columns are the column rank profile, so neither depends on the pivot rule.
+`nullspace` returns one sparse vector per free column, read off the RREF like
+its rows.  Entries only meet ring operations and `expr.exact_div`.
 """
 
 from __future__ import annotations
@@ -160,49 +159,35 @@ def rank_of(rows: Sequence[Row], ncols: int) -> int:
 
 def skew_rank(rows: Sequence[Row], ncols: int) -> int:
     """Exact rank of the skew matrix of ints and Fractions whose row k is
-    rows[k], read above the diagonal only.  Scaled to integers once, each step
-    pivots on the first nonzero a = a_ij left, row-major, and sets each other
-    a_kl, k < l, to a*a_kl + a_ki*a_jl - a_kj*a_il: a times the Schur
-    complement of the block {i, j}, again skew (Bunch 1982), divided by the
-    gcd of the new entries (fraction-free, cf. Bareiss 1968).  Each pivot
-    adds two to the rank.  A step costs the nonzeros left, so a matrix with
-    fewer than n^2/5 of them, such as a band, is mirrored from the same
-    entries and ranked by `pivot_columns`, whose cost is its fill."""
-    up = {k: x for k, row in enumerate(rows) if (x := {l: v for l, v in row.items() if l > k})}
-    if 10 * sum(map(len, up.values())) < len(rows) ** 2:
-        full = [dict(up.get(k, ())) for k in range(len(rows))]
-        for k, row in up.items():
-            for l, v in row.items():
-                full[l][k] = -v
-        return len(pivot_columns(full, ncols))
-    if dens := [v.denominator for row in up.values() for v in row.values() if type(v) is not int]:
-        scale = math.lcm(*dens)
-        up = {k: {l: v.numerator * (scale // v.denominator) for l, v in row.items()}
-              for k, row in up.items()}
-    rank = 0
-    while up:
-        row_i = up.pop(i := min(up))  # so no row above i is left
-        a = row_i.pop(j := min(row_i))
-        u = {k: -x for k, x in row_i.items()}  # u_k = a_ki, v_k = a_kj
-        v = {k: -x for k, x in up.pop(j, {}).items()}
-        new = {}
-        for k, row in up.items():
-            if (x := row.pop(j, None)) is not None:
-                v[k] = x
-            new[k] = {l: a * x for l, x in row.items()}
+    rows[k], read above the diagonal only, by fraction-free 2x2 pivots (Bunch
+    1982; cf. Bareiss 1968).  Each pivot a = a_ij, the first nonzero left,
+    adds 2 to the rank and sets a_kl to (a*a_kl + a_ki*a_jl - a_kj*a_il) / c,
+    c the last pivot: an integer, a sub-Pfaffian.  When a_ki = a_kj = 0 or
+    a_li = a_lj = 0 that is a_kl*a/c, so entries are kept as (x, p), read as
+    x*c/p, and those are left as they are."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    up = {k: {l: (v.numerator * (scale // v.denominator), 1) for l, v in row.items() if l > k}
+          for k, row in enumerate(rows)}
+    rank, c = 0, 1
+    for i in filter(up.get, range(len(rows))):  # every row above i is zero
+        row_i = up.pop(i)
+        x, p = row_i.pop(j := min(row_i))
+        a = x * c // p
+        u = {k: -x * c // p for k, (x, p) in row_i.items()}  # u_k = a_ki, v_k = a_kj
+        v = {k: -x * c // p for k, (x, p) in up.pop(j).items()}
+        for k in range(i + 1, j):
+            if e := up.get(k, {}).pop(j, None):
+                v[k] = e[0] * c // e[1]
         touched = [(k, u.get(k, 0), v.get(k, 0)) for k in sorted(u.keys() | v.keys())]
-        for n, (k, uk, vk) in enumerate(touched):  # only these entries can vanish
-            row = new.setdefault(k, {})
+        for n, (k, uk, vk) in enumerate(touched):
+            row = up[k]
             for l, ul, vl in touched[n + 1:]:
-                if d := vk * ul - uk * vl:
-                    if s := row.get(l, 0) + d:
-                        row[l] = s
-                    else:
-                        del row[l]
-        g = math.gcd(*[math.gcd(*row.values()) for row in new.values()])
-        up = {k: {l: x // g for l, x in row.items()} if g > 1 else row
-              for k, row in new.items() if row}
-        rank += 2
+                x, p = row.get(l, (0, 1))
+                if s := (a * (x if p == c else x * c // p) + vk * ul - uk * vl) // c:
+                    row[l] = (s, a)
+                elif x:
+                    del row[l]
+        rank, c = rank + 2, a
     return rank
 
 

@@ -426,14 +426,11 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
     numerator degree, from term lists of N and M with integer coefficients
     built once per call.  So each row is D^K times the row of values, and
     ranks and pivot columns are those of the values.  A cell builds at most
-    one Fraction; a constant denominator joins the cell's integer scale, so
-    it is not evaluated.  Zero values are left out and poles are skipped."""
+    one Fraction and evaluates no constant denominator.  Zero values are left
+    out and poles are skipped."""
     degree = max((f.num.degree() for f in cells.values()), default=0)
-    lifted = []
-    for key, f in cells.items():
-        (sn, num), kd = _integer_terms(f.num, degree), f.den.degree()
-        sd, den = _integer_terms(f.den, kd)
-        lifted.append((key, sn, num, kd, sd, den) if kd else (key, sn * den[0][0], num, 0, sd, ()))
+    lifted = [(key, *_integer_terms(f.num, degree), kd, *_integer_terms(f.den, kd))
+              for key, f in cells.items() for kd in [f.den.degree()]]
     top = max([degree, *(cell[3] for cell in lifted)])
     draws = (sample_point(table, rng) for _ in range(attempts))
     for point in chain(given, draws):
@@ -442,12 +439,11 @@ def _evaluations(cells: Mapping[tuple[int, int], RatFunc], nrows: int,
         powers = [d ** k for k in range(top + 1)]
         rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
         for (i, j), sn, num, kd, sd, den in lifted:
-            m = sn * _lifted_value(den, a, powers) if den else sn
+            m = sn * (_lifted_value(den, a, powers) if kd else den[0][0])
             if not m:
                 break
             v = sd * powers[kd] * _lifted_value(num, a, powers)
-            if m != 1:
-                v = exact_div(v, m)
+            v = v if m == 1 else exact_div(v, m)
             if v:
                 rows[i][j] = v
                 if skew:
