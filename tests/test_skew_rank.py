@@ -3,9 +3,10 @@
 Hypothesis draws skew matrices B^T J B, J the standard symplectic form, of
 sizes 0 to 12 with int or Fraction entries, zero rows and columns, and odd
 sizes; `rref` over Fraction (`tests/reference_rref.py`) is the oracle, and
-a B of full row rank 2m fixes the rank at 2m.  Every sample point that
-`sample_rank` ranks on the corpus tables, bound sklyanin, gl(3), so(4) and
-so(5) ranks the same by `pivot_columns`, seeds 0 to 7.
+a B of full row rank 2m fixes the rank at 2m.  Ranking a dense 28 x 28
+matrix stays within a memory bound that entry growth would break.  Every
+sample point that `sample_rank` ranks on the corpus tables, bound sklyanin,
+gl(3), so(4) and so(5) ranks the same by `pivot_columns`, seeds 0 to 7.
 """
 
 import random
