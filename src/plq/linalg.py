@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .expr import (PARAMETER, ExprError, Poly, RatFunc, clear_denominators,
-                   exact_div, normal_coeff, split_terms)
+from .expr import (PARAMETER, ExprError, Poly, RatFunc, _check_degree, _reduce_algebraic,
+                   clear_denominators, exact_div, normal_coeff, split_terms)
 
 E = TypeVar("E")
 PFAFFIAN_TERMS = 50_000  # the most numerator terms of a RatFunc sub-Pfaffian
@@ -231,32 +231,61 @@ def presolve_forced_zero(rows: Sequence[Row]) -> tuple[list[Row], set[int]]:
 
 def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
     """Pfaffian of a skew matrix of even size, by first-row expansion with
-    memoization; ExprError once a RatFunc sub-Pfaffian passes PFAFFIAN_TERMS
-    numerator terms, since the terms swell long before the memo grows."""
+    memoization, each frame on the stack a sub-Pfaffian's key, next position
+    and sum: one packed dict while its products are of polynomials (Johnson
+    1974), else added in order, as rational sums print.  ExprError once a
+    RatFunc sub-Pfaffian passes PFAFFIAN_TERMS numerator terms."""
     n = len(matrix)
     if n % 2:
         raise ValueError("pfaffian requires an even-sized matrix")
+    table = zero.table if isinstance(zero, RatFunc) else None
     memo: dict[tuple[int, ...], E] = {(): one}
+    stack = [[tuple(range(n)), 0, {} if table else zero]] if n else []
+    while stack:
+        active, start, total = frame = stack[-1]
+        row, rest = matrix[active[0]], active[1:]
+        for pos in range(start, len(rest)):
+            if (a := row[rest[pos]]) != 0:
+                sub = rest[:pos] + rest[pos + 1:]
+                if (p := memo.get(sub)) is None:
+                    frame[1:] = pos, total
+                    stack.append([sub, 0, {} if table else zero])
+                    break
+                if type(total) is dict and a.den.is_one() and p.den.is_one():
+                    _add_product(total, table, a.num.packed, p.num.packed, pos % 2)
+                else:
+                    total, term = _summed(table, total), a * p
+                    total = total + term if pos % 2 == 0 else total - term
+        else:
+            memo[active] = total = _summed(table, total)
+            if isinstance(total, RatFunc) and len(total.num.packed) > PFAFFIAN_TERMS:
+                raise ExprError(f"pfaffian of a {n} x {n} matrix: a sub-Pfaffian has "
+                                f"more than {PFAFFIAN_TERMS} terms")
+            stack.pop()
+    return memo[tuple(range(n))]
 
-    def pf(active: tuple[int, ...]) -> E:
-        if active in memo:
-            return memo[active]
-        i0 = active[0]
-        rest = active[1:]
-        total = zero
-        for pos, j in enumerate(rest):
-            a = matrix[i0][j]
-            if a != 0:
-                sub = tuple(x for x in rest if x != j)
-                term = a * pf(sub)
-                total = total + term if pos % 2 == 0 else total - term
-        if isinstance(total, RatFunc) and len(total.num.packed) > PFAFFIAN_TERMS:
-            raise ExprError(f"pfaffian of a {n} x {n} matrix: a sub-Pfaffian has "
-                            f"more than {PFAFFIAN_TERMS} terms")
-        memo[active] = total
+
+def _summed(table, total):
+    """A sum as a value; packed terms are reduced, or copied to free cancelled room."""
+    if type(total) is not dict:
         return total
+    if table.alg_index is None and set(map(type, total.values())) <= {int}:
+        return RatFunc.from_poly(Poly(table, dict(total)))
+    return RatFunc.from_poly(Poly(table, _reduce_algebraic(table, total)))
 
-    return pf(tuple(range(n)))
+
+def _add_product(acc: dict, table, a: dict, b: dict, negate: int) -> None:
+    """acc += a * b, or -= when `negate`, in place; a sum of 0 is dropped."""
+    _check_degree((max(a) + max(b, default=0)) >> table.degree_shift)
+    get, right = acc.get, b.items()
+    for e1, c1 in a.items():
+        c1 = -c1 if negate else c1
+        for e2, c2 in right:
+            e = e1 + e2
+            if s := get(e, 0) + c1 * c2:
+                acc[e] = s
+            else:
+                del acc[e]
 
 
 def entry(v):

@@ -89,15 +89,17 @@ def _str_list(value, context: str) -> list[str]:
     return list(value)
 
 
-def _parse(text: str, table: VarTable, context: str):
-    try:
-        return parse_ratfunc(text, table)
-    except (ParseError, ExprError) as exc:
-        raise ProblemError(f"{context}: {exc}") from None
+def _parse(text: str, table: VarTable, context: str, parsed: dict):
+    if text not in parsed:
+        try:
+            parsed[text] = parse_ratfunc(text, table)
+        except (ParseError, ExprError) as exc:
+            raise ProblemError(f"{context}: {exc}") from None
+    return parsed[text]
 
 
 def build_problem(data: dict) -> Problem:
-    """Validate a problem document and construct its table and brackets."""
+    """Validate a document and build its table and brackets, each distinct text parsed once."""
     _object(data, "name variables generators brackets solver flow", "")
     name = _require(data, "name", str, "problem")
     variables = _require(data, "variables", dict, f"problem {name!r}")
@@ -142,7 +144,7 @@ def build_problem(data: dict) -> Problem:
                                f"generator {g!r}")
     invertible = [g in invertible_names for g in gen_names]
     raw_brackets = _require(data, "brackets", list, f"problem {name!r}")
-    entries = {}
+    entries, parsed = {}, {}
     seen: set[tuple[int, int]] = set()
     for k, entry in enumerate(raw_brackets):
         _object(entry, "i j expression", f"brackets[{k}]")
@@ -166,14 +168,14 @@ def build_problem(data: dict) -> Problem:
             raise ProblemError(f"brackets[{k}]: duplicate bracket for "
                                f"({iname}, {jname})")
         seen.add((i, j))
-        entries[(i, j)] = _parse(text, table, f"brackets[{k}].expression")
+        entries[(i, j)] = _parse(text, table, f"brackets[{k}].expression", parsed)
     try:
         btable = BracketTable(table, entries)
     except ExprError as exc:
         raise ProblemError(f"problem {name!r}: {exc}") from None
     realization = None
     if all(realized):
-        exprs = [_parse(c, table, f"generators[{k}].canonical")
+        exprs = [_parse(c, table, f"generators[{k}].canonical", parsed)
                  for k, c in enumerate(canonicals)]
         try:
             realization = CanonicalRealization(table, exprs)

@@ -353,19 +353,18 @@ def jacobi_check(btable: BracketTable) -> JacobiReport:
 
 
 _NUMERATORS = tuple(n for n in range(-9, 10) if n)
+_VALUES = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in range(1, 8)}
 
 
 def sample_point(table: VarTable, rng: random.Random) -> list[Fraction]:
     """Random rational values for generators and parameters; other variables zero.
 
-    Components have numerators in {-9..9} without 0 and denominators up to 7.
+    A numerator in {-9..9} without 0, then a denominator up to 7, index `_VALUES`.
     """
     vals = [Fraction(0)] * len(table)
     for i, kind in enumerate(table.kinds):
         if kind in (GENERATOR, PARAMETER):
-            num = rng.choice(_NUMERATORS)
-            den = rng.randint(1, 7)
-            vals[i] = Fraction(num, den)
+            vals[i] = _VALUES[rng.choice(_NUMERATORS), rng.randint(1, 7)]
     return vals
 
 
@@ -460,13 +459,13 @@ def _certified_rank(btable: BracketTable, block: list[int]) -> int:
     vanishes, so the rank is the block's size.  The last border is the whole
     matrix, whose Pfaffian is `BracketTable.pfaffian`.
     """
-    matrix, r = btable.structure_matrix(), btable.r
+    columns, r = btable.columns, btable.r
     zero, one = RatFunc.zero(btable.table), RatFunc.one(btable.table)
     while True:
         for a, b in combinations([i for i in range(r) if i not in block], 2):
             grown = sorted([*block, a, b])
             pf = btable.pfaffian if len(grown) == r else pfaffian(
-                [[matrix[i][j] for j in grown] for i in grown], zero, one)
+                [[columns[j].get(i, zero) for j in grown] for i in grown], zero, one)
             if not pf.is_zero():
                 block = grown
                 break

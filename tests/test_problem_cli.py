@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from plq import linalg
+from plq import linalg, problem as problem_module
 from plq.cli import main
 from plq.corpus import corpus_data, corpus_names, corpus_problem
 from plq.expr import PAIR_LIMIT
-from plq.parsing import parse_expression
+from plq.parsing import parse_expression, parse_ratfunc
 from plq.problem import ProblemError, build_problem, load_problem
 from plq.solver import verify_invariant
-from plq.structure import bind_parameters
+from plq.structure import BracketTable, bind_parameters
 from test_solver import lie_module
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -85,6 +85,34 @@ def test_bad_expression_names_field():
     data = minimal_data()
     data["brackets"][0]["expression"] = "u1 +"
     with pytest.raises(ProblemError, match="bracket"):
+        build_problem(data)
+
+
+def test_repeated_texts_are_parsed_once(monkeypatch):
+    """gl(3) has 11 distinct texts among its 21 brackets: each is parsed once
+    and the table equals one whose texts are each parsed on their own."""
+    doc = lie_module().gl_document(3)
+    texts = [entry["expression"] for entry in doc["brackets"]]
+    calls = []
+    monkeypatch.setattr(problem_module, "parse_ratfunc",
+                        lambda text, table: calls.append(text) or parse_ratfunc(text, table))
+    shared = build_problem(doc).brackets
+    assert (len(texts), len(calls), len(set(calls))) == (21, 11, 11)
+    table, names = shared.table, list(shared.generator_names)
+    separate = BracketTable(table, {(names.index(e["i"]), names.index(e["j"])):
+                                    parse_ratfunc(e["expression"], table) for e in doc["brackets"]})
+    assert shared.entries == separate.entries
+    assert {k: str(f) for k, f in shared.entries.items()} == \
+        {k: str(f) for k, f in separate.entries.items()}
+
+
+def test_repeated_bad_text_names_its_first_bracket():
+    data = minimal_data()
+    data["generators"].append({"name": "u3"})
+    data["brackets"] = [{"i": "u1", "j": "u2", "expression": "u3"},
+                        {"i": "u1", "j": "u3", "expression": "u2 +"},
+                        {"i": "u2", "j": "u3", "expression": "u2 +"}]
+    with pytest.raises(ProblemError, match=r"^brackets\[1\]\.expression: "):
         build_problem(data)
 
 

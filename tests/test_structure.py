@@ -232,6 +232,23 @@ def test_sparse_pairs_rank_past_the_term_guard(capsys, tmp_path):
     assert "rank: 26, corank: 0\npfaffian 1\n" in out
 
 
+def test_disjoint_pairs_rank_without_recursion(capsys, tmp_path):
+    """2400 generators whose brackets are 1200 disjoint pairs {g(2k-1), g(2k)}
+    = 1: the full Pfaffian expands 1200 sub-Pfaffians deep, past Python's
+    recursion limit, and is 1."""
+    names = [f"g{k}" for k in range(1, 2401)]
+    doc = {"name": "pairs", "variables": {}, "generators": [{"name": n} for n in names],
+           "brackets": [{"i": x, "j": y, "expression": "1"}
+                        for x, y in zip(names[::2], names[1::2])]}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["rank", str(path)]) == 0
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert "rank: 2400, corank: 0\npfaffian 1\n" in out
+
+
 def test_pfaffian_term_guard_exits_2(capsys, monkeypatch):
     """A sub-Pfaffian numerator past PFAFFIAN_TERMS stops `rank` with exit 2
     and the guard's message: unbound sklyanin's 4 x 4 Pfaffian has three
