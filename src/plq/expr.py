@@ -275,10 +275,11 @@ class Poly:
         """Canonicalize raw (exponent, coefficient) pairs: merge, reduce, drop zeros."""
         acc: dict[int, int | Fraction] = {}
         for e, c in raw:
-            if c == 0:
-                continue
             k = table.pack(e)
-            acc[k] = acc.get(k, 0) + c
+            if s := acc.get(k, 0) + c:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
         return Poly(table, _reduce_algebraic(table, acc))
 
     def is_zero(self) -> bool:
@@ -476,12 +477,16 @@ def _conjugate(p: Poly) -> tuple[Poly, Poly]:
 
 
 def _reduce_algebraic(table: VarTable, acc: dict[int, int | Fraction]) -> dict:
-    """Terms with even powers of the algebraic element rewritten, zeros
-    dropped and integral Fractions made ints."""
+    """New terms from the nonzero terms `acc`: even powers of the algebraic
+    element rewritten, the zeros that leaves dropped, and integral Fractions
+    made ints.  A plain copy when there is nothing to rewrite and every
+    coefficient is an int."""
     ia = table.alg_index
     at = 0 if ia is None else table.shifts[ia]
     if ia is None or not any(map((0xFE << at).__and__, acc)):  # no rho^2 or higher
-        return {e: normal_coeff(c) for e, c in acc.items() if c != 0}
+        if set(map(type, acc.values())) <= {int}:
+            return dict(acc)
+        return {e: normal_coeff(c) for e, c in acc.items()}
     sigma = _sigma_terms(table)
     rho2 = 2 * table.unit(ia)
     powers: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -512,15 +517,18 @@ def _reduce_algebraic(table: VarTable, acc: dict[int, int | Fraction]) -> dict:
 
 
 def _multiply_into(acc: dict[int, int | Fraction], table: VarTable, a: dict, b: dict) -> dict:
-    """`acc` plus the product of the terms `a` and `b`, in place and unreduced."""
+    """`acc` plus the product of the nonzero terms `a` and `b`, in place and
+    unreduced; a sum that cancels is dropped at once."""
     if a and b:
         _check_degree((max(a) + max(b)) >> table.degree_shift)
     get = acc.get
-    right = list(b.items())
     for e1, c1 in a.items():
-        for e2, c2 in right:
+        for e2, c2 in b.items():
             e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
+            if s := get(e, 0) + c1 * c2:
+                acc[e] = s
+            else:
+                del acc[e]
     return acc
 
 

@@ -10,18 +10,20 @@ remaining row holding the column pivoting.  The RREF is unique and its pivot
 columns are the column rank profile, so neither depends on the pivot rule.
 `nullspace` returns one sparse vector per free column, read off the RREF like
 its rows.  Entries only meet ring operations and `expr.exact_div`.
+`pfaffian` expands a principal block of a skew matrix of RatFuncs held as
+sparse columns, the layout of `BracketTable.columns`, summing polynomial
+products with `expr`'s packed product kernel.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Mapping, Sequence
 
-from .expr import (PARAMETER, ExprError, Poly, RatFunc, _check_degree, _reduce_algebraic,
-                   clear_denominators, exact_div, normal_coeff, split_terms)
+from .expr import (PARAMETER, ExprError, Poly, RatFunc, VarTable, _multiply_into,
+                   _reduce_algebraic, clear_denominators, exact_div, normal_coeff, split_terms)
 
-E = TypeVar("E")
 PFAFFIAN_TERMS = 50_000  # the most numerator terms of a RatFunc sub-Pfaffian
 
 Row = dict
@@ -229,63 +231,53 @@ def presolve_forced_zero(rows: Sequence[Row]) -> tuple[list[Row], set[int]]:
         work = [row for row in work if row]
 
 
-def pfaffian(matrix: Sequence[Sequence[E]], zero: E, one: E) -> E:
-    """Pfaffian of a skew matrix of even size, by first-row expansion with
-    memoization, each frame on the stack a sub-Pfaffian's key, next position
-    and sum: one packed dict while its products are of polynomials (Johnson
-    1974), else added in order, as rational sums print.  ExprError once a
-    RatFunc sub-Pfaffian passes PFAFFIAN_TERMS numerator terms."""
-    n = len(matrix)
+def pfaffian(columns: Sequence[Mapping[int, RatFunc]], keys: Sequence[int],
+             table: VarTable) -> RatFunc:
+    """Pfaffian of the principal block at `keys`, of even size, of the skew
+    matrix whose entry (i, j) is columns[j][i], or zero where that is absent.
+
+    First-row expansion with memoization over tuples of keys, multiplying
+    only the nonzero entries of each first row.  Each frame on the stack
+    holds a sub-Pfaffian's key, next position and sum: one packed dict while
+    its products are of polynomials (Johnson 1974), an odd position taking
+    the entry's negated terms, else `RatFunc`s added in order, as rational
+    sums print.  ExprError once a sub-Pfaffian passes PFAFFIAN_TERMS
+    numerator terms."""
+    n = len(keys)
     if n % 2:
         raise ValueError("pfaffian requires an even-sized matrix")
-    table = zero.table if isinstance(zero, RatFunc) else None
-    memo: dict[tuple[int, ...], E] = {(): one}
-    stack = [[tuple(range(n)), 0, {} if table else zero]] if n else []
+    memo: dict[tuple[int, ...], RatFunc] = {(): RatFunc.one(table)}
+    stack = [[tuple(keys), 0, {}]] if n else []
     while stack:
         active, start, total = frame = stack[-1]
-        row, rest = matrix[active[0]], active[1:]
+        i, rest = active[0], active[1:]
+        row = columns[i]
         for pos in range(start, len(rest)):
-            if (a := row[rest[pos]]) != 0:
+            if (j := rest[pos]) in row:
+                a = columns[j][i]
                 sub = rest[:pos] + rest[pos + 1:]
                 if (p := memo.get(sub)) is None:
                     frame[1:] = pos, total
-                    stack.append([sub, 0, {} if table else zero])
+                    stack.append([sub, 0, {}])
                     break
                 if type(total) is dict and a.den.is_one() and p.den.is_one():
-                    _add_product(total, table, a.num.packed, p.num.packed, pos % 2)
+                    terms = a.num.packed
+                    if pos % 2:
+                        terms = {e: -c for e, c in terms.items()}
+                    _multiply_into(total, table, terms, p.num.packed)
                 else:
-                    total, term = _summed(table, total), a * p
-                    total = total + term if pos % 2 == 0 else total - term
+                    if type(total) is dict:
+                        total = RatFunc.from_poly(Poly(table, _reduce_algebraic(table, total)))
+                    total = total + a * p if pos % 2 == 0 else total - a * p
         else:
-            memo[active] = total = _summed(table, total)
-            if isinstance(total, RatFunc) and len(total.num.packed) > PFAFFIAN_TERMS:
+            if type(total) is dict:
+                total = RatFunc.from_poly(Poly(table, _reduce_algebraic(table, total)))
+            if len(total.num.packed) > PFAFFIAN_TERMS:
                 raise ExprError(f"pfaffian of a {n} x {n} matrix: a sub-Pfaffian has "
                                 f"more than {PFAFFIAN_TERMS} terms")
+            memo[active] = total
             stack.pop()
-    return memo[tuple(range(n))]
-
-
-def _summed(table, total):
-    """A sum as a value; packed terms are reduced, or copied to free cancelled room."""
-    if type(total) is not dict:
-        return total
-    if table.alg_index is None and set(map(type, total.values())) <= {int}:
-        return RatFunc.from_poly(Poly(table, dict(total)))
-    return RatFunc.from_poly(Poly(table, _reduce_algebraic(table, total)))
-
-
-def _add_product(acc: dict, table, a: dict, b: dict, negate: int) -> None:
-    """acc += a * b, or -= when `negate`, in place; a sum of 0 is dropped."""
-    _check_degree((max(a) + max(b, default=0)) >> table.degree_shift)
-    get, right = acc.get, b.items()
-    for e1, c1 in a.items():
-        c1 = -c1 if negate else c1
-        for e2, c2 in right:
-            e = e1 + e2
-            if s := get(e, 0) + c1 * c2:
-                acc[e] = s
-            else:
-                del acc[e]
+    return memo[tuple(keys)]
 
 
 def entry(v):

@@ -243,16 +243,10 @@ class BracketTable:
                     out.append(s)
         return out
 
-    def structure_matrix(self) -> list[list[RatFunc]]:
-        """Dense r x r skew matrix of bracket entries."""
-        zero = RatFunc.zero(self.table)
-        return [[column.get(i, zero) for column in self.columns] for i in range(self.r)]
-
     @cached_property
     def pfaffian(self) -> RatFunc:
         """Pfaffian of the even-sized structure matrix, formed only here."""
-        return pfaffian(self.structure_matrix(), RatFunc.zero(self.table),
-                        RatFunc.one(self.table))
+        return pfaffian(self.columns, range(self.r), self.table)
 
     def central_generators(self) -> list[str]:
         """Names of generators whose bracket with every generator vanishes."""
@@ -299,6 +293,7 @@ class JacobiTriples(Sequence):
 
     def __init__(self, table: VarTable, failing: dict[tuple[int, int, int], JacobiTriple]):
         self.table, self.failing, self.r = table, failing, len(table.generator_names)
+        self.zero = RatFunc.zero(table)  # the residual of every passing triple
 
     def __len__(self) -> int:
         return math.comb(self.r, 3)
@@ -318,7 +313,7 @@ class JacobiTriples(Sequence):
 
     def _at(self, key: tuple[int, ...]) -> JacobiTriple:
         return self.failing.get(key) or JacobiTriple(
-            tuple(self.table.generator_names[x] for x in key), True, RatFunc.zero(self.table))
+            tuple(self.table.generator_names[x] for x in key), True, self.zero)
 
 
 @dataclass
@@ -338,13 +333,13 @@ def _sums_vanish(groups: dict[tuple, dict], bases: list[Poly], table: VarTable) 
     each S as packed terms: each S times the quotient of the least product of
     bases that every key's product divides, summed."""
     if len(groups) == 1:
-        return not any(next(iter(groups.values())).values())
+        return not next(iter(groups.values()))
     top, total = {t: max(key.count(t) for key in groups) for t in set(chain(*groups))}, {}
     for key, s in groups.items():
         lift = math.prod((bases[t] ** (n - key.count(t)) for t, n in top.items()),
                          start=Poly.one(table))
         _multiply_into(total, table, s, lift.packed)
-    return not any(total.values())
+    return not total
 
 
 def jacobi_check(btable: BracketTable) -> JacobiReport:
@@ -460,12 +455,10 @@ def _certified_rank(btable: BracketTable, block: list[int]) -> int:
     matrix, whose Pfaffian is `BracketTable.pfaffian`.
     """
     columns, r = btable.columns, btable.r
-    zero, one = RatFunc.zero(btable.table), RatFunc.one(btable.table)
     while True:
         for a, b in combinations([i for i in range(r) if i not in block], 2):
             grown = sorted([*block, a, b])
-            pf = btable.pfaffian if len(grown) == r else pfaffian(
-                [[columns[j].get(i, zero) for j in grown] for i in grown], zero, one)
+            pf = btable.pfaffian if len(grown) == r else pfaffian(columns, grown, btable.table)
             if not pf.is_zero():
                 block = grown
                 break

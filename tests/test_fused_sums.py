@@ -115,6 +115,33 @@ def test_a_kernel_that_skips_the_reduction_fails(monkeypatch):
     assert found and matches_sequential(sum_of_products, found)
 
 
+def test_the_kernel_drops_a_sum_as_it_cancels():
+    """(u + v)(u - v) leaves no u*v key at zero, and adding (u + v)(v - u)
+    leaves nothing: a packed sum is zero exactly when it is empty."""
+    acc = expr._multiply_into({}, TABLE, (U + V).packed, (U - V).packed)
+    assert acc == (U * U - V * V).packed
+    assert 0 not in acc.values()
+    assert expr._multiply_into(acc, TABLE, (U + V).packed, (V - U).packed) == {}
+
+
+def test_from_terms_drops_a_sum_as_it_cancels():
+    """Raw terms that cancel, with int coefficients that the reduction copies
+    as they are, leave no zero coefficient."""
+    u, v = [tuple(int(i == k) for i in range(len(TABLE))) for k in range(2)]
+    p = Poly.from_terms(TABLE, [(u, 2), (v, 1), (u, -2), (v, 0), (u, 3), (u, -3)])
+    assert p.packed == V.packed
+    assert Poly.from_terms(TABLE, [(u, 1), (u, -1)]).is_zero()
+
+
+def test_int_terms_reduce_to_a_copy():
+    """Int terms with nothing to rewrite come back equal, in a new dict: a
+    sum whose keys cancelled keeps no spare room in the result."""
+    acc = (U * U - 3 * V).packed
+    out = expr._reduce_algebraic(TABLE, acc)
+    assert out == acc
+    assert out is not acc
+
+
 def bracket_checks(problem):
     """Printed Jacobi residuals, closure residuals and the residuals of each
     generator as an invariant."""

@@ -9,7 +9,14 @@ import pytest
 from plq.expr import Poly, RatFunc, VarTable
 from plq.linalg import (collect_rows, nullspace, pfaffian, pivot_columns,
                         presolve_forced_zero, rank_of, rref)
-from dense_rows import dense_nullspace, rows_from_dense
+from dense_rows import columns_from_dense, dense_nullspace, rows_from_dense
+
+CONSTANTS = VarTable.make(["u1"], 0, [])
+
+
+def dense_pfaffian(matrix, table=CONSTANTS):
+    """`pfaffian` of a dense skew matrix, numbers as constant RatFuncs."""
+    return pfaffian(columns_from_dense(matrix, table), range(len(matrix)), table)
 
 
 def det(matrix, zero, one):
@@ -184,16 +191,16 @@ def test_det_matches_permutation_expansion():
 
 
 def test_pfaffian_small_formulas():
-    z, o = Fraction(0), Fraction(1)
+    z = Fraction(0)
     two = [[z, Fraction(5)], [Fraction(-5), z]]
-    assert pfaffian(two, z, o) == Fraction(5)
+    assert dense_pfaffian(two) == Fraction(5)
     a12, a13, a14 = Fraction(2), Fraction(3), Fraction(5)
     a23, a24, a34 = Fraction(7), Fraction(11), Fraction(13)
     four = [[z, a12, a13, a14],
             [-a12, z, a23, a24],
             [-a13, -a23, z, a34],
             [-a14, -a24, -a34, z]]
-    assert pfaffian(four, z, o) == a12 * a34 - a13 * a24 + a14 * a23
+    assert dense_pfaffian(four) == a12 * a34 - a13 * a24 + a14 * a23
 
 
 def test_pfaffian_squares_to_determinant():
@@ -207,13 +214,12 @@ def test_pfaffian_squares_to_determinant():
                     v = Fraction(rng.randint(-4, 4))
                     m[i][j] = v
                     m[j][i] = -v
-            assert pfaffian(m, z, o) ** 2 == det(m, z, o)
+            assert dense_pfaffian(m) ** 2 == det(m, z, o)
 
 
 def test_pfaffian_rejects_odd_size():
-    z, o = Fraction(0), Fraction(1)
     with pytest.raises(ValueError):
-        pfaffian([[z]], z, o)
+        dense_pfaffian([[Fraction(0)]])
 
 
 def test_pfaffian_symbolic_entries():
@@ -227,7 +233,7 @@ def test_pfaffian_symbolic_entries():
          [-x, z, z, y],
          [-o, z, z, x],
          [z, -y, -x, z]]
-    assert pfaffian(m, z, o) == x * x - y
+    assert dense_pfaffian(m, table) == x * x - y
 
 
 def test_collect_rows_splits_by_generator_monomials():

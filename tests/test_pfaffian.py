@@ -1,12 +1,12 @@
-"""`linalg.pfaffian`, the iterative first-row expansion, against the recursive
-`reference_pfaffian` it replaced.
+"""`linalg.pfaffian`, the iterative first-row expansion over bracket columns,
+against the recursive `reference_pfaffian` over the dense matrix.
 
-On drawn skew matrices of ints, of polynomial `RatFunc`s over tables with
-and without a radial element, and of `RatFunc`s some of whose entries have
-parameter denominators, both must print the same Pfaffian, its coefficients
-of the same types, and with a small patched `PFAFFIAN_TERMS` both must stop
-with the same message.  The memo must be released when the call returns,
-even with the cyclic collector off.
+On drawn skew matrices of ints (as constant `RatFunc`s), of polynomial
+`RatFunc`s over tables with and without a radial element, and of `RatFunc`s
+some of whose entries have parameter denominators, both must print the same
+Pfaffian, its coefficients of the same types, and with a small patched
+`PFAFFIAN_TERMS` both must stop with the same message.  The memo must be
+released when the call returns, even with the cyclic collector off.
 """
 
 import gc
@@ -21,6 +21,7 @@ from plq import linalg
 from plq.expr import ExprError, Poly, RatFunc, VarTable
 from plq.linalg import pfaffian
 from plq.problem import build_problem
+from dense_rows import columns_from_dense
 from test_solver import lie_module
 
 # u v q1 p1 a b rho, with rho^2 = q1^2
@@ -56,7 +57,10 @@ def skew(n: int, draw, zero):
 
 
 def int_matrix(rng: random.Random, n: int):
-    return skew(n, lambda: rng.choice([0, 0, 1, -1, 2, -3, 5]), 0), 0, 1
+    """Ints as constant RatFuncs, the one entry type `pfaffian` takes."""
+    zero = RatFunc.zero(PLAIN)
+    return skew(n, lambda: RatFunc.const(PLAIN, rng.choice([0, 0, 1, -1, 2, -3, 5])),
+                zero), zero, RatFunc.one(PLAIN)
 
 
 def poly_matrix(rng: random.Random, n: int, atoms=ATOMS):
@@ -86,16 +90,19 @@ KINDS = {"ints": int_matrix, "polynomials": poly_matrix, "plain": plain_matrix,
          "rationals": rational_matrix}
 
 
+def columns_pfaffian(matrix, zero, one):
+    """`pfaffian` of the dense matrix's columns, over its whole index range."""
+    return pfaffian(columns_from_dense(matrix, zero.table), range(len(matrix)), zero.table)
+
+
 def outcome(kernel, matrix, zero, one) -> str:
     """The printed value, with each coefficient's type, or the error."""
     try:
         value = kernel(matrix, zero, one)
     except ExprError as exc:
         return f"ExprError {exc}"
-    if isinstance(value, RatFunc):
-        types = [(k, type(c)) for p in (value.num, value.den) for k, c in sorted(p.packed.items())]
-        return f"{value} {types}"
-    return f"{type(value).__name__} {value}"
+    types = [(k, type(c)) for p in (value.num, value.den) for k, c in sorted(p.packed.items())]
+    return f"{value} {types}"
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -105,7 +112,7 @@ def test_pfaffian_prints_as_the_recursive_reference(kind, seed):
     for n in (0, 2, 4, 6, 8):
         matrix, zero, one = KINDS[kind](rng, n)
         want = outcome(reference_pfaffian.pfaffian, matrix, zero, one)
-        assert outcome(pfaffian, matrix, zero, one) == want
+        assert outcome(columns_pfaffian, matrix, zero, one) == want
         assert not want.startswith("ExprError")
 
 
@@ -120,7 +127,7 @@ def test_term_guard_stops_as_the_recursive_reference(kind, limit, monkeypatch):
         for _ in range(4):
             matrix, zero, one = KINDS[kind](rng, n)
             want = outcome(reference_pfaffian.pfaffian, matrix, zero, one)
-            assert outcome(pfaffian, matrix, zero, one) == want
+            assert outcome(columns_pfaffian, matrix, zero, one) == want
             stopped += want == (f"ExprError pfaffian of a {n} x {n} matrix: "
                                 f"a sub-Pfaffian has more than {limit} terms")
     assert stopped
@@ -129,15 +136,13 @@ def test_term_guard_stops_as_the_recursive_reference(kind, limit, monkeypatch):
 def test_memo_is_released_on_return():
     """With the cyclic collector off, traced memory after a gl(4) 14 x 14
     border is back near its level before the call: the memo is no cycle."""
-    matrix = build_problem(lie_module().gl_document(4)).brackets.structure_matrix()
-    block = [row[:14] for row in matrix[:14]]
-    zero, one = matrix[0][0], RatFunc.one(matrix[0][0].table)
+    bt = build_problem(lie_module().gl_document(4)).brackets
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        value = pfaffian(block, zero, one)
+        value = pfaffian(bt.columns, range(14), bt.table)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -16,7 +16,7 @@ from plq import structure
 from plq.corpus import corpus_names, corpus_problem
 from plq.expr import GENERATOR, PARAMETER, ExprError, LogExpr, RatFunc, diff
 from reference_rref import rref
-from dense_rows import rows_from_dense
+from dense_rows import dense_matrix, rows_from_dense
 from plq.solver import AnsatzSpec, independence_rank, solve_casimirs
 from test_solver import bound_quadratic, lie_problem
 
@@ -59,7 +59,7 @@ def dense_values(matrix, points):
 def reference_rank(bt, seed, samples=16):
     """`generic_rank`'s sampling and certificate over dense Fraction rref."""
     table, r = bt.table, bt.r
-    matrix = bt.structure_matrix()
+    matrix = dense_matrix(bt)
     points = dense_values(matrix, draws(table, random.Random(seed), 40 * samples))
 
     def block():

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from plq.corpus import corpus_names, corpus_problem
 from plq.expr import ExprError, LogExpr, Poly, RatFunc, VarTable, diff
 from plq.flow import FlowConfig, _abstract_system
 from plq.linalg import rank_of
-from dense_rows import rows_from_dense
+from dense_rows import dense_matrix, rows_from_dense
 from plq.parsing import parse_expression, parse_ratfunc
 from plq.problem import build_problem
 from plq.solver import AnsatzSpec, assemble_system, enumerate_basis, verify_invariant
@@ -49,7 +50,7 @@ def test_bracket_is_skew():
     bt = so3_table()
     assert bt.bracket(1, 0) == -bt.bracket(0, 1)
     assert bt.bracket(2, 2).is_zero()
-    matrix = bt.structure_matrix()
+    matrix = dense_matrix(bt)
     for i in range(3):
         for j in range(3):
             assert matrix[i][j] == -matrix[j][i]
@@ -126,7 +127,7 @@ def test_pfaffian_squares_to_structure_determinant():
     report = generic_rank(problem.brackets)
     table = problem.table
     assert report.degeneracy * report.degeneracy == \
-        det(problem.brackets.structure_matrix(), RatFunc.zero(table),
+        det(dense_matrix(problem.brackets), RatFunc.zero(table),
             RatFunc.one(table))
 
 
@@ -139,7 +140,7 @@ def test_witness_attains_generic_rank():
     for name, value in report.witness.items():
         point[problem.table.index(name)] = value
     numeric = [[f.evaluate(point) for f in row]
-               for row in problem.brackets.structure_matrix()]
+               for row in dense_matrix(problem.brackets)]
     assert rank_of(rows_from_dense(numeric), problem.brackets.r) == report.rank
 
 
@@ -188,7 +189,7 @@ def rank_cases():
 def test_certified_rank_matches_elimination(bt):
     """The sub-Pfaffian certificate agrees with elimination over RatFunc,
     whether it starts from the sampled pivots or from the empty block."""
-    oracle = rank_of(rows_from_dense(bt.structure_matrix()), bt.r)
+    oracle = rank_of(rows_from_dense(dense_matrix(bt)), bt.r)
     sampled = generic_rank(bt)
     assert (sampled.rank, sampled.corank) == (oracle, bt.r - oracle)
     assert sampled.sampled_rank <= oracle
@@ -208,9 +209,9 @@ def test_full_pfaffian_only_at_the_last_border(monkeypatch):
     sizes = []
     pfaffian = structure.pfaffian
 
-    def recorded(matrix, zero, one):
-        sizes.append(len(matrix))
-        return pfaffian(matrix, zero, one)
+    def recorded(columns, keys, table):
+        sizes.append(len(keys))
+        return pfaffian(columns, keys, table)
     monkeypatch.setattr(structure, "pfaffian", recorded)
     report = generic_rank(bt)
     assert (report.rank, report.kind, report.degeneracy.is_zero()) == (12, "pfaffian", True)
@@ -232,21 +233,39 @@ def test_sparse_pairs_rank_past_the_term_guard(capsys, tmp_path):
     assert "rank: 26, corank: 0\npfaffian 1\n" in out
 
 
-def test_disjoint_pairs_rank_without_recursion(capsys, tmp_path):
-    """2400 generators whose brackets are 1200 disjoint pairs {g(2k-1), g(2k)}
-    = 1: the full Pfaffian expands 1200 sub-Pfaffians deep, past Python's
-    recursion limit, and is 1."""
+def disjoint_pairs() -> dict:
+    """2400 generators whose brackets are 1200 disjoint pairs {g(2k-1), g(2k)} = 1."""
     names = [f"g{k}" for k in range(1, 2401)]
-    doc = {"name": "pairs", "variables": {}, "generators": [{"name": n} for n in names],
-           "brackets": [{"i": x, "j": y, "expression": "1"}
-                        for x, y in zip(names[::2], names[1::2])]}
+    return {"name": "pairs", "variables": {}, "generators": [{"name": n} for n in names],
+            "brackets": [{"i": x, "j": y, "expression": "1"}
+                         for x, y in zip(names[::2], names[1::2])]}
+
+
+def test_disjoint_pairs_rank_without_recursion(capsys, tmp_path):
+    """The disjoint pairs: the full Pfaffian expands 1200 sub-Pfaffians deep,
+    past Python's recursion limit, and is 1."""
     path = tmp_path / "pairs.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(disjoint_pairs()))
     start = time.perf_counter()
     assert main(["rank", str(path)]) == 0
     assert time.perf_counter() - start < 5
     out = capsys.readouterr().out
     assert "rank: 2400, corank: 0\npfaffian 1\n" in out
+
+
+def test_disjoint_pairs_pfaffian_reads_the_columns():
+    """The disjoint pairs' full Pfaffian reads the 2400 stored entries, not a
+    dense 2400 x 2400 matrix of 5.76 million cells: its traced peak stays
+    below 30 MB, most of it the memo's keys."""
+    bt = build_problem(disjoint_pairs()).brackets
+    tracemalloc.start()
+    try:
+        value = bt.pfaffian
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 30_000_000
 
 
 def test_pfaffian_term_guard_exits_2(capsys, monkeypatch):
