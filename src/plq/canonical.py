@@ -72,17 +72,12 @@ class CanonicalRealization:
                 raise ExprError(f"realization uses non-canonical variables: {bad}")
         self.table = table
         self.expressions = tuple(expressions)
-
-    def binding(self) -> dict[str, RatFunc]:
-        names = self.table.generator_names
-        return {names[k]: self.expressions[k] for k in range(len(names))}
+        self.binding = dict(zip(table.generator_names, self.expressions))
 
     def realize(self, expr) -> RatFunc:
         """Substitute every generator by its canonical expression."""
-        out = substitute(expr, self.binding(), self.table)
-        if isinstance(out, LogExpr):
-            return out.as_ratfunc()
-        return out
+        out = substitute(expr, self.binding, self.table)
+        return out.as_ratfunc() if isinstance(out, LogExpr) else out
 
 
 @dataclass
@@ -113,8 +108,7 @@ def _shared_partials(f: RatFunc) -> tuple[Poly, list[tuple[dict, dict, dict]]] |
     if any(table.unpack(g)[k] for k in (*table.q_indices, *table.p_indices)):
         return None
     c = den.shift(g)
-    mask = 0 if table.alg_index is None else 0xFF << table.shifts[table.alg_index]
-    radical = Poly(table, {e: v for e, v in num.packed.items() if e & mask})  # N_rho * rho
+    radical = Poly(table, {e: v for e, v in num.packed.items() if e & table.rho_mask})  # N_rho*rho
     sigma = sigma_poly(table)
     # d(rho)/dq = q * rho / sigma: E takes sigma unless C is sigma already
     factor, chain = (sigma, c) if radical.packed and c != sigma else (1, 1)

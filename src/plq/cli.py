@@ -24,7 +24,7 @@ from .canonical import CanonicalRealization, verify_closure
 from .corpus import corpus_data, corpus_names, corpus_problem
 from .expr import (CANONICAL_P, CANONICAL_Q, GENERATOR, PARAMETER, ExprError,
                    LogExpr, RatFunc, substitute)
-from .flow import (FlowConfig, FlowPoleError, abstract_flow, canonical_flow)
+from .flow import FlowConfig, FlowPoleError, abstract_flow, canonical_flow, check_abstract_domain
 from .parsing import ParseError, parse_expression, parse_ratfunc, to_string
 from .problem import Problem, ProblemError, load_problem
 # solve_casimirs is unused here but stays bound: bench/tracing.py wraps it.
@@ -226,6 +226,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     problem, parse, report = _start(args, "check")
     expr = parse(args.invariant)
+    check_abstract_domain(problem.table, expr, "the invariant")
     result = verify_invariant(expr, problem.brackets)
     print(f"problem: {problem.name}")
     print(f"invariant: {to_string(expr)}")

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 GENERATOR = "generator"
@@ -98,15 +98,20 @@ class VarTable:
     def __len__(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Index of each variable by name."""
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         """Index of a variable by name; raises ExprError when absent."""
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self.positions[name]
+        except KeyError:
             raise ExprError(f"unknown variable {name!r}") from None
 
     def has(self, name: str) -> bool:
-        return name in self.names
+        return name in self.positions
 
     def kind(self, i: int) -> str:
         return self.kinds[i]
@@ -179,10 +184,12 @@ class VarTable:
 
     @cached_property
     def alg_index(self) -> int | None:
-        for i, k in enumerate(self.kinds):
-            if k == ALGEBRAIC:
-                return i
-        return None
+        return self.kinds.index(ALGEBRAIC) if ALGEBRAIC in self.kinds else None
+
+    @cached_property
+    def rho_mask(self) -> int:
+        """The algebraic element's field of a packed key; 0 without one."""
+        return 0 if self.alg_index is None else 0xFF << self.shifts[self.alg_index]
 
     @property
     def pairs(self) -> int:
@@ -361,9 +368,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        table = self.table
-        return Poly(table, _reduce_algebraic(table, _multiply_into({}, table, self.packed,
-                                                                   o.packed)))
+        table, a, b = self.table, self.packed, o.packed
+        if len(a) == 1 == len(b):  # one key sum, unless rho * rho
+            (k, c), (k2, c2) = *a.items(), *b.items()
+            if not k & k2 & table.rho_mask:
+                _check_degree((k + k2) >> table.degree_shift)
+                return Poly(table, {k + k2: normal_coeff(c * c2)})
+        return Poly(table, _reduce_algebraic(table, _multiply_into({}, table, a, b)))
 
     __rmul__ = __mul__
 
@@ -371,6 +382,9 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ExprError("polynomial powers must be nonnegative integers")
         _check_degree(n * self.degree())
+        if len(self.packed) == 1 and (n < 2 or not max(self.packed) & self.table.rho_mask):
+            (k, c), = self.packed.items()  # key times n, unless rho^2
+            return Poly(self.table, {k * n: normal_coeff(c ** n)})
         if len(self.packed) > 1 and (count := comb(len(self.packed) + n - 1, n)) > TERM_LIMIT:
             raise ExprError(f"power to the {n} could have {count} terms, more than {TERM_LIMIT}")
         out = Poly.one(self.table)
@@ -468,8 +482,7 @@ def _conjugate(p: Poly) -> tuple[Poly, Poly]:
     conjugate a - b*rho and the norm p * (a - b*rho) = a^2 - sigma*b^2, which
     is free of rho."""
     table = p.table
-    rho = table.unit(table.alg_index)
-    mask = 0xFF << table.shifts[table.alg_index]
+    rho, mask = table.unit(table.alg_index), table.rho_mask
     a = Poly(table, {e: c for e, c in p.packed.items() if not e & mask})
     b_rho = Poly(table, {e: c for e, c in p.packed.items() if e & mask})
     b = Poly(table, {e - rho: c for e, c in b_rho.packed.items()})
@@ -868,8 +881,7 @@ def diff_poly(p: Poly, i: int) -> RatFunc:
     ia = table.alg_index
     if ia is None or table.kind(i) != CANONICAL_Q or not p.uses(ia):
         return RatFunc.from_poly(formal)
-    mask = 0xFF << table.shifts[ia]
-    radical = Poly(table, {e: c for e, c in p.packed.items() if e & mask})
+    radical = Poly(table, {e: c for e, c in p.packed.items() if e & table.rho_mask})
     qi = Poly.var(table, table.names[i])
     rho = Poly.var(table, table.names[ia])
     chain = radical.shift(table.unit(ia)) * qi * rho
@@ -922,19 +934,18 @@ def substitute(expr, bindings: Mapping[str, "RatFunc"], target: VarTable | None 
             raise ExprError(f"binding for {name!r} is over the wrong table")
         values[table.index(name)] = val
     def value_of(i: int) -> RatFunc:
-        if i in values:
-            return values[i]
-        values[i] = RatFunc.var(target, table.names[i])
+        if i not in values:
+            values[i] = RatFunc.var(target, table.names[i])
         return values[i]
     if isinstance(expr, Poly):
-        total = RatFunc.zero(target)
+        # x ** 1, 1 * x and 0 + x are skipped: make returns its own output unchanged
+        terms = []
         for k, c in expr.packed.items():
-            term = RatFunc.const(target, c)
-            for i, x in enumerate(table.unpack(k)):
-                if x:
-                    term = term * value_of(i) ** x
-            total = total + term
-        return total
+            factors = [] if c == 1 and k else [RatFunc.const(target, c)]
+            factors += [value_of(i) ** x if x > 1 else value_of(i)
+                        for i, x in enumerate(table.unpack(k)) if x]
+            terms.append(reduce(mul, factors))
+        return reduce(add, terms) if terms else RatFunc.zero(target)
     if isinstance(expr, RatFunc):
         den = substitute(expr.den, bindings, target)
         if den.is_zero():

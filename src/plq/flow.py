@@ -561,7 +561,8 @@ def _integrate(run: Callable, y0: Sequence[float], h: float, steps: int,
                       _Lazy(replay, steps + 1, last), report)
 
 
-def _check_abstract_domain(table: VarTable, expr: LogExpr, what: str) -> None:
+def check_abstract_domain(table: VarTable, expr: LogExpr, what: str) -> None:
+    """ExprError unless `expr` uses only generators and parameters."""
     allowed = set(table.generator_indices) | set(table.parameter_indices)
     if not _used_indices([expr]) <= allowed:
         raise ExprError(f"{what} must use only generators and parameters")
@@ -572,10 +573,10 @@ def _abstract_system(btable: BracketTable, cfg: FlowConfig):
     du_k/dt = {u_k, G} on the generators."""
     table = btable.table
     observable = _as_logexpr(cfg.observable)
-    _check_abstract_domain(table, observable, "the flow observable")
+    check_abstract_domain(table, observable, "the flow observable")
     monitors = [_as_logexpr(m) for m in cfg.monitors]
     for m in monitors:
-        _check_abstract_domain(table, m, "a flow monitor")
+        check_abstract_domain(table, m, "a flow monitor")
     # du_k/dt = {u_k, G} = -{G, u_k}
     rhs_exprs = [-b for b in btable.brackets_with_generators(observable)]
     return table, list(table.generator_indices), rhs_exprs, monitors

@@ -8,7 +8,9 @@ kernel that skips the algebraic reduction must fail that comparison.  The
 bracket checks that call it must print what they print when every sum is
 forced into the in-order branch.  The package parser must
 equal `reference_parser`, which builds every node as a LogExpr, on random
-grammar strings and on every corpus and benchmark document.
+grammar strings, on every corpus and benchmark document and on quotients
+where one make would differ from it, and fail as it does, with the same
+message and position, on random malformed strings.
 """
 
 from fractions import Fraction
@@ -213,6 +215,45 @@ EXPRESSIONS = st.recursive(joined(joined(ATOMS, ["*", "*", "/"], 2), ["+", "-"],
 @given(EXPRESSIONS)
 def test_parser_equals_the_logexpr_reference(text):
     assert outcome(parse_expression, text, TABLE) == outcome(reference_parse, text, TABLE)
+
+
+# token soup: mostly malformed strings, with stray operators, unclosed
+# groups, bad exponents and characters, and log operands
+PIECES = st.sampled_from(["u", "v", "q1", "rho", "w", "log", "log(", "log(u)", "log(q1)", "log(2)",
+                          "(", ")", "+", "-", "*", "/", "^", "^-", "^65", "^u", "2", "0", "3/",
+                          "²", "/0", "/(u - u)", "*log(v)", "/log(v)", "(u+v)^-1", "(u+v)"])
+MALFORMED = st.lists(PIECES, max_size=8).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(MALFORMED)
+def test_malformed_strings_fail_as_the_reference_does(text):
+    """The same ParseError or ExprError, message and position, as the
+    reference, or the same value."""
+    assert outcome(parse_expression, text, TABLE) == outcome(reference_parse, text, TABLE)
+
+
+ONE_PAIR = VarTable.make(["u", "v"], 1, ["a"], algebraic="rho")  # rho^2 = q1^2
+
+
+@pytest.mark.parametrize("table, a, b", [
+    (TABLE, "u + v", "(u + 1)/((u + 1)*(v + 1))"),
+    (TABLE, "u/(v + 2)", "(u + 1)/((u + 1)*(v + 1))"),
+    (TABLE, "v + u", "rho/(q1^2 + q2^2)"),
+    (TABLE, "1/(u + v)", "rho"),
+    (ONE_PAIR, "0", "rho - q1")], ids=["exact-inverse", "exact-inverse-over-rational",
+                                       "rho-inverse", "rho-over-rational", "zero-norm"])
+def test_quotients_one_make_would_change(table, a, b):
+    """Quotients where one make(a.num * b.den, a.den * b.num) differs from
+    the reference's a * (1 / b), in term order, kept terms or a raised
+    error: the parser must still equal the reference on them."""
+    text = f"({a}) / ({b})"
+    want = outcome(reference_parse, text, table)
+    assert outcome(parse_expression, text, table) == want
+
+    def one_make(text, table):
+        return LogExpr(parse_expression(a, table).rat / parse_expression(b, table).rat)
+    assert outcome(one_make, text, table) != want
 
 
 def document_texts(doc):

@@ -3,10 +3,11 @@
 `reference_poly` keeps the exponent-tuple algorithms by definition.  Sums,
 products, exact division (through the radial conjugate), algebraic
 reduction, monomial content and `RatFunc.make` must give the same terms in
-the same insertion order, and print the same.  Packed keys must order like
-(sum(e), e), and a total degree past DEGREE_LIMIT must raise instead of
-carrying into a neighbouring field.  `split_terms` cells must rebuild the
-polynomial they split.
+the same insertion order, and print the same; so must a product of two
+single terms and a power of one, which skip the generic product kernel.
+Packed keys must order like (sum(e), e), and a total degree past
+DEGREE_LIMIT must raise instead of carrying into a neighbouring field.
+`split_terms` cells must rebuild the polynomial they split.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import reference_poly as ref  # noqa: E402
 from plq.cli import main  # noqa: E402
-from plq.expr import DEGREE_LIMIT, ExprError, Poly, RatFunc, VarTable, split_terms  # noqa: E402
+from plq.expr import (DEGREE_LIMIT, ExprError, Poly, RatFunc, VarTable,  # noqa: E402
+                      _multiply_into, _reduce_algebraic, split_terms)
 
 PLAIN = VarTable.make(["x", "y"], 0, ["a"])
 RADIAL = VarTable.make([], 2, [], algebraic="rho")
@@ -169,6 +171,49 @@ def test_degree_limit_raises_instead_of_carrying():
                  lambda: Poly.from_terms(PLAIN, [((0, 0, DEGREE_LIMIT + 1), 1)])):
         with pytest.raises(ExprError, match="exceeds the limit 127"):
             grow()
+
+
+def generic_product(a: Poly, b: Poly) -> Poly:
+    """The product through the kernel every product shares."""
+    table = a.table
+    return Poly(table, _reduce_algebraic(table, _multiply_into({}, table, a.packed, b.packed)))
+
+
+def typed(p: Poly) -> list:
+    return [(k, type(c), c) for k, c in p.packed.items()]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=IDS)
+def test_one_term_products_and_powers_match_the_generic_kernel(table):
+    """A product of two single terms is one key sum and a power of one is
+    the key times n; both must equal the generic kernel key for key, with the
+    same coefficient types, rho * rho and rho^n reduced."""
+    rho = [Poly.var(table, "rho")] if table.alg_index is not None else []
+    extra = [p * c for p in rho + [Poly.one(table)] for c in (1, Fraction(3, 2), -2)]
+
+    @SETTINGS
+    @given(st.one_of(raw_terms(table, 1, 4).map(lambda r: Poly.from_terms(table, r)),
+                     st.sampled_from(extra)), st.sampled_from(extra), st.integers(0, 4))
+    def check(a, b, n):
+        for x, y in ((a, b), (b, a), (a, a), (a * b, b)):
+            assert typed(x * y) == typed(generic_product(x, y))
+        power = Poly.one(table)
+        for _ in range(n):
+            power = generic_product(power, a)
+        assert typed(a ** n) == typed(power)
+    check()
+
+
+def test_one_term_paths_raise_the_degree_limit_as_the_kernel_does():
+    x = Poly.var(PLAIN, "x")
+    for a, b in ((x ** 64, x ** 64), (x ** DEGREE_LIMIT, Poly.var(PLAIN, "y"))):
+        with pytest.raises(ExprError) as kernel:
+            generic_product(a, b)
+        with pytest.raises(ExprError) as one_term:
+            a * b
+        assert str(one_term.value) == str(kernel.value) == "total degree 128 exceeds the limit 127"
+    with pytest.raises(ExprError, match="^total degree 128 exceeds the limit 127$"):
+        (Fraction(1, 2) * x ** 64) ** 2
 
 
 def test_degree_limit_is_a_cli_error(capsys):

@@ -246,6 +246,32 @@ def test_cli_check_rejects_non_invariant(capsys):
     assert "2*H" in out
 
 
+@pytest.mark.parametrize("problem, text", [("sphere", "q1"), ("hydrogen", "rho"),
+                                           ("hydrogen", "p1*q2"), ("hydrogen", "L1 + p3/m")])
+def test_cli_check_refuses_canonical_variables(problem, text, tmp_path, capsys):
+    """{q1, H} = p1 under the sphere realization, so q1 is no observable of
+    the bracket table, whatever its residuals against the generators read:
+    `check` refuses it as `flow` does, exit 2 and nothing on stdout."""
+    report = tmp_path / "report.json"
+    assert main(["check", problem, "--invariant", text, "--json", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the invariant must use only generators and parameters\n"
+    assert json.loads(report.read_text())["error"] == \
+        "the invariant must use only generators and parameters"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("log(u2)*log(u2)", "product of two expressions with log terms leaves the ring at position 7"),
+    ("a*u1 + log(u2)*(1 + log(u3))",
+     "product of two expressions with log terms leaves the ring at position 14"),
+    ("u2/log(u2)", "division by an expression with log terms at position 2"),
+    ("log(u2)^2", "powers of expressions with log terms leave the ring at position 7")])
+def test_cli_log_operator_errors_name_the_operator(text, message, capsys):
+    assert main(["check", "galilei", "--invariant", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_check_parse_error_is_usage(capsys):
     assert main(["check", "sphere", "--invariant", "V +"]) == 2
 
